@@ -394,12 +394,19 @@ def _cmd_gpy_levels(args, config: RunConfig, started: float) -> int:
 
 
 def _cmd_mk_poly(args, config: RunConfig, started: float) -> int:
-    cert = mk_lower_bound_poly(args.k, args.degree, basis_cap=config.basis_cap)
+    cert = mk_lower_bound_poly(
+        args.k,
+        args.degree,
+        basis_cap=config.basis_cap,
+        residual_tol=config.tolerance("eigen_residual"),
+    )
     _emit("mk poly", {"k": args.k, "degree": args.degree}, cert.to_dict(), config, started)
     return 0
 
 
 def _cmd_mk_gbound(args, config: RunConfig, started: float) -> int:
+    if args.k < 2:
+        raise ValidationError(f"k must be >= 2, got {args.k}")
     target = math.log(args.k) - 2 * math.log(math.log(args.k)) - 2
     if args.A is not None or args.T is not None:
         if args.A is None or args.T is None:
@@ -436,7 +443,13 @@ def _cmd_mk_gbound(args, config: RunConfig, started: float) -> int:
 def _cmd_mk_chain(args, config: RunConfig, started: float) -> int:
     tup = _tuple_from_args(args)
     report = gap_bound_chain(
-        args.k, args.degree, args.theta, args.m, tup, basis_cap=config.basis_cap
+        args.k,
+        args.degree,
+        args.theta,
+        args.m,
+        tup,
+        basis_cap=config.basis_cap,
+        residual_tol=config.tolerance("eigen_residual"),
     )
     _emit(
         "mk chain",

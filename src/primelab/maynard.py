@@ -141,27 +141,43 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
 def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
     """Pivots of the exact LDL^T decomposition of a symmetric matrix.
 
+    Fraction-free (Bareiss) elimination on the upper triangle of the
+    integer image S = den * matrix, den the lcm of the entry denominators.
+    Every row of S is first divided by its content g_r: all minors through
+    row r are multiples of g_r, so after step i each active entry is its
+    bordered minor of S divided by g_0 ... g_(i-1), an integer, and every
+    division below is exact. The diagonal entry d_i at step i is the
+    leading minor D_(i+1)(S) over g_0 ... g_i, so pivot i, which is
+    D_(i+1)(S) / (D_i(S) den), equals g_i d_i / (d_(i-1) den) exactly.
+
     Raises:
         ConsistencyError: some pivot is <= 0 (matrix not positive definite).
     """
     n = len(matrix)
-    a = [row[:] for row in matrix]
+    den = math.lcm(*(x.denominator for i, row in enumerate(matrix) for x in row[i:]))
+    # a[i] holds columns i .. n-1 of row i
+    a = [
+        [x.numerator * (den // x.denominator) for x in row[i:]]
+        for i, row in enumerate(matrix)
+    ]
+    content = [math.gcd(*a[i], *(a[r][i - r] for r in range(i))) or 1 for i in range(n)]
     pivots = []
+    prev = 1
     for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
+        g = content[i]
+        row = [x // g for x in a[i]]
+        d = row[0]
+        piv = Fraction(g * d, prev * den)
+        if d <= 0:
             raise ConsistencyError(
                 f"pivot {i} of the LDL decomposition is {piv} <= 0: "
                 "matrix is not positive definite"
             )
         pivots.append(piv)
         for j in range(i + 1, n):
-            f = a[i][j] / piv
-            if f == 0:
-                continue
-            aj, ai = a[j], a[i]
-            for col in range(j, n):
-                aj[col] -= f * ai[col]
+            aij = a[i][j - i]
+            a[j] = [(d * x - aij * y) // prev for x, y in zip(a[j], row[j - i :])]
+        prev = d
     return pivots
 
 
@@ -189,13 +205,27 @@ def largest_generalized_eigenvalue(
 
     Raises:
         ConsistencyError: A1 fails the exact positive-definiteness check.
-        ConvergenceError: the float solve misses the residual tolerance.
+        ConvergenceError: the float solve fails (A1 numerically singular)
+            or misses the residual tolerance.
     """
+    lam, vec, _, _ = _eigen_stage(pair, residual_tol, check_definite)
+    return lam, vec
+
+
+def _eigen_stage(
+    pair: QuadraticFormPair, residual_tol: float, check_definite: bool
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """largest_generalized_eigenvalue plus the scaled float images F1, F2."""
     if check_definite:
         ldl_pivots(pair.A1)
     F1, s1 = _scaled_float(pair.A1)
     F2, s2 = _scaled_float(pair.A2)
-    vals, vecs = eigh(F2, F1)
+    try:
+        vals, vecs = eigh(F2, F1)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"float eigensolver failed on the scaled forms: {exc}", residual=math.inf
+        ) from exc
     mu = float(vals[-1])
     vec = np.ascontiguousarray(vecs[:, -1])
     lhs = F2 @ vec
@@ -206,7 +236,7 @@ def largest_generalized_eigenvalue(
             f"eigen residual {residual:.3e} exceeds {residual_tol:.1e}",
             residual=residual,
         )
-    return mu * float(s2 / s1), vec
+    return mu * float(s2 / s1), vec, F1, F2
 
 
 @dataclass(frozen=True)
@@ -286,21 +316,22 @@ def _float_rounded_down(q: Fraction) -> float:
     return f
 
 
-def mk_lower_bound_poly(k: int, degree: int, *, basis_cap: int = 64) -> MkCertificate:
+def mk_lower_bound_poly(
+    k: int, degree: int, *, basis_cap: int = 64, residual_tol: float = 1e-9
+) -> MkCertificate:
     """Polynomial-basis lower bound: build, eigensolve, recertify exactly.
 
     Any coefficient vector yields a valid lower bound, so the float
     witness is converted to exact rationals and the Rayleigh quotient is
     re-evaluated exactly; the certificate carries that exact value rounded
-    down to a float.
+    down to a float. residual_tol bounds the eigen-equation residual of
+    the float solve.
     """
     pair = build_quadratic_forms(k, degree, basis_cap=basis_cap)
-    lam, vec = largest_generalized_eigenvalue(pair)
+    lam, vec, F1, F2 = _eigen_stage(pair, residual_tol, check_definite=True)
     witness = tuple(Fraction(float(c)) for c in vec)
     exact = rayleigh_quotient(pair, witness)
     bound = _float_rounded_down(exact)
-    F1, _ = _scaled_float(pair.A1)
-    F2, _ = _scaled_float(pair.A2)
     v = np.array([float(c) for c in witness])
     lhs = F2 @ v
     mu_scaled = float(v @ lhs) / float(v @ (F1 @ v))
@@ -596,6 +627,7 @@ def gap_bound_chain(
     tup: AdmissibleTuple,
     *,
     basis_cap: int = 64,
+    residual_tol: float = 1e-9,
 ) -> GapChainReport:
     """Run the polynomial bound, the strict inference, and emit the claim."""
     if tup.k != k:
@@ -605,7 +637,7 @@ def gap_bound_chain(
         raise ValidationError(
             f"tuple is not admissible (all classes mod {verdict.prime} covered)"
         )
-    cert = mk_lower_bound_poly(k, degree, basis_cap=basis_cap)
+    cert = mk_lower_bound_poly(k, degree, basis_cap=basis_cap, residual_tol=residual_tol)
     threshold = 2.0 * m / theta
     holds = dhl_inference(cert.lower_bound, theta, m)
     failing = None

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: trial division, one-shot sieves, direct definitional loops,
-nested quadrature, Monte Carlo form entries, and an exact
-Kolmogorov-Smirnov supremum. Tests compare package output against these.
+nested quadrature, Monte Carlo form entries, an exact
+Kolmogorov-Smirnov supremum, and an LDL decomposition in Fractions. Tests
+compare package output against these.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
+
+from primelab.errors import ConsistencyError
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -269,3 +272,30 @@ def exact_rational_requote(a1, a2, witness) -> Fraction:
             num += witness[i] * a2[i][j] * witness[j]
             den += witness[i] * a1[i][j] * witness[j]
     return num / den
+
+
+def ldl_pivots_fraction(matrix) -> list[Fraction]:
+    """LDL^T pivots of a symmetric matrix by elimination in Fractions.
+
+    Reads the upper triangle only. Raises ConsistencyError, with the
+    package's message, at the first pivot <= 0.
+    """
+    n = len(matrix)
+    a = [row[:] for row in matrix]
+    pivots = []
+    for i in range(n):
+        piv = a[i][i]
+        if piv <= 0:
+            raise ConsistencyError(
+                f"pivot {i} of the LDL decomposition is {piv} <= 0: "
+                "matrix is not positive definite"
+            )
+        pivots.append(piv)
+        for j in range(i + 1, n):
+            f = a[i][j] / piv
+            if f == 0:
+                continue
+            aj, ai = a[j], a[i]
+            for col in range(j, n):
+                aj[col] -= f * ai[col]
+    return pivots

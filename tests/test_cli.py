@@ -159,6 +159,28 @@ class TestReports:
         assert code == 3
         assert "disagree" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("mk", "poly", "--k", "5", "--degree", "3"),
+            ("mk", "chain", "--k", "5", "--degree", "3", "--theta", "1.0",
+             "--greedy-window", "16"),
+        ],
+    )
+    def test_eigen_residual_tolerance_is_applied(self, capsys, tmp_path, command):
+        cfg = tmp_path / "strict.conf"
+        cfg.write_text("tolerance.eigen_residual=1e-300\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), *command)
+        assert code == 3
+        assert "eigen residual" in err
+
+    def test_mk_gbound_k1_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "mk", "gbound", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert "k must be >= 2" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminismAndFormats:
     def test_reports_identical_apart_from_timing(self, capsys):

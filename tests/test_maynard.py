@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
 from primelab.errors import (
     CapacityError,
     ConsistencyError,
+    ConvergenceError,
     ValidationError,
 )
 from primelab.maynard import (
@@ -36,6 +39,33 @@ def synthetic_pair(a1, a2):
     basis = tuple(BasisIndex(i, 0) for i in range(n))
     to_frac = lambda mat: [[Fraction(x) for x in row] for row in mat]
     return QuadraticFormPair(k=1, degree=n, basis=basis, A1=to_frac(a1), A2=to_frac(a2))
+
+
+_ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def symmetric_rational(draw):
+    """Symmetric n x n rational matrix, n <= 8: positive definite
+    (B B^T plus a positive diagonal), singular (B B^T with B of rank < n)
+    or unconstrained (mostly indefinite)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("definite", "singular", "any")))
+    if kind == "any":
+        upper = {(i, j): draw(_ENTRIES) for i in range(n) for j in range(i, n)}
+        return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    rank = n if kind == "definite" else draw(st.integers(0, n - 1))
+    b = [[draw(_ENTRIES) for _ in range(rank)] for _ in range(n)]
+    m = [
+        [sum((b[i][t] * b[j][t] for t in range(rank)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    if kind == "definite":
+        for i in range(n):
+            m[i][i] += draw(
+                st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12)
+            )
+    return m
 
 
 class TestBasis:
@@ -98,6 +128,22 @@ class TestLdl:
         pivots = ldl_pivots(mat)
         assert pivots == [Fraction(4), Fraction(3) - Fraction(1)]
 
+    @given(symmetric_rational())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, mat):
+        try:
+            expected = oracles.ldl_pivots_fraction(mat)
+        except ConsistencyError as exc:
+            with pytest.raises(ConsistencyError) as got:
+                ldl_pivots(mat)
+            assert str(got.value) == str(exc)
+        else:
+            assert ldl_pivots(mat) == expected
+
+    def test_maynard_a1_matches_fraction_oracle(self):
+        a1 = build_quadratic_forms(105, 12).A1
+        assert ldl_pivots(a1) == oracles.ldl_pivots_fraction(a1)
+
 
 class TestEigen:
     def test_identity_pair(self):
@@ -129,6 +175,14 @@ class TestEigen:
     def test_structural_error_on_indefinite_a1(self):
         pair = synthetic_pair([[1, 2], [2, 1]], [[1, 0], [0, 1]])
         with pytest.raises(ConsistencyError):
+            largest_generalized_eigenvalue(pair)
+
+    def test_numerically_singular_a1_is_a_convergence_error(self):
+        # exactly definite (pivots 1 and 10^-30) but singular in doubles
+        tiny = Fraction(1, 10**30)
+        pair = synthetic_pair([[1, 1], [1, 1 + tiny]], [[1, 0], [0, 1]])
+        assert ldl_pivots(pair.A1) == [1, tiny]
+        with pytest.raises(ConvergenceError, match="eigensolver failed"):
             largest_generalized_eigenvalue(pair)
 
 
