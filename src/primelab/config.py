@@ -21,17 +21,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     segment_size: int = 1 << 20
     basis_cap: int = 64
     output_format: str = "json"
-    workers: int = field(default_factory=_default_workers)
     tolerances: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_TOLERANCES)
     )
@@ -54,7 +49,6 @@ class RunConfig:
             "segment_size": self.segment_size,
             "basis_cap": self.basis_cap,
             "output_format": self.output_format,
-            "workers": self.workers,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
 
@@ -73,7 +67,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("tolerance."):
             tolerances[key.removeprefix("tolerance.")] = float(value)
-        elif key in ("seed", "segment_size", "basis_cap", "workers"):
+        elif key in ("seed", "segment_size", "basis_cap"):
             updates[key] = int(value)
         elif key == "output_format":
             updates[key] = value

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .sieve import mangoldt_range, primes_between, sieve_range
+from .sieve import _crt_combine, mangoldt_range, primes_between, sieve_range
 from .tuples import AdmissibleTuple
 
 # Level exponent sufficient for the remainder sum to stay negligible in
@@ -28,47 +28,23 @@ ZHANG_LEVEL_EXPONENT = 0.25 + 1.0 / 1168.0
 SupportArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _mobius_small(d: int) -> int:
-    """mu(d) by trial division; meant for the small divisor ranges here."""
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    mu, m, p = 1, d, 2
+def _factorise(d: int) -> dict[int, int]:
+    """{prime: exponent} of d >= 1 by trial division (small d only)."""
+    out: dict[int, int] = {}
+    m, p = d, 2
     while p * p <= m:
-        if m % p == 0:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
             m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
         p += 1
     if m > 1:
-        mu = -mu
-    return mu
-
-
-def _totient_small(d: int) -> int:
-    m, result, p = d, d, 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _prime_factors(d: int) -> list[int]:
-    out, m, p = [], d, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
+        out[m] = 1
     return out
+
+
+def _mobius(d: int) -> int:
+    exponents = _factorise(d).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 @dataclass(frozen=True)
@@ -90,6 +66,9 @@ class GpyParams:
             raise ValidationError(f"b must lie in (0, 1/2), got {self.b}")
         if self.l < 1:
             raise ValidationError(f"l must be >= 1, got {self.l}")
+        if self.k + self.l > 170:
+            # lambda_d divides by (k+l)!, and 171! overflows a double
+            raise ValidationError(f"k + l must be <= 170, got {self.k + self.l}")
         if self.x < 100:
             raise ValidationError(f"x must be >= 100, got {self.x}")
         if self.k != self.tuple.k:
@@ -126,7 +105,7 @@ def lambda_d(d: int, params: GpyParams) -> float:
         raise ValidationError(
             f"d must satisfy 1 <= d <= {params.D_limit}, got {d}"
         )
-    mu = _mobius_small(d)
+    mu = _mobius(d)
     if mu == 0:
         return 0.0
     logterm = max(params.b * math.log(params.x) - math.log(d), 0.0)
@@ -163,19 +142,7 @@ def _count_in_class(lo: int, hi: int, r: int, m: int) -> int:
 
 def _valid_residues(m: int, offsets: tuple[int, ...]) -> list[int]:
     """Residues r mod m with m | (r+h_1)...(r+h_k), for squarefree m, via CRT."""
-    residues = [0]
-    mod = 1
-    for p in _prime_factors(m):
-        roots = sorted({(-h) % p for h in offsets})
-        new = []
-        for r in residues:
-            for s in roots:
-                # CRT for coprime (mod, p)
-                inv = pow(mod, -1, p)
-                t = (s - r) * inv % p
-                new.append(r + mod * t)
-        residues = new
-        mod *= p
+    residues, _ = _crt_combine((p, sorted({(-h) % p for h in offsets})) for p in _factorise(m))
     return sorted(residues)
 
 
@@ -302,26 +269,13 @@ def residue_set_C(i: int, d: int, tup: AdmissibleTuple) -> frozenset[int]:
         raise ValidationError(f"i must lie in [1, {tup.k}], got {i}")
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
-    if _mobius_small(d) == 0:
+    if _mobius(d) == 0:
         raise ValidationError(f"d must be squarefree, got {d}")
-    if d == 1:
-        return frozenset({1})
     hi = tup.offsets[i - 1]
-    residues = [0]
-    mod = 1
-    for p in _prime_factors(d):
-        # roots of prod_j (c - h_i + h_j) mod p, excluding c = 0 mod p
-        roots = sorted({(hi - h) % p for h in tup.offsets} - {0})
-        if not roots:
-            return frozenset()
-        new = []
-        for r in residues:
-            inv = pow(mod, -1, p)
-            for s in roots:
-                t = (s - r) * inv % p
-                new.append(r + mod * t)
-        residues = new
-        mod *= p
+    # per prime p | d: the roots of prod_j (c - h_i + h_j) mod p, except c = 0
+    residues, _ = _crt_combine(
+        (p, sorted({(hi - h) % p for h in tup.offsets} - {0})) for p in _factorise(d)
+    )
     return frozenset(c if c != 0 else d for c in residues)
 
 
@@ -346,7 +300,8 @@ def remainder_R(
     # math.log per element keeps the value multiset identical to any
     # scalar re-summation, and fsum is order-insensitive
     lam_sum = math.fsum(math.log(p) for p in ps[mask].tolist())
-    return lam_sum - x / _totient_small(d)
+    totient = math.prod((p - 1) * p ** (e - 1) for p, e in _factorise(d).items())
+    return lam_sum - x / totient
 
 
 def error_sum_E(
@@ -366,7 +321,7 @@ def error_sum_E(
         support = mangoldt_range(x, 2 * x)
     terms = []
     for d in range(1, d_max + 1):
-        if _mobius_small(d) == 0:
+        if _mobius(d) == 0:
             continue
         for c in sorted(residue_set_C(i, d, params.tuple)):
             terms.append(abs(remainder_R(x, d, c, support=support)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-from .sieve import GapRecord, _simple_prime_array, gap_scan, primorial
+from .sieve import GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class CoveringSystem:
     residues: dict[int, int]
     y_len: int
     uncovered: tuple[int, ...]
-    phase_boundary: float
 
     def covered(self) -> bool:
         return not self.uncovered
@@ -45,13 +44,7 @@ def uncovered_in(residues: dict[int, int], y_len: int) -> tuple[int, ...]:
     )
 
 
-def make_covering_system(
-    n: int,
-    residues: dict[int, int],
-    y_len: int,
-    *,
-    phase_boundary: Optional[float] = None,
-) -> CoveringSystem:
+def make_covering_system(n: int, residues: dict[int, int], y_len: int) -> CoveringSystem:
     """Validate a residue assignment and compute its uncovered remainder."""
     expected = set(_simple_prime_array(n).tolist())
     if set(residues) != expected:
@@ -66,7 +59,6 @@ def make_covering_system(
         residues=dict(sorted(residues.items())),
         y_len=y_len,
         uncovered=uncovered_in(residues, y_len),
-        phase_boundary=n / 2 if phase_boundary is None else phase_boundary,
     )
 
 
@@ -126,16 +118,12 @@ def primorial_run(n: int) -> CompositeRun:
     return CompositeRun(y=y, first_offset=2, length=n - 1, witnesses=tuple(witnesses))
 
 
-def greedy_cover(
-    n: int, y_len: int, *, phase_boundary: Optional[float] = None
-) -> CoveringSystem:
+def greedy_cover(n: int, y_len: int) -> CoveringSystem:
     """Pick residue classes greedily, most newly covered elements first.
 
     Primes are processed in ascending order; for each, the class covering
     the most currently uncovered elements of [1, y_len] wins, ties to the
-    smallest class. The phase boundary (default n/2) separates the
-    bulk-cover primes from the cleanup primes; the greedy rule is the same
-    on both sides and the boundary is recorded for experimentation.
+    smallest class.
     """
     if n < 5:
         raise ValidationError(f"n must be >= 5, got {n}")
@@ -155,7 +143,6 @@ def greedy_cover(
         residues=residues,
         y_len=y_len,
         uncovered=tuple(sorted(uncovered)),
-        phase_boundary=n / 2 if phase_boundary is None else phase_boundary,
     )
 
 
@@ -177,12 +164,7 @@ def crt_shift(system: CoveringSystem, *, allow_partial: bool = False) -> int:
             f"covering system leaves {len(system.uncovered)} holes "
             f"in [1, {system.y_len}]: {holes}{more}"
         )
-    y, mod = 0, 1
-    for p, c in sorted(system.residues.items()):
-        inv = pow(mod % p, -1, p)
-        t = ((-c - y) % p) * inv % p
-        y += mod * t
-        mod *= p
+    (y,), mod = _crt_combine((p, [-c % p]) for p, c in sorted(system.residues.items()))
     if y <= system.n:
         y += mod
     return y

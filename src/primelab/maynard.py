@@ -378,8 +378,8 @@ class GBoundParams:
     variant: str = VARIANT_RATIO_SQUARED
 
     def __post_init__(self):
-        if self.A <= 0 or self.T <= 0:
-            raise ValidationError(f"A and T must be > 0, got A={self.A} T={self.T}")
+        if not (0 < self.A < math.inf and 0 < self.T < math.inf):
+            raise ValidationError(f"A and T must be finite and > 0, got A={self.A} T={self.T}")
         if self.k < 2:
             raise ValidationError(f"k must be >= 2, got {self.k}")
         if self.variant not in _VARIANTS:
@@ -527,6 +527,9 @@ def ij_monte_carlo(
     """
     if samples < 1000:
         raise ValidationError(f"samples must be >= 1000, got {samples}")
+    if not 1 <= k <= 170:
+        # the simplex volumes 1/k! and 1/(k-1)! are taken in doubles
+        raise ValidationError(f"k must lie in [1, 170], got {k}")
     basis = enumerate_basis(degree)
     if len(coeffs) != len(basis):
         raise ValidationError(f"need {len(basis)} coefficients, got {len(coeffs)}")

@@ -10,9 +10,8 @@ Mangoldt function. The von Mangoldt value is kept symbolically as a
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +54,8 @@ def iter_prime_segments(
     """Yield (segment_lo, primality bits) covering [lo, hi) in order."""
     if not 0 <= lo < hi:
         raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    if segment_size < 1:
+        raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
     base = _simple_prime_array(math.isqrt(hi - 1))
     for seg_lo in range(lo, hi, segment_size):
         seg_hi = min(seg_lo + segment_size, hi)
@@ -141,35 +142,12 @@ def sieve_range(
     return PrimeTable(lo=lo, hi=hi, primality=bits, smallest_factor=spf)
 
 
-def prime_count(
-    x: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> int:
-    """Exact count of primes <= x.
-
-    Segments are counted independently and summed, so the merge is
-    order-free; workers > 1 counts segments in a thread pool.
-    """
+def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+    """Exact count of primes <= x, summed segment by segment."""
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}")
-    if x < 2:
-        return 0
-    hi = x + 1
-    base = _simple_prime_array(math.isqrt(x))
-    spans = [
-        (seg_lo, min(seg_lo + segment_size, hi))
-        for seg_lo in range(0, hi, segment_size)
-    ]
-
-    def count_one(span: tuple[int, int]) -> int:
-        return int(np.count_nonzero(_segment_bits(span[0], span[1], base)))
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(count_one, spans))
-    return sum(count_one(s) for s in spans)
+    segments = iter_prime_segments(0, x + 1, segment_size)
+    return sum(int(np.count_nonzero(bits)) for _, bits in segments)
 
 
 def primes_between(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
@@ -181,6 +159,21 @@ def primes_between(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -
     if not chunks:
         return np.array([], dtype=np.int64)
     return np.concatenate(chunks)
+
+
+def _crt_combine(roots: Iterable[tuple[int, Sequence[int]]]) -> tuple[list[int], int]:
+    """Chinese remaindering over distinct primes.
+
+    roots yields (p, allowed residues mod p). Returns every r in [0, M)
+    whose reduction mod each p is allowed, and M, the product of the
+    primes; no primes give ([0], 1).
+    """
+    residues, mod = [0], 1
+    for p, allowed in roots:
+        inv = pow(mod, -1, p)
+        residues = [r + mod * ((s - r) * inv % p) for r in residues for s in allowed]
+        mod *= p
+    return residues, mod
 
 
 def primorial(n: int) -> int:

@@ -139,17 +139,20 @@ def greedy_narrow_tuple(k: int, window: int) -> AdmissibleTuple:
 
 def write_offsets(path: str, tup: AdmissibleTuple) -> None:
     """One offset per line, decimal, sorted."""
-    with open(path, "w", encoding="ascii") as fh:
-        for h in tup.offsets:
-            fh.write(f"{h}\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            for h in tup.offsets:
+                fh.write(f"{h}\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write offsets file {path}: {exc}") from exc
 
 
 def read_offsets(path: str) -> list[int]:
     """Parse a one-offset-per-line file; blank lines are skipped."""
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(int(line))
-    return out
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [int(line) for line in fh if line.strip()]
+    except OSError as exc:
+        raise ValidationError(f"cannot read offsets file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse offsets file {path}: {exc}") from exc

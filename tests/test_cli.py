@@ -182,6 +182,44 @@ class TestReports:
         assert "Traceback" not in err
 
 
+class TestInputValidation:
+    """Inputs that once escaped as a traceback (exit 1) or ran on a wrong value."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # -5 once exited 0 with prime_count 0 read from an unfilled buffer
+            (("--segment-size", "0", "sieve", "--hi", "100"), "segment_size must be >= 1"),
+            (("--segment-size", "-5", "sieve", "--hi", "1000000"), "segment_size must be >= 1"),
+            (("tuple", "verify", "--file", "{tmp}/nonexistent"), "cannot read offsets file"),
+            (("tuple", "search", "--k", "3", "--window", "10", "--out", "{tmp}/missing/dir/f"),
+             "cannot write offsets file"),
+            (("tuple", "prime-offset", "--k", "3", "--out", "{tmp}/missing/dir/f"),
+             "cannot write offsets file"),
+            (("mk", "chain", "--k", "3", "--degree", "2", "--theta", "1.0",
+              "--tuple-file", "{tmp}/nonexistent"), "cannot read offsets file"),
+            (("mk", "montecarlo", "--k", "2", "--degree", "1", "--samples", "1000",
+              "--coeffs", "1,x"), "cannot parse coeffs '1,x'"),
+            (("mk", "montecarlo", "--k", "171", "--degree", "0", "--samples", "1000"),
+             "k must lie in [1, 170]"),
+            # a zero once fell back to y_len = n / the prime-offset tuple
+            (("largegap", "cover", "--n", "20", "--y-len", "0"), "y_len must be >= n"),
+            (("mk", "chain", "--k", "5", "--degree", "3", "--theta", "1.0",
+              "--greedy-window", "0"), "window must be >= k"),
+            (("gpy", "sums", "--x", "100", "--offsets", "0", "--l", "170", "--b", "0.25"),
+             "k + l must be <= 170"),
+            (("mk", "gbound", "--k", "2", "--A", "inf", "--T", "0.25"),
+             "A and T must be finite and > 0"),
+        ],
+    )
+    def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestDeterminismAndFormats:
     def test_reports_identical_apart_from_timing(self, capsys):
         a = run_json(capsys, "stats", "pigeonhole", "--X", "1000", "--H", "10",

@@ -61,10 +61,6 @@ class TestGreedyCover:
     def test_determinism(self):
         assert greedy_cover(31, 60) == greedy_cover(31, 60)
 
-    def test_phase_boundary_recorded(self):
-        assert greedy_cover(50, 50).phase_boundary == 25.0
-        assert greedy_cover(50, 50, phase_boundary=10).phase_boundary == 10
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             greedy_cover(4, 10)

@@ -10,6 +10,7 @@ from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
     arith_tables,
     gap_scan,
+    iter_prime_segments,
     mangoldt_range,
     prime_count,
     primes_between,
@@ -81,8 +82,15 @@ class TestPrimeCount:
     def test_million(self):
         assert prime_count(10**6) == oracles.simple_prime_count(10**6) == 78498
 
-    def test_workers_agree(self):
-        assert prime_count(10**6, workers=4) == 78498
+    @pytest.mark.parametrize("segment_size", [0, -5])
+    def test_non_positive_segment_size_rejected(self, segment_size):
+        # -5 once returned the uninitialised sieve buffer as a count of 0
+        with pytest.raises(ValidationError, match="segment_size must be >= 1"):
+            prime_count(10**6, segment_size=segment_size)
+        with pytest.raises(ValidationError, match="segment_size must be >= 1"):
+            next(iter_prime_segments(0, 100, segment_size))
+        with pytest.raises(ValidationError, match="segment_size must be >= 1"):
+            sieve_range(0, 10**6, segment_size=segment_size)
 
     @given(st.integers(min_value=2, max_value=3000))
     @settings(max_examples=30, deadline=None)

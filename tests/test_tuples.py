@@ -146,6 +146,16 @@ class TestFileInterface:
         assert text.splitlines() == [str(h) for h in tup.offsets]
         assert read_offsets(str(path)) == list(tup.offsets)
 
+    def test_os_and_parse_errors_are_validation_errors(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0\nx\n")
+        with pytest.raises(ValidationError, match="cannot read offsets file"):
+            read_offsets(str(tmp_path / "missing.txt"))
+        with pytest.raises(ValidationError, match="cannot parse offsets file"):
+            read_offsets(str(bad))
+        with pytest.raises(ValidationError, match="cannot write offsets file"):
+            write_offsets(str(tmp_path / "no" / "dir.txt"), prime_offset_tuple(3))
+
     def test_certificate_json(self):
         tup = is_admissible([0, 2, 6])
         data = json.loads(tup.certificate_json())
