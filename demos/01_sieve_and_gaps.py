@@ -2,13 +2,15 @@
 """Sieving a range, counting primes, and scanning consecutive-prime gaps.
 
 The segmented sieve keeps memory flat no matter how far the range goes;
-prime counts, gap extremes, and the multiplicative-function tables all
-come from the same primality bits.
+prime counts, gap extremes and the von Mangoldt support all come from
+its primality bits, and the mu/phi/omega tables from the same slices
+struck by the primes up to the square root of n.
 """
 
 import time
 
 from primelab import arith_tables, gap_scan, prime_count, primorial, sieve_range
+from primelab.sieve import mangoldt_range
 
 
 def main():
@@ -26,7 +28,9 @@ def main():
     t = arith_tables(30)
     print("\nmu on 1..30:", t.mobius[1:31].tolist())
     print("omega(30) =", int(t.omega[30]), " phi(30) =", int(t.totient[30]))
-    print("prime powers up to 30:", sorted(t.mangoldt.items()))
+    ns, ps, ms = mangoldt_range(2, 31)
+    powers = list(zip(ns.tolist(), zip(ps.tolist(), ms.tolist())))
+    print("prime powers up to 30:", powers)
 
     print("\nprimorial(97) =", primorial(97))
 

@@ -27,6 +27,8 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import (
@@ -162,14 +164,25 @@ def _pick(obj, *names: str) -> dict:
 
 # --------- command implementations ---------
 
+def _edge_primes(bits, lo: int, step: int) -> tuple[Optional[int], Optional[int]]:
+    """First and last prime of a sieved bitmap, read `step` bits at a time
+    from each end so that nothing the size of the range is allocated."""
+
+    def edge(starts, pick: int) -> Optional[int]:
+        for start in starts:
+            hits = np.flatnonzero(bits[start : start + step])
+            if hits.size:
+                return lo + start + int(hits[pick])
+        return None
+
+    starts = range(0, bits.size, step)
+    return edge(starts, 0), edge(reversed(starts), -1)
+
+
 def _cmd_sieve(args, config: RunConfig):
     table = sieve_range(args.lo, args.hi, segment_size=config.segment_size)
-    primes = table.primes()
-    result = {
-        "prime_count": table.count(),
-        "first_prime": int(primes[0]) if primes.size else None,
-        "last_prime": int(primes[-1]) if primes.size else None,
-    }
+    first, last = _edge_primes(table.primality, table.lo, config.segment_size)
+    result = {"prime_count": table.count(), "first_prime": first, "last_prime": last}
     return _pick(args, "lo", "hi"), result
 
 

@@ -164,8 +164,11 @@ def weighted_sums(
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
     lam = {d: lambda_d(d, params) for d in range(1, D + 1)}
-    table = sieve_range(x, 2 * x + offsets[-1] + 1)
-    bits = table.primality
+    # both pipelines index the bits from lo, the least n + h they read
+    lo = x + min(offsets[0], 0)
+    if lo < 0:
+        raise ValidationError(f"need x + h_1 >= 0, got x={x} h_1={offsets[0]}")
+    bits = sieve_range(lo, 2 * x + offsets[-1] + 1).primality
 
     # direct scan
     f_terms, s2_terms, s2_theta_terms = [], [], []
@@ -179,7 +182,7 @@ def weighted_sums(
         if fn == 0.0:
             continue
         f_terms.append(fn)
-        hits = [h for h in offsets if bits[n + h - x]]
+        hits = [h for h in offsets if bits[n + h - lo]]
         if hits:
             s2_terms.append(fn * len(hits))
             s2_theta_terms.append(fn * math.fsum(math.log(n + h) for h in hits))
@@ -200,7 +203,7 @@ def weighted_sums(
     ns_by_offset = {}
     logq_by_offset = {}
     for h in offsets:
-        qs = np.flatnonzero(bits[h : h + x]).astype(np.int64) + x  # n values
+        qs = np.flatnonzero(bits[x + h - lo : 2 * x + h - lo]).astype(np.int64) + x
         ns_by_offset[h] = qs
         logq_by_offset[h] = np.log((qs + h).astype(np.float64))
 

@@ -191,10 +191,7 @@ def _scaled_float(matrix: RationalMatrix) -> tuple[np.ndarray, Fraction]:
 
 
 def largest_generalized_eigenvalue(
-    pair: QuadraticFormPair,
-    *,
-    residual_tol: float = 1e-9,
-    check_definite: bool = True,
+    pair: QuadraticFormPair, *, residual_tol: float = 1e-9
 ) -> tuple[float, np.ndarray]:
     """Largest lambda with A2 a = lambda A1 a, plus the witness vector.
 
@@ -208,16 +205,15 @@ def largest_generalized_eigenvalue(
         ConvergenceError: the float solve fails (A1 numerically singular)
             or misses the residual tolerance.
     """
-    lam, vec, _, _ = _eigen_stage(pair, residual_tol, check_definite)
+    lam, vec, _, _ = _eigen_stage(pair, residual_tol)
     return lam, vec
 
 
 def _eigen_stage(
-    pair: QuadraticFormPair, residual_tol: float, check_definite: bool
+    pair: QuadraticFormPair, residual_tol: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """largest_generalized_eigenvalue plus the scaled float images F1, F2."""
-    if check_definite:
-        ldl_pivots(pair.A1)
+    ldl_pivots(pair.A1)
     F1, s1 = _scaled_float(pair.A1)
     F2, s2 = _scaled_float(pair.A2)
     try:
@@ -328,7 +324,7 @@ def mk_lower_bound_poly(
     the float solve.
     """
     pair = build_quadratic_forms(k, degree, basis_cap=basis_cap)
-    lam, vec, F1, F2 = _eigen_stage(pair, residual_tol, check_definite=True)
+    lam, vec, F1, F2 = _eigen_stage(pair, residual_tol)
     witness = tuple(Fraction(float(c)) for c in vec)
     exact = rayleigh_quotient(pair, witness)
     bound = _float_rounded_down(exact)

@@ -2,9 +2,12 @@
 
 Everything else in the package consumes the primality data produced here:
 PrimeTable for range queries, GapRecord scans for consecutive-prime gaps,
-and tables of mu, phi, omega and the prime-power support of the von
-Mangoldt function. The von Mangoldt value is kept symbolically as a
-(prime, exponent) pair; log(p) floats only appear at summation sites.
+and dense tables of mu, phi and omega. One strike loop serves them all:
+slices over the base primes p <= sqrt(n) mark the composites of a segment,
+and the tables take the same slices plus one vectorised pass for the
+single prime factor above sqrt(n) that an integer can have. The von
+Mangoldt support comes from mangoldt_range as (n, prime, exponent) arrays;
+log(p) floats only appear at summation sites.
 """
 
 from __future__ import annotations
@@ -22,15 +25,11 @@ DEFAULT_RANGE_CAP = 1 << 30
 
 
 def _simple_prime_array(limit: int) -> np.ndarray:
-    """Primes <= limit by a plain one-shot sieve (base primes only)."""
+    """Primes <= limit: one segment over [0, limit], base primes by recursion."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    bits = np.ones(limit + 1, dtype=bool)
-    bits[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if bits[p]:
-            bits[p * p :: p] = False
-    return np.flatnonzero(bits).astype(np.int64)
+    base = _simple_prime_array(math.isqrt(limit))
+    return np.flatnonzero(_segment_bits(0, limit + 1, base)).astype(np.int64)
 
 
 def _segment_bits(seg_lo: int, seg_hi: int, base: np.ndarray) -> np.ndarray:
@@ -156,8 +155,6 @@ def primes_between(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -
         np.flatnonzero(bits) + seg_lo
         for seg_lo, bits in iter_prime_segments(lo, hi, segment_size)
     ]
-    if not chunks:
-        return np.array([], dtype=np.int64)
     return np.concatenate(chunks)
 
 
@@ -185,53 +182,45 @@ def primorial(n: int) -> int:
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Multiplicative-function tables for 1..n (index 0 unused).
-
-    mangoldt maps each prime power p**m <= n to the pair (p, m); all other
-    integers are absent. mobius, totient and omega are dense arrays.
-    """
+    """Dense mu, phi and omega tables for 1..n (index 0 holds 0)."""
 
     n: int
     mobius: np.ndarray
     totient: np.ndarray
     omega: np.ndarray
-    mangoldt: dict[int, tuple[int, int]]
-
-    def mangoldt_log(self, m: int) -> float:
-        """Float value log(p) if m = p**e, else 0.0."""
-        hit = self.mangoldt.get(m)
-        return math.log(hit[0]) if hit else 0.0
 
 
 def arith_tables(n: int) -> ArithTables:
-    """Build mu, phi, omega tables and von Mangoldt support for 1..n."""
+    """Build mu, phi, omega tables for 1..n from the primes p <= sqrt(n).
+
+    Each p strikes its multiples and divides its powers out of a cofactor;
+    a cofactor still above 1 is the one prime factor q > sqrt(n).
+    """
     if n < 1:
         raise ValidationError(f"arith_tables needs n >= 1, got {n}")
-    primes = _simple_prime_array(n)
     mobius = np.ones(n + 1, dtype=np.int8)
     totient = np.arange(n + 1, dtype=np.int64)
     omega = np.zeros(n + 1, dtype=np.int8)
-    for p in primes.tolist():
+    cofactor = np.arange(n + 1, dtype=np.int64)
+    for p in _simple_prime_array(math.isqrt(n)).tolist():
         mobius[p::p] *= -1
         omega[p::p] += 1
         totient[p::p] -= totient[p::p] // p
-        if p * p <= n:
-            mobius[p * p :: p * p] = 0
-    mobius[0] = 0
-    omega[0] = 0
-    totient[0] = 0
-
-    mangoldt: dict[int, tuple[int, int]] = {}
-    for p in primes.tolist():
-        pe, m = p, 1
+        mobius[p * p :: p * p] = 0
+        pe = p
         while pe <= n:
-            mangoldt[pe] = (p, m)
+            cofactor[pe::pe] //= p
             pe *= p
-            m += 1
+    big = np.flatnonzero(cofactor > 1)
+    q = cofactor[big]
+    mobius[big] *= -1
+    omega[big] += 1
+    totient[big] -= totient[big] // q
+    mobius[0] = 0  # slices start at p, so phi(0) and omega(0) stay 0
 
     for arr in (mobius, totient, omega):
         arr.flags.writeable = False
-    return ArithTables(n=n, mobius=mobius, totient=totient, omega=omega, mangoldt=mangoldt)
+    return ArithTables(n=n, mobius=mobius, totient=totient, omega=omega)
 
 
 def mangoldt_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,26 +231,21 @@ def mangoldt_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     if not 0 <= lo < hi:
         raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-    ns = primes_between(max(lo, 2), hi)
-    ps = ns.copy()
-    ms = np.ones(ns.size, dtype=np.int64)
-    extra = []
+    primes = primes_between(lo, hi)
+    powers = []
     for p in _simple_prime_array(math.isqrt(hi - 1)).tolist():
         pe, m = p * p, 2
         while pe < hi:
             if pe >= lo:
-                extra.append((pe, p, m))
+                powers.append((pe, p, m))
             pe *= p
             m += 1
-    if extra:
-        extra.sort()
-        e = np.array(extra, dtype=np.int64)
-        ns = np.concatenate([ns, e[:, 0]])
-        ps = np.concatenate([ps, e[:, 1]])
-        ms = np.concatenate([ms, e[:, 2]])
-        order = np.argsort(ns, kind="stable")
-        ns, ps, ms = ns[order], ps[order], ms[order]
-    return ns, ps, ms
+    e = np.array(powers, dtype=np.int64).reshape(-1, 3)
+    ns = np.concatenate([primes, e[:, 0]])
+    order = np.argsort(ns)
+    ps = np.concatenate([primes, e[:, 1]])
+    ms = np.concatenate([np.ones(primes.size, dtype=np.int64), e[:, 2]])
+    return ns[order], ps[order], ms[order]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive and shares no code path with the
-package: trial division, one-shot sieves, direct definitional loops,
-nested quadrature, Monte Carlo form entries, an exact
+package: trial division, one-shot sieves, mu/phi/omega tables by one
+slice update per prime p <= n, prime powers by factorization, direct
+definitional loops, nested quadrature, Monte Carlo form entries, an exact
 Kolmogorov-Smirnov supremum, and an LDL decomposition in Fractions. Tests
 compare package output against these.
 """
@@ -74,6 +75,33 @@ def totient_slow(n: int) -> int:
     for p in factorize(n):
         result -= result // p
     return result
+
+
+def arith_tables_all_primes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, phi, omega) on 0..n, one slice update per prime p <= n."""
+    mobius = np.ones(n + 1, dtype=np.int8)
+    totient = np.arange(n + 1, dtype=np.int64)
+    omega = np.zeros(n + 1, dtype=np.int8)
+    for p in np.flatnonzero(simple_sieve_bits(n + 1)).tolist():
+        mobius[p::p] *= -1
+        omega[p::p] += 1
+        totient[p::p] -= totient[p::p] // p
+        if p * p <= n:
+            mobius[p * p :: p * p] = 0
+    mobius[0] = 0
+    omega[0] = 0
+    totient[0] = 0
+    return mobius, totient, omega
+
+
+def prime_powers_slow(lo: int, hi: int) -> dict[int, tuple[int, int]]:
+    """{n: (p, m)} for every prime power n = p**m in [lo, hi)."""
+    out = {}
+    for n in range(max(lo, 2), hi):
+        f = factorize(n)
+        if len(f) == 1:
+            out[n] = next(iter(f.items()))
+    return out
 
 
 def erdos_kac_sup_distance(omega, x: int) -> float:

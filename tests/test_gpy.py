@@ -121,6 +121,25 @@ class TestWeightedSums:
             error_sum_E(params_026(b=0.2)), rel=0, abs=0
         )
 
+    @pytest.mark.parametrize("offsets", [(-2, 0), (-6, -4, 0), (-8, -6, -2)])
+    def test_negative_offsets_match_brute_force(self, offsets):
+        # n + h with h < 0 once read bits from before the sieved window
+        tup = is_admissible(list(offsets))
+        p = GpyParams(k=tup.k, l=1, b=0.25, x=100, tuple=tup)
+        rep = weighted_sums(p)
+        fs = {n: oracles.f_weight_slow(n, p.x, p.b, offsets, p.l) for n in range(100, 200)}
+        S2 = math.fsum(
+            fs[n] * sum(oracles.trial_division_is_prime(n + h) for h in offsets)
+            for n in fs
+        )
+        assert rep.S1 == pytest.approx(math.fsum(fs.values()), rel=1e-12)
+        assert rep.S2 == pytest.approx(S2, rel=1e-12)
+
+    def test_window_below_zero_rejected(self):
+        tup = is_admissible([-200, 0])
+        with pytest.raises(ValidationError, match="x \\+ h_1 >= 0"):
+            weighted_sums(GpyParams(k=2, l=1, b=0.25, x=100, tuple=tup))
+
     @pytest.mark.slow
     def test_objective_sign_exploration(self):
         # exploratory scan; only internal consistency is asserted

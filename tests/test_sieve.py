@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,9 @@ from primelab.sieve import (
     primorial,
     sieve_range,
 )
+
+# primes p with p**2 - 1 <= 5000
+_SMALL_PRIMES = [p for p in range(2, 71) if oracles.trial_division_is_prime(p)]
 
 
 class TestSieveRange:
@@ -109,11 +112,13 @@ class TestArithTables:
         assert t.mobius[30] == -1
 
     def test_mangoldt_examples(self):
-        t = arith_tables(10)
-        assert t.mangoldt[8] == (2, 3)
-        assert 6 not in t.mangoldt
-        assert t.mangoldt_log(8) == math.log(2)
-        assert t.mangoldt_log(6) == 0.0
+        ns, ps, ms = mangoldt_range(2, 11)
+        support = {int(n): (int(p), int(m)) for n, p, m in zip(ns, ps, ms)}
+        assert support[8] == (2, 3)
+        assert 6 not in support
+        # Lambda(8) = log 2, Lambda(6) = 0
+        assert math.log(support[8][0]) == math.log(2)
+        assert support == oracles.prime_powers_slow(2, 11)
 
     def test_omega_phi_examples(self):
         t = arith_tables(12)
@@ -141,10 +146,39 @@ class TestArithTables:
                     break
             assert (t.mobius[n] != 0) == squarefree, n
 
-    def test_mangoldt_range_matches_tables(self):
-        ns, ps, ms = mangoldt_range(2, 10**4)
-        t = arith_tables(10**4 - 1)
-        assert {int(n): (int(p), int(m)) for n, p, m in zip(ns, ps, ms)} == t.mangoldt
+    def test_mangoldt_range_matches_factorization(self):
+        for lo, hi in [(2, 10**4), (0, 2), (1, 3), (1000, 1400), (8, 9)]:
+            ns, ps, ms = mangoldt_range(lo, hi)
+            assert np.all(np.diff(ns) > 0)
+            got = {int(n): (int(p), int(m)) for n, p, m in zip(ns, ps, ms)}
+            assert got == oracles.prime_powers_slow(lo, hi), (lo, hi)
+
+    def test_matches_all_primes_oracle_at_million(self, tables_1e6):
+        expected = oracles.arith_tables_all_primes(10**6)
+        for got, want in zip(
+            (tables_1e6.mobius, tables_1e6.totient, tables_1e6.omega), expected
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=5000),
+            st.sampled_from(_SMALL_PRIMES).map(lambda p: p * p),
+            st.sampled_from(_SMALL_PRIMES).map(lambda p: p * p - 1),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(1)
+    @example(3)
+    @example(4)
+    @example(67 * 67)
+    def test_matches_all_primes_oracle(self, n):
+        t = arith_tables(n)
+        expected = oracles.arith_tables_all_primes(n)
+        for got, want in zip((t.mobius, t.totient, t.omega), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), n
 
 
 class TestPrimorial:
