@@ -35,7 +35,7 @@ from .errors import (
     InfeasibleError,
     ValidationError,
 )
-from .simplex import complement_moments, power_sum_moments
+from .simplex import _weight_power
 from .tuples import AdmissibleTuple, Refutation, is_admissible
 
 RationalMatrix = list[list[Fraction]]
@@ -79,15 +79,23 @@ class QuadraticFormPair:
 def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> QuadraticFormPair:
     """Assemble the exact I- and J-form matrices for dimension k.
 
-    A1[q][r] integrates B_q B_r over R_k directly from the power-sum
-    moment table. For A2, symmetry reduces J to k times its last term;
-    integrating the last variable out of B_q in closed form leaves a
-    polynomial in sigma = 1 - P1 and P2 of the remaining k-1 variables,
+    Every entry is one sum in Python ints over a factorial denominator,
+    from the closed form int_{R_k} (1-P1)^A P2^B = A! B! U_k(B) / (k+A+2B)!
+    (see `simplex`). With w_q = a_q + 2 b_q,
 
-        G_q = sum_m C(b_q, m) a_q! (2m)! / (a_q + 2m + 1)!
-              * sigma^(a_q + 2m + 1) P2^(b_q - m),
+        A1[q][r] = (a_q+a_r)! (b_q+b_r)! U_k(b_q+b_r) / (k + w_q + w_r)!.
 
-    and A2[q][r] = k * int_{R_(k-1)} G_q G_r.
+    For A2, symmetry reduces J to k times its last term; integrating the
+    last variable out of B_q in closed form leaves a polynomial in
+    sigma = 1 - P1 and P2 of the remaining k-1 variables,
+
+        G_q = sum_{m <= b_q} c_q(m) / e_q(m)! * sigma^e_q(m) P2^f_q(m),
+        c_q(m) = C(b_q, m) a_q! (2m)!,  e_q(m) = a_q + 2m + 1,  f_q(m) = b_q - m,
+
+    and A2[q][r] = k * int_{R_(k-1)} G_q G_r, that is
+
+        A2[q][r] = k * sum_{m1, m2} c_q(m1) c_r(m2) C(e1+e2, e1)
+                   (f1+f2)! U_(k-1)(f1+f2) / (k + 1 + w_q + w_r)!.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -102,47 +110,44 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
             f"basis size {n} exceeds cap {basis_cap}; lower the degree or raise the cap"
         )
 
-    moments_k = power_sum_moments(k, 2 * degree, degree)
-    comp_k = complement_moments(moments_k, 2 * degree, degree)
+    fact = [math.factorial(i) for i in range(k + 2 * degree + 2)]
+    u_k = _weight_power(k, degree)
+    u_k1 = _weight_power(k - 1, degree)
+    # per basis element: terms (c, sigma exponent e, P2 exponent f) of G
+    gterms = [
+        [(math.comb(b, m) * fact[a] * fact[2 * m], a + 2 * m + 1, b - m) for m in range(b + 1)]
+        for a, b in basis
+    ]
     A1: RationalMatrix = [[Fraction(0)] * n for _ in range(n)]
+    A2: RationalMatrix = [[Fraction(0)] * n for _ in range(n)]
     for qi, (aq, bq) in enumerate(basis):
         for ri in range(qi, n):
             ar, br = basis[ri]
-            val = comp_k[aq + ar][bq + br]
-            A1[qi][ri] = val
-            A1[ri][qi] = val
-
-    moments_k1 = power_sum_moments(k - 1, 2 * degree + 2, degree)
-    comp_k1 = complement_moments(moments_k1, 2 * degree + 2, degree)
-    # per basis element: terms (coef, sigma exponent, P2 exponent) of G
-    gterms: list[list[tuple[Fraction, int, int]]] = []
-    for (a, b) in basis:
-        terms = []
-        for m in range(b + 1):
-            coef = Fraction(
-                math.comb(b, m) * math.factorial(a) * math.factorial(2 * m),
-                math.factorial(a + 2 * m + 1),
+            w = aq + 2 * bq + ar + 2 * br
+            B = bq + br
+            A1[qi][ri] = A1[ri][qi] = Fraction(
+                fact[aq + ar] * fact[B] * u_k[B], fact[k + w]
             )
-            terms.append((coef, a + 2 * m + 1, b - m))
-        gterms.append(terms)
-    A2: RationalMatrix = [[Fraction(0)] * n for _ in range(n)]
-    for qi in range(n):
-        for ri in range(qi, n):
-            total = Fraction(0)
+            total = 0
             for c1, e1, f1 in gterms[qi]:
                 for c2, e2, f2 in gterms[ri]:
-                    total += c1 * c2 * comp_k1[e1 + e2][f1 + f2]
-            total *= k
-            A2[qi][ri] = total
-            A2[ri][qi] = total
+                    f = f1 + f2
+                    total += c1 * c2 * math.comb(e1 + e2, e1) * fact[f] * u_k1[f]
+            A2[qi][ri] = A2[ri][qi] = Fraction(k * total, fact[k + 1 + w])
     return QuadraticFormPair(k=k, degree=degree, basis=tuple(basis), A1=A1, A2=A2)
+
+
+def _integer_image(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(den, den * matrix) with den the lcm of the entry denominators."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
 def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
     """Pivots of the exact LDL^T decomposition of a symmetric matrix.
 
     Fraction-free (Bareiss) elimination on the upper triangle of the
-    integer image S = den * matrix, den the lcm of the entry denominators.
+    integer image S = den * matrix (`_integer_image`).
     Every row of S is first divided by its content g_r: all minors through
     row r are multiples of g_r, so after step i each active entry is its
     bordered minor of S divided by g_0 ... g_(i-1), an integer, and every
@@ -154,12 +159,9 @@ def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
         ConsistencyError: some pivot is <= 0 (matrix not positive definite).
     """
     n = len(matrix)
-    den = math.lcm(*(x.denominator for i, row in enumerate(matrix) for x in row[i:]))
+    den, rows = _integer_image(matrix)
     # a[i] holds columns i .. n-1 of row i
-    a = [
-        [x.numerator * (den // x.denominator) for x in row[i:]]
-        for i, row in enumerate(matrix)
-    ]
+    a = [row[i:] for i, row in enumerate(rows)]
     content = [math.gcd(*a[i], *(a[r][i - r] for r in range(i))) or 1 for i in range(n)]
     pivots = []
     prev = 1
@@ -183,11 +185,11 @@ def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
 
 def _scaled_float(matrix: RationalMatrix) -> tuple[np.ndarray, Fraction]:
     """Float image of matrix / max|entry|; entries at k ~ 100 underflow raw."""
-    scale = max(abs(x) for row in matrix for x in row)
-    if scale == 0:
-        return np.array([[float(x) for x in row] for row in matrix]), Fraction(1)
-    out = np.array([[float(x / scale) for x in row] for row in matrix])
-    return out, scale
+    den, rows = _integer_image(matrix)
+    top = max(abs(x) for row in rows for x in row)
+    if top == 0:
+        return np.zeros((len(rows), len(rows[0]))), Fraction(1)
+    return np.array([[x / top for x in row] for row in rows]), Fraction(top, den)
 
 
 def largest_generalized_eigenvalue(
@@ -284,25 +286,31 @@ class MkCertificate:
 
 
 def rayleigh_quotient(pair: QuadraticFormPair, coeffs: Sequence[Fraction]) -> Fraction:
-    """Exact a^T A2 a / a^T A1 a at rational coefficients a."""
+    """Exact a^T A2 a / a^T A1 a at rational coefficients a.
+
+    With v = L a over the lcm L of the coefficient denominators and
+    N_i = den_i A_i the integer images, the quotient is
+    (v^T N2 v den1) / (v^T N1 v den2); one walk over the upper triangle of
+    the symmetric forms gives both integer sums.
+    """
     n = len(pair.basis)
     if len(coeffs) != n:
         raise ValidationError(f"need {n} coefficients, got {len(coeffs)}")
-    num = Fraction(0)
-    den = Fraction(0)
-    for i in range(n):
-        ci = coeffs[i]
-        if ci == 0:
+    fracs = [Fraction(c) for c in coeffs]
+    lcm = math.lcm(*(c.denominator for c in fracs))
+    v = [c.numerator * (lcm // c.denominator) for c in fracs]
+    den1, n1 = _integer_image(pair.A1)
+    den2, n2 = _integer_image(pair.A2)
+    num = den = 0
+    for i, vi in enumerate(v):
+        if vi == 0:
             continue
-        for j in range(n):
-            cj = coeffs[j]
-            if cj == 0:
-                continue
-            num += ci * pair.A2[i][j] * cj
-            den += ci * pair.A1[i][j] * cj
+        tail = v[i + 1 :]
+        num += vi * (vi * n2[i][i] + 2 * sum(x * y for x, y in zip(n2[i][i + 1 :], tail)))
+        den += vi * (vi * n1[i][i] + 2 * sum(x * y for x, y in zip(n1[i][i + 1 :], tail)))
     if den == 0:
         raise ValidationError("witness has zero I-form norm")
-    return num / den
+    return Fraction(num * den1, den * den2)
 
 
 def _float_rounded_down(q: Fraction) -> float:
@@ -328,11 +336,10 @@ def mk_lower_bound_poly(
     witness = tuple(Fraction(float(c)) for c in vec)
     exact = rayleigh_quotient(pair, witness)
     bound = _float_rounded_down(exact)
-    v = np.array([float(c) for c in witness])
-    lhs = F2 @ v
-    mu_scaled = float(v @ lhs) / float(v @ (F1 @ v))
+    lhs = F2 @ vec
+    mu_scaled = float(vec @ lhs) / float(vec @ (F1 @ vec))
     residual = float(
-        np.linalg.norm(lhs - mu_scaled * (F1 @ v)) / max(np.linalg.norm(lhs), 1e-300)
+        np.linalg.norm(lhs - mu_scaled * (F1 @ vec)) / max(np.linalg.norm(lhs), 1e-300)
     )
     # the float eigenvalue and the exact quotient must match closely, or
     # the eigen stage silently went wrong

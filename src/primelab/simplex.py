@@ -1,31 +1,29 @@
 """Exact integrals over the standard simplex in exact rational arithmetic.
 
-The simplex is R_k = {t in [0,1]^k : t_1 + ... + t_k <= 1}. Monomial
-integrals follow the Dirichlet identity
+The simplex is R_k = {t in [0,1]^k : t_1 + ... + t_k <= 1}. With the
+slack variable t_0 = 1 - P1 (P1 = sum t_i), monomial integrals follow the
+Dirichlet identity
 
-    int_{R_k} t_1^a_1 ... t_k^a_k dt = a_1! ... a_k! / (k + a_1+...+a_k)!
+    int_{R_k} t_0^A t_1^a_1 ... t_k^a_k dt = A! a_1! ... a_k! / (k + A + a_1+...+a_k)!
 
-and integrals of powers of the first two power sums P1 = sum t_i and
-P2 = sum t_i^2 reduce to a convolution-power table: grouping the
-multinomial expansions by the per-variable exponent pair (a, b) gives
+(A = 0 is the plain monomial). For P2 = sum t_i^2, expand
+P2^B = sum B! / (b_1! ... b_k!) t_1^(2 b_1) ... t_k^(2 b_k) over
+b_1 + ... + b_k = B and integrate term by term with the identity:
 
-    int_{R_k} P1^j P2^B dt = j! B! T_k(j, B) / (k + j + 2B)!
+    int_{R_k} (1 - P1)^A P2^B dt = A! B! U_k(B) / (k + A + 2B)!
 
-where T_k is the k-fold 2-D convolution power of the per-variable weight
-w(a, b) = (a + 2b)! / (a! b!). All values are Fractions; nothing here
-rounds.
+where U_k(B), the sum over the same b of prod_i (2 b_i)! / b_i!, is the
+k-fold convolution power of w(b) = (2b)! / b!. U_k has one axis (B only)
+and is computed in Python ints; nothing here rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 from .errors import ValidationError
-
-MomentTable = list[list[Fraction]]
-IntTable = list[list[int]]
 
 
 def simplex_monomial_integral(k: int, exponents: Sequence[int]) -> Fraction:
@@ -47,87 +45,19 @@ def simplex_monomial_integral(k: int, exponents: Sequence[int]) -> Fraction:
     return Fraction(num, factorial(k + sum(exponents)))
 
 
-def _weight_table(jmax: int, bmax: int) -> IntTable:
-    return [
-        [factorial(a + 2 * b) // (factorial(a) * factorial(b)) for b in range(bmax + 1)]
-        for a in range(jmax + 1)
-    ]
+def _weight_power(k: int, bmax: int) -> list[int]:
+    """U_k(0..bmax): k-fold convolution power of w(b) = (2b)!/b!, by binary
+    exponentiation. k = 0 gives the point mass [1, 0, ...]."""
 
+    def conv(u: list[int], v: list[int]) -> list[int]:
+        return [sum(u[i] * v[b - i] for i in range(b + 1)) for b in range(bmax + 1)]
 
-def _conv2(t1: IntTable, t2: IntTable, jmax: int, bmax: int) -> IntTable:
-    out = [[0] * (bmax + 1) for _ in range(jmax + 1)]
-    for j1 in range(jmax + 1):
-        row1 = t1[j1]
-        for b1 in range(bmax + 1):
-            v1 = row1[b1]
-            if v1 == 0:
-                continue
-            for j2 in range(jmax + 1 - j1):
-                row2 = t2[j2]
-                orow = out[j1 + j2]
-                for b2 in range(bmax + 1 - b1):
-                    v2 = row2[b2]
-                    if v2:
-                        orow[b1 + b2] += v1 * v2
-    return out
-
-
-def _conv_power(k: int, jmax: int, bmax: int) -> IntTable:
-    """k-fold convolution power of the weight table, by binary exponentiation."""
-    result = [[0] * (bmax + 1) for _ in range(jmax + 1)]
-    result[0][0] = 1
-    if k == 0:
-        return result
-    base = _weight_table(jmax, bmax)
-    e = k
-    while e:
-        if e & 1:
-            result = _conv2(result, base, jmax, bmax)
-        e >>= 1
-        if e:
-            base = _conv2(base, base, jmax, bmax)
+    result = [1] + [0] * bmax
+    base = [factorial(2 * b) // factorial(b) for b in range(bmax + 1)]
+    while k:
+        if k & 1:
+            result = conv(result, base)
+        k >>= 1
+        if k:
+            base = conv(base, base)
     return result
-
-
-def power_sum_moments(k: int, jmax: int, bmax: int) -> MomentTable:
-    """Table M[j][B] = exact integral of P1^j P2^B over R_k.
-
-    Valid for all 0 <= j <= jmax, 0 <= B <= bmax. k = 0 yields the
-    point-mass convention M[0][0] = 1 (empty products).
-    """
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
-    T = _conv_power(k, jmax, bmax)
-    return [
-        [
-            Fraction(
-                factorial(j) * factorial(B) * T[j][B],
-                factorial(k + j + 2 * B),
-            )
-            for B in range(bmax + 1)
-        ]
-        for j in range(jmax + 1)
-    ]
-
-
-def complement_moments(moments: MomentTable, amax: int, bmax: int) -> MomentTable:
-    """Table N[A][B] = integral of (1 - P1)^A P2^B from P1 moments.
-
-    Expands the binomial (1 - P1)^A, so the input table must cover
-    j <= amax.
-    """
-    if len(moments) < amax + 1:
-        raise ValidationError(
-            f"moment table covers j <= {len(moments) - 1}, need {amax}"
-        )
-    out: MomentTable = []
-    for A in range(amax + 1):
-        row = []
-        for B in range(bmax + 1):
-            total = Fraction(0)
-            for m in range(A + 1):
-                term = moments[m][B] * comb(A, m)
-                total += -term if m & 1 else term
-            row.append(total)
-        out.append(row)
-    return out

@@ -4,8 +4,12 @@ Everything here is deliberately naive and shares no code path with the
 package: trial division, one-shot sieves, mu/phi/omega tables by one
 slice update per prime p <= n, prime powers by factorization, direct
 definitional loops, nested quadrature, Monte Carlo form entries, an exact
-Kolmogorov-Smirnov supremum, and an LDL decomposition in Fractions. Tests
-compare package output against these.
+Kolmogorov-Smirnov supremum, and an LDL decomposition in Fractions. The
+quadratic forms have a second exact route: `power_sum_moments` (P1^j P2^B
+moments from a 2-D convolution power, `_conv_power`),
+`complement_moments` (their binomial expansion to (1 - P1)^A P2^B) and
+`quadratic_forms_fraction` (A1 and A2 assembled from those tables in
+Fractions). Tests compare package output against these.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
-from primelab.errors import ConsistencyError
+from primelab.errors import ConsistencyError, ValidationError
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -197,21 +201,127 @@ def error_sum_slow(x: int, b: float, offsets, i: int = 1) -> float:
 
 
 def nested_quadrature_simplex(k: int, exponents, points: int = 40) -> float:
-    """Recursive Gauss-Legendre integration of a monomial over the simplex."""
+    """Nested Gauss-Legendre integration of a monomial over the simplex.
+
+    Level i integrates t_i over [0, budget] with the same points-point
+    rule, budget = 1 - t_1 - ... - t_(i-1); the levels are held as numpy
+    arrays of every node path's remaining budget and weight so far.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(points)
+    unit = (nodes + 1.0) / 2.0
+    budget = np.ones(1)
+    acc = np.ones(1)
+    for a in list(exponents)[:k]:
+        ts = budget[:, None] * unit
+        acc = (acc[:, None] * (budget[:, None] / 2.0) * weights * ts**a).ravel()
+        budget = (budget[:, None] - ts).ravel()
+    return float(acc.sum())
 
-    def rec(vars_left: int, budget: float, acc: float, exps) -> float:
-        if vars_left == 0:
-            return acc
-        a = exps[0]
-        half = budget / 2.0
-        ts = half * (nodes + 1.0)
-        total = 0.0
-        for t, w in zip(ts, weights):
-            total += w * rec(vars_left - 1, budget - t, acc * t**a, exps[1:])
-        return half * total
 
-    return rec(k, 1.0, 1.0, list(exponents))
+def _conv2(t1, t2, jmax: int, bmax: int):
+    out = [[0] * (bmax + 1) for _ in range(jmax + 1)]
+    for j1 in range(jmax + 1):
+        for b1 in range(bmax + 1):
+            v1 = t1[j1][b1]
+            if v1 == 0:
+                continue
+            for j2 in range(jmax + 1 - j1):
+                for b2 in range(bmax + 1 - b1):
+                    out[j1 + j2][b1 + b2] += v1 * t2[j2][b2]
+    return out
+
+
+def _conv_power(k: int, jmax: int, bmax: int):
+    """k-fold 2-D convolution power of w(a, b) = (a + 2b)! / (a! b!)."""
+    result = [[0] * (bmax + 1) for _ in range(jmax + 1)]
+    result[0][0] = 1
+    base = [
+        [
+            math.factorial(a + 2 * b) // (math.factorial(a) * math.factorial(b))
+            for b in range(bmax + 1)
+        ]
+        for a in range(jmax + 1)
+    ]
+    e = k
+    while e:
+        if e & 1:
+            result = _conv2(result, base, jmax, bmax)
+        e >>= 1
+        if e:
+            base = _conv2(base, base, jmax, bmax)
+    return result
+
+
+def power_sum_moments(k: int, jmax: int, bmax: int) -> list[list[Fraction]]:
+    """M[j][B] = int_{R_k} P1^j P2^B = j! B! T_k(j, B) / (k + j + 2B)!,
+    T_k the 2-D convolution power; k = 0 is the point mass."""
+    T = _conv_power(k, jmax, bmax)
+    return [
+        [
+            Fraction(
+                math.factorial(j) * math.factorial(B) * T[j][B],
+                math.factorial(k + j + 2 * B),
+            )
+            for B in range(bmax + 1)
+        ]
+        for j in range(jmax + 1)
+    ]
+
+
+def complement_moments(moments, amax: int, bmax: int) -> list[list[Fraction]]:
+    """N[A][B] = int (1 - P1)^A P2^B by binomial expansion of the P1 table."""
+    if len(moments) < amax + 1:
+        raise ValidationError(f"moment table covers j <= {len(moments) - 1}, need {amax}")
+    return [
+        [
+            sum(
+                (
+                    (-1) ** m * math.comb(A, m) * moments[m][B]
+                    for m in range(A + 1)
+                ),
+                Fraction(0),
+            )
+            for B in range(bmax + 1)
+        ]
+        for A in range(amax + 1)
+    ]
+
+
+def quadratic_forms_fraction(k: int, basis) -> tuple[list, list]:
+    """(A1, A2) over basis pairs (a, b), assembled in Fractions from the
+    P1-axis moment tables: A1 from the complement table of R_k, A2 as k
+    times the integral over R_(k-1) of G_q G_r with
+    G_q = sum_m C(b, m) a! (2m)! / (a + 2m + 1)! sigma^(a+2m+1) P2^(b-m)."""
+    degree = max(a + 2 * b for a, b in basis)
+    comp_k = complement_moments(power_sum_moments(k, 2 * degree, degree), 2 * degree, degree)
+    comp_k1 = complement_moments(
+        power_sum_moments(k - 1, 2 * degree + 2, degree), 2 * degree + 2, degree
+    )
+    gterms = [
+        [
+            (
+                Fraction(
+                    math.comb(b, m) * math.factorial(a) * math.factorial(2 * m),
+                    math.factorial(a + 2 * m + 1),
+                ),
+                a + 2 * m + 1,
+                b - m,
+            )
+            for m in range(b + 1)
+        ]
+        for a, b in basis
+    ]
+    n = len(basis)
+    a1 = [[comp_k[aq + ar][bq + br] for ar, br in basis] for aq, bq in basis]
+    a2 = [[Fraction(0)] * n for _ in range(n)]
+    for q in range(n):
+        for r in range(q, n):
+            total = Fraction(0)
+            for c1, e1, f1 in gterms[q]:
+                for c2, e2, f2 in gterms[r]:
+                    total += c1 * c2 * comp_k1[e1 + e2][f1 + f2]
+            a2[q][r] = a2[r][q] = k * total
+    return a1, a2
 
 
 def mc_form_entries(

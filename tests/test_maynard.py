@@ -113,6 +113,17 @@ class TestBuildQuadraticForms:
                 assert abs(float(pair.A1[i][j]) - m1[i, j]) <= 3 * s1[i, j] + 1e-12
                 assert abs(float(pair.A2[i][j]) - m2[i, j]) <= 3 * s2[i, j] + 1e-12
 
+    @pytest.mark.parametrize(
+        "k,degree,cap",
+        [(k, d, 64) for k in (*range(1, 9), 20, 50, 105, 400) for d in range(9)]
+        + [(105, 16, 81), (50, 14, 64)],
+    )
+    def test_equals_fraction_oracle(self, k, degree, cap):
+        pair = build_quadratic_forms(k, degree, basis_cap=cap)
+        a1, a2 = oracles.quadratic_forms_fraction(k, pair.basis)
+        assert pair.A1 == a1
+        assert pair.A2 == a2
+
     def test_basis_cap(self):
         with pytest.raises(CapacityError):
             build_quadratic_forms(5, 12, basis_cap=10)

@@ -6,11 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from primelab.errors import ValidationError
-from primelab.simplex import (
-    complement_moments,
-    power_sum_moments,
-    simplex_monomial_integral,
-)
+from oracles import complement_moments, power_sum_moments
+from primelab.simplex import _weight_power, simplex_monomial_integral
 
 
 class TestMonomialIntegral:
@@ -108,3 +105,13 @@ class TestComplementMoments:
         m = power_sum_moments(2, 1, 1)
         with pytest.raises(ValidationError):
             complement_moments(m, 3, 1)
+
+
+class TestWeightPower:
+    def test_zero_dim_point_mass(self):
+        assert _weight_power(0, 4) == [1, 0, 0, 0, 0]
+
+    def test_one_dim_is_the_weight(self):
+        # w(b) = (2b)! / b!
+        assert _weight_power(1, 4) == [1, 2, 12, 120, 1680]
+
