@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -84,6 +85,12 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-2,0" for a flag; no flag starts "-<digit>" or
+        # "-.<digit>", so such a token is a value: a number or number list
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse would sys.exit(2) with its own text
         raise _CliError(message)
 

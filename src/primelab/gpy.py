@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -78,8 +79,19 @@ class GpyParams:
 
     @property
     def D_limit(self) -> int:
-        """floor(x^b); a 1e-9 slack absorbs float pow error at integer values."""
-        return int(self.x**self.b + 1e-9)
+        """floor(x^b). When b is the double nearest p/q with q <= 12 (1/4,
+        1/3, 1/5, 2/7, ...) it is exact: the largest D with D^q <= x^p.
+        Other b take the float floor, with a 1e-9 slack for pow error."""
+        guess = int(self.x**self.b + 1e-9)
+        ratio = Fraction(self.b).limit_denominator(12)
+        if float(ratio) != self.b:
+            return guess
+        q, target = ratio.denominator, self.x**ratio.numerator
+        while guess**q > target:
+            guess -= 1
+        while (guess + 1) ** q <= target:
+            guess += 1
+        return guess
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,17 @@
 
 Everything else in the package consumes the primality data produced here:
 PrimeTable for range queries, GapRecord scans for consecutive-prime gaps,
-and dense tables of mu, phi and omega. One strike loop serves them all:
-slices over the base primes p <= sqrt(n) mark the composites of a segment,
-and the tables take the same slices plus one vectorised pass for the
-single prime factor above sqrt(n) that an integer can have. The von
-Mangoldt support comes from mangoldt_range as (n, prime, exponent) arrays;
-log(p) floats only appear at summation sites.
+and dense tables of mu, phi and omega. One kernel, iter_prime_segments,
+yields each segment's primality bits as a full-length bool array. One
+slice strikes the evens; each odd base prime p strikes its odd multiples
+from p^2 on, its next one carried from segment to segment. Primes up to
+an eighth of the segment strike by strided slices. The rest sit in one
+next-multiple array (the buckets of Oliveira e Silva, Herzog and Pardi,
+Math. Comp. 2014): in rounds, its entries below the segment's end are
+struck and advanced by 2p until none is left. The tables take slices over
+p <= sqrt(n) plus one vectorised pass for the one prime factor above
+sqrt(n) an integer can have. mangoldt_range gives the von Mangoldt support
+as (n, prime, exponent) arrays; log(p) floats only appear where summed.
 """
 
 from __future__ import annotations
@@ -28,23 +33,8 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     """Primes <= limit: one segment over [0, limit], base primes by recursion."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    base = _simple_prime_array(math.isqrt(limit))
-    return np.flatnonzero(_segment_bits(0, limit + 1, base)).astype(np.int64)
-
-
-def _segment_bits(seg_lo: int, seg_hi: int, base: np.ndarray) -> np.ndarray:
-    """Primality bits for [seg_lo, seg_hi) given base primes <= sqrt(seg_hi)."""
-    bits = np.ones(seg_hi - seg_lo, dtype=bool)
-    for n in range(seg_lo, min(seg_hi, 2)):
-        bits[n - seg_lo] = False
-    for p in base.tolist():
-        p2 = p * p
-        if p2 >= seg_hi:
-            break
-        start = max(p2, ((seg_lo + p - 1) // p) * p)
-        if start < seg_hi:
-            bits[start - seg_lo :: p] = False
-    return bits
+    ((_, bits),) = iter_prime_segments(0, limit + 1, limit + 1)
+    return np.flatnonzero(bits).astype(np.int64)
 
 
 def iter_prime_segments(
@@ -55,10 +45,32 @@ def iter_prime_segments(
         raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if segment_size < 1:
         raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
-    base = _simple_prime_array(math.isqrt(hi - 1))
+    odd = _simple_prime_array(math.isqrt(hi - 1))[1:]
+    # next odd multiple of each odd base prime at or after max(p^2, lo)
+    nxt = np.maximum(odd * odd, -(-lo // odd) * odd)
+    nxt += odd * (nxt % 2 == 0)
+    small = odd <= segment_size // 8  # at least four strikes per segment
+    small_step = (2 * odd[small]).tolist()
+    small_nxt = nxt[small].tolist()
+    live = ~small & (nxt < hi)
+    step, nxt = 2 * odd[live], nxt[live]
     for seg_lo in range(lo, hi, segment_size):
         seg_hi = min(seg_lo + segment_size, hi)
-        yield seg_lo, _segment_bits(seg_lo, seg_hi, base)
+        bits = np.ones(seg_hi - seg_lo, dtype=bool)
+        bits[seg_lo % 2 :: 2] = False
+        bits[: max(2 - seg_lo, 0)] = False
+        if seg_lo <= 2 < seg_hi:
+            bits[2 - seg_lo] = True
+        for i, (s, p2) in enumerate(zip(small_nxt, small_step)):
+            if s < seg_hi:
+                bits[s - seg_lo :: p2] = False
+                small_nxt[i] = s + p2 * -(-(seg_hi - s) // p2)
+        idx = np.flatnonzero(nxt < seg_hi)
+        while idx.size:
+            bits[nxt[idx] - seg_lo] = False
+            nxt[idx] += step[idx]
+            idx = idx[nxt[idx] < seg_hi]
+        yield seg_lo, bits
 
 
 @dataclass(frozen=True)

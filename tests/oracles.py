@@ -1,8 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive and shares no code path with the
-package: trial division, one-shot sieves, mu/phi/omega tables by one
-slice update per prime p <= n, prime powers by factorization, direct
+package: trial division, one-shot sieves, a segment sieve with one slice
+per base prime (`segment_bits_slow`), mu/phi/omega tables by one slice
+update per prime p <= n, prime powers by factorization, direct
 definitional loops, nested quadrature, Monte Carlo form entries, an exact
 Kolmogorov-Smirnov supremum, and an LDL decomposition in Fractions. The
 quadratic forms have a second exact route: `power_sum_moments` (P1^j P2^B
@@ -41,6 +42,20 @@ def simple_sieve_bits(hi: int) -> np.ndarray:
     for p in range(2, int(math.isqrt(hi - 1)) + 1):
         if bits[p]:
             bits[p * p :: p] = False
+    return bits
+
+
+def segment_bits_slow(seg_lo: int, seg_hi: int) -> np.ndarray:
+    """Primality bits for [seg_lo, seg_hi): one slice per base prime p <= sqrt,
+    from max(p^2, the first multiple of p at or after seg_lo)."""
+    base = np.flatnonzero(simple_sieve_bits(math.isqrt(seg_hi - 1) + 1))
+    bits = np.ones(seg_hi - seg_lo, dtype=bool)
+    for n in range(seg_lo, min(seg_hi, 2)):
+        bits[n - seg_lo] = False
+    for p in base.tolist():
+        start = max(p * p, ((seg_lo + p - 1) // p) * p)
+        if start < seg_hi:
+            bits[start - seg_lo :: p] = False
     return bits
 
 

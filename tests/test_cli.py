@@ -220,6 +220,28 @@ class TestInputValidation:
         assert "Traceback" not in err
 
 
+class TestNegativeNumberLists:
+    """A number list that starts with a minus sign parses with or without '='."""
+
+    MC = ("mk", "montecarlo", "--k", "2", "--degree", "1", "--samples", "1000")
+
+    @pytest.mark.parametrize(
+        "head,flag,value,expected",
+        [
+            (("gpy", "sums", "--x", "100", "--b", "0.25"), "--offsets", "-2,0", [-2, 0]),
+            (MC, "--coeffs", "-1,.5", [-1.0, 0.5]),
+            (MC, "--coeffs", "-.5,1", [-0.5, 1.0]),
+        ],
+    )
+    def test_spaced_value_equals_joined(self, capsys, head, flag, value, expected):
+        spaced = run_json(capsys, *head, flag, value)
+        joined = run_json(capsys, *head, f"{flag}={value}")
+        spaced.pop("elapsed_seconds")
+        joined.pop("elapsed_seconds")
+        assert spaced == joined
+        assert spaced["params"][flag.lstrip("-")] == expected
+
+
 class TestDeterminismAndFormats:
     def test_reports_identical_apart_from_timing(self, capsys):
         a = run_json(capsys, "stats", "pigeonhole", "--X", "1000", "--H", "10",

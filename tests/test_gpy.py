@@ -33,6 +33,20 @@ class TestParams:
         assert params_026().D_limit == 10
         assert params_026(x=10**4, b=0.2).D_limit == 6
 
+    @pytest.mark.parametrize(
+        "x,b,expected",
+        [
+            # the float x**0.25 rounds 157529609999**0.25 up to 630.0
+            (630**4 - 1, 0.25, 629),
+            (630**4, 0.25, 630),
+            (10**5, 0.25, 17),
+            (2**35 - 1, 0.2, 127),
+            (2**35, 0.2, 128),
+        ],
+    )
+    def test_d_limit_exact_at_perfect_powers(self, x, b, expected):
+        assert params_026(x=x, b=b).D_limit == expected
+
     def test_zhang_constant(self):
         assert ZHANG_LEVEL_EXPONENT == pytest.approx(0.25 + 1 / 1168, abs=0)
 

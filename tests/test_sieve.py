@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
+    _simple_prime_array,
     arith_tables,
     gap_scan,
     iter_prime_segments,
@@ -20,6 +21,10 @@ from primelab.sieve import (
 
 # primes p with p**2 - 1 <= 5000
 _SMALL_PRIMES = [p for p in range(2, 71) if oracles.trial_division_is_prime(p)]
+# near 10**12 the base primes reach 10**6, past every small segment
+_NEAR_1E12 = st.integers(min_value=10**12, max_value=10**12 + 10**6)
+# 3163 is the first prime above sqrt(10**7); 999983 the last below 10**6
+_SQUARES = [p * p + e for p in (3, 1009, 3163, 999983) for e in (-1, 0, 1)]
 
 
 class TestSieveRange:
@@ -75,6 +80,55 @@ class TestSieveRange:
         for n in range(lo, hi):
             w = int(table.smallest_factor[n - lo])
             assert n % w == 0 and oracles.trial_division_is_prime(w)
+
+
+class TestSegmentKernel:
+    """The segments, concatenated, against a one-slice-per-prime oracle.
+
+    Segment sizes below 8 send every odd base prime through the
+    next-multiple array; larger ones split the base primes between the
+    strided slices and that array.
+    """
+
+    @given(
+        st.one_of(st.integers(min_value=0, max_value=10**7), _NEAR_1E12),
+        st.integers(min_value=1, max_value=3 * 10**4),
+        st.one_of(
+            st.integers(min_value=1, max_value=7),
+            st.integers(min_value=1, max_value=70000),
+            st.sampled_from([1 << e for e in range(17)]),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(0, 1, 1)
+    @example(0, 3, 1)
+    @example(1, 30, 2)
+    @example(2, 100, 7)
+    @example(3, 5000, 8)
+    @example(0, 30000, 64)
+    @example(999983 * 999983 - 1, 300, 5)
+    def test_matches_slow_oracle(self, lo, span, segment_size):
+        self._check(lo, lo + span, segment_size)
+
+    @pytest.mark.parametrize("square", _SQUARES)
+    @pytest.mark.parametrize("segment_size", [3, 8, 1000, 1 << 16])
+    def test_square_boundaries(self, square, segment_size):
+        # lo or hi at p^2 - 1, p^2, p^2 + 1: p enters the base primes, or
+        # its first strike lands on the range's first or last integer
+        self._check(square, square + 2000, segment_size)
+        self._check(max(square - 2000, 0), square, segment_size)
+
+    @staticmethod
+    def _check(lo, hi, segment_size):
+        segments = list(iter_prime_segments(lo, hi, segment_size))
+        assert [seg_lo for seg_lo, _ in segments] == list(range(lo, hi, segment_size))
+        got = np.concatenate([bits for _, bits in segments])
+        assert np.array_equal(got, oracles.segment_bits_slow(lo, hi)), (lo, hi, segment_size)
+
+    def test_simple_prime_array(self):
+        for n in range(5001):
+            want = np.flatnonzero(oracles.simple_sieve_bits(n + 1))
+            assert np.array_equal(_simple_prime_array(n), want), n
 
 
 class TestPrimeCount:
