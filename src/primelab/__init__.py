@@ -44,7 +44,6 @@ from .gpy import (
     GpyReport,
     ZHANG_LEVEL_EXPONENT,
     error_sum_E,
-    f_weight,
     lambda_d,
     level_of_distribution_sum,
     remainder_R,

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .sieve import _crt_combine, mangoldt_range, primes_between, sieve_range
+from .sieve import _crt_combine, _simple_prime_array, mangoldt_range, primes_between, sieve_range
 from .tuples import AdmissibleTuple
 
 # Level exponent sufficient for the remainder sum to stay negligible in
@@ -79,19 +79,25 @@ class GpyParams:
 
     @property
     def D_limit(self) -> int:
-        """floor(x^b). When b is the double nearest p/q with q <= 12 (1/4,
-        1/3, 1/5, 2/7, ...) it is exact: the largest D with D^q <= x^p.
-        Other b take the float floor, with a 1e-9 slack for pow error."""
-        guess = int(self.x**self.b + 1e-9)
-        ratio = Fraction(self.b).limit_denominator(12)
-        if float(ratio) != self.b:
-            return guess
-        q, target = ratio.denominator, self.x**ratio.numerator
-        while guess**q > target:
-            guess -= 1
-        while (guess + 1) ** q <= target:
-            guess += 1
+        """floor(x^b), exact where _power_floor is."""
+        return _power_floor(self.x, self.b)
+
+
+def _power_floor(x: int, b: float, *, strict: bool = False) -> int:
+    """The largest D with D <= x^b (D < x^b when strict). When b is the
+    double nearest p/q with q <= 12 (1/4, 1/3, 1/5, 2/7, ...) it is exact:
+    D^q <= x^p (D^q < x^p). Other b use floats with a 1e-9 slack."""
+    value = x**b
+    guess = math.ceil(value - 1e-9) - 1 if strict else int(value + 1e-9)
+    ratio = Fraction(b).limit_denominator(12)
+    if float(ratio) != b:
         return guess
+    q, target = ratio.denominator, x**ratio.numerator - int(strict)
+    while guess**q > target:
+        guess -= 1
+    while (guess + 1) ** q <= target:
+        guess += 1
+    return guess
 
 
 @dataclass(frozen=True)
@@ -125,26 +131,56 @@ def lambda_d(d: int, params: GpyParams) -> float:
     return mu * logterm**e / math.factorial(e)
 
 
-def _divides_shifted_product(d: int, n: int, offsets: tuple[int, ...]) -> bool:
-    """d | (n+h_1)...(n+h_k), via gcd accumulation (no big products)."""
-    rem = d
-    for h in offsets:
-        rem //= math.gcd(rem, n + h)
-        if rem == 1:
-            return True
-    return rem == 1
+def _prime_sets(values: np.ndarray, primes: list[int], offsets: tuple[int, ...]) -> np.ndarray:
+    """Bit j of row i, in uint64 words: primes[j] | values[i] + h for some h."""
+    words = np.zeros((values.size, len(primes) // 64 + 1), dtype=np.uint64)
+    for j, p in enumerate(primes):
+        rem = values % p  # p | n + h exactly when n = -h mod p
+        hit = np.any([rem == -h % p for h in offsets], axis=0)
+        words[:, j // 64] |= hit.astype(np.uint64) << np.uint64(j % 64)
+    return words
 
 
-def f_weight(n: int, params: GpyParams) -> float:
-    """Squared divisor sum at one n in [x, 2x)."""
-    if not params.x <= n < 2 * params.x:
-        raise ValidationError(f"n must lie in [x, 2x) = [{params.x}, {2 * params.x})")
-    inner = math.fsum(
-        lambda_d(d, params)
-        for d in range(1, params.D_limit + 1)
-        if _divides_shifted_product(d, n, params.tuple.offsets)
-    )
-    return inner * inner
+def _direct_weight_blocks(
+    params: GpyParams, lo: int, hi: int, block: int = 1 << 16
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (ns, f(ns)) over [lo, hi) in blocks of n, by divisibility tests.
+
+    A squarefree d divides (n+h_1)...(n+h_k) exactly when each of its
+    primes does, so f(n) depends only on the set of primes p <= D dividing
+    some n + h. The n of a block are sorted by set; each set sums once.
+    """
+    ds = [d for d in range(1, params.D_limit + 1) if lambda_d(d, params) != 0.0]
+    lams = np.array([lambda_d(d, params) for d in ds])
+    primes = _simple_prime_array(params.D_limit).tolist()
+    factors = _prime_sets(np.array(ds, dtype=np.int64), primes, (0,))
+    square_by_set: dict[bytes, float] = {}
+    for start in range(lo, hi, block):
+        ns = np.arange(start, min(start + block, hi), dtype=np.int64)
+        sets = _prime_sets(ns, primes, params.tuple.offsets)
+        order = np.lexsort(sets.T)
+        sets = sets[order]
+        first = np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)]
+        squares = []
+        for key in sets[first]:
+            tag = key.tobytes()
+            if tag not in square_by_set:
+                # the d with no prime factor outside the set divide the product
+                inner = math.fsum(lams[~(factors & ~key).any(axis=1)].tolist())
+                square_by_set[tag] = inner * inner
+            squares.append(square_by_set[tag])
+        f = np.empty(ns.size)
+        f[order] = np.array(squares)[np.cumsum(first) - 1]
+        yield ns, f
+
+
+def _row_fsums(rows: np.ndarray) -> np.ndarray:
+    """math.fsum of each row. A row with at most two nonzero entries rounds
+    once in any summation order, so only the others go through fsum."""
+    sums = rows.sum(axis=1)
+    many = np.count_nonzero(rows, axis=1) > 2
+    sums[many] = [math.fsum(row) for row in rows[many].tolist()]
+    return sums
 
 
 def _count_in_class(lo: int, hi: int, r: int, m: int) -> int:
@@ -168,10 +204,12 @@ def weighted_sums(
     """Compute S1 and S2 two independent ways and insist they agree.
 
     The direct pipeline scans every n in [x, 2x), evaluating the weight by
-    divisibility tests. The rearranged pipeline expands the square into a
-    double sum over divisor pairs and counts n in residue classes mod
-    lcm(d1, d2) with exact integer counts (and, for S2, prime counts in
-    those classes). Disagreement beyond rel_tol raises ConsistencyError.
+    divisibility tests, grouped by the set of primes p <= D dividing some
+    n + h: one fsum of lambda_d per distinct set (_direct_weight_blocks).
+    The rearranged pipeline expands the square into a double sum over
+    divisor pairs and counts n in residue classes mod lcm(d1, d2) with
+    exact integer counts (and, for S2, prime counts in those classes).
+    Disagreement beyond rel_tol raises ConsistencyError.
     """
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
@@ -184,23 +222,18 @@ def weighted_sums(
 
     # direct scan
     f_terms, s2_terms, s2_theta_terms = [], [], []
-    for n in range(x, 2 * x):
-        inner = math.fsum(
-            lam[d]
-            for d in range(1, D + 1)
-            if lam[d] != 0.0 and _divides_shifted_product(d, n, offsets)
-        )
-        fn = inner * inner
-        if fn == 0.0:
-            continue
-        f_terms.append(fn)
-        hits = [h for h in offsets if bits[n + h - lo]]
-        if hits:
-            s2_terms.append(fn * len(hits))
-            s2_theta_terms.append(fn * math.fsum(math.log(n + h) for h in hits))
-    S1_direct = math.fsum(f_terms)
-    S2_direct = math.fsum(s2_terms)
-    S2_theta_direct = math.fsum(s2_theta_terms)
+    for ns, f in _direct_weight_blocks(params, x, 2 * x):
+        ns, f = ns[f != 0.0], f[f != 0.0]
+        hits = np.stack([bits[ns + h - lo] for h in offsets], axis=1)
+        logs = np.zeros(hits.shape)
+        logs[hits] = [math.log(v) for v in (ns[:, None] + offsets)[hits].tolist()]
+        count, theta = hits.sum(axis=1), _row_fsums(logs)
+        f_terms.append(f)
+        s2_terms.append(f[count > 0] * count[count > 0])
+        s2_theta_terms.append(f[count > 0] * theta[count > 0])
+    S1_direct = math.fsum(np.concatenate(f_terms).tolist())
+    S2_direct = math.fsum(np.concatenate(s2_terms).tolist())
+    S2_theta_direct = math.fsum(np.concatenate(s2_theta_terms).tolist())
 
     # rearranged double sum over divisor pairs
     nonzero = [d for d in range(1, D + 1) if lam[d] != 0.0]
@@ -328,10 +361,11 @@ def error_sum_E(
     """Sum of |remainder_R| over squarefree d < x^(2b) and c in the residue set.
 
     The index i selects which tuple offset anchors the residue sets; it is
-    a free choice and defaults to 1.
+    a free choice and defaults to 1. The bound d < x^(2b) is exact where
+    _power_floor is.
     """
     x = params.x
-    d_max = int(math.ceil(params.x ** (2 * params.b) - 1e-9)) - 1
+    d_max = _power_floor(x, 2 * params.b, strict=True)
     if support is None:
         support = mangoldt_range(x, 2 * x)
     terms = []

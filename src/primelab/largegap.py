@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ValidationError
 from .sieve import GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
 
@@ -37,11 +39,10 @@ class CoveringSystem:
 
 def uncovered_in(residues: dict[int, int], y_len: int) -> tuple[int, ...]:
     """The m in [1, y_len] missed by every class."""
-    return tuple(
-        m
-        for m in range(1, y_len + 1)
-        if all(m % p != c for p, c in residues.items())
-    )
+    uncovered = np.arange(1, y_len + 1, dtype=np.int64)
+    for p, c in residues.items():
+        uncovered = uncovered[uncovered % p != c]
+    return tuple(uncovered.tolist())
 
 
 def make_covering_system(n: int, residues: dict[int, int], y_len: int) -> CoveringSystem:
@@ -129,20 +130,19 @@ def greedy_cover(n: int, y_len: int) -> CoveringSystem:
         raise ValidationError(f"n must be >= 5, got {n}")
     if y_len < n:
         raise ValidationError(f"y_len must be >= n, got y_len={y_len} n={n}")
-    uncovered = set(range(1, y_len + 1))
+    uncovered = np.arange(1, y_len + 1, dtype=np.int64)
     residues: dict[int, int] = {}
     for p in _simple_prime_array(n).tolist():
-        counts = [0] * p
-        for m in uncovered:
-            counts[m % p] += 1
-        best = max(range(p), key=lambda c: (counts[c], -c))
+        classes = uncovered % p
+        # argmax returns the first maximum: ties go to the smallest class
+        best = int(np.argmax(np.bincount(classes, minlength=p)))
         residues[p] = best
-        uncovered -= {m for m in uncovered if m % p == best}
+        uncovered = uncovered[classes != best]
     return CoveringSystem(
         n=n,
         residues=residues,
         y_len=y_len,
-        uncovered=tuple(sorted(uncovered)),
+        uncovered=tuple(uncovered.tolist()),
     )
 
 

@@ -3,8 +3,8 @@
 Covers the prime-counting ratio, a seeded pigeonhole experiment on prime
 gaps in [X, 2X), Mertens-type partial sums, the concentration of the
 distinct-prime-factor count, and its Gaussian limit law. All sums that
-feed assertions use math.fsum, which returns the correctly rounded total
-regardless of summation order.
+feed assertions are correctly rounded regardless of summation order:
+math.fsum, or for the streamed Mertens sums an exact sum rounded once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .sieve import ArithTables, arith_tables, gap_scan, prime_count, primes_between, sieve_range
+from .sieve import ArithTables, arith_tables, gap_scan, iter_prime_segments, prime_count, sieve_range
 
 # Limit constants for the Mertens-type sums (reference targets only).
 MERTENS_RECIPROCAL_CONSTANT = 0.2614972128476428  # lim sum 1/p - log log n
@@ -118,19 +118,57 @@ def pigeonhole_experiment(
     )
 
 
+class _ExactSum:
+    """Exact running sum of finite float64 values; float() rounds it once.
+
+    np.frexp writes each value as m * 2^(e - 53) with an integer |m| < 2^53.
+    The m are added per exponent into Python ints, via int64 halves of 26
+    and 27 bits that cannot overflow. float() divides one integer by a
+    power of two: the correctly rounded sum, as math.fsum returns it.
+    """
+
+    def __init__(self) -> None:
+        self._by_exponent: dict[int, int] = {}
+
+    def add(self, values: np.ndarray) -> None:
+        if not values.size:
+            return
+        frac, exp = np.frexp(values)
+        order = np.argsort(exp)
+        exp, mant = exp[order], (frac[order] * 2.0**53).astype(np.int64)
+        starts = np.flatnonzero(np.r_[True, exp[1:] != exp[:-1]])
+        high = np.add.reduceat(mant >> 27, starts).tolist()
+        low = np.add.reduceat(mant & (2**27 - 1), starts).tolist()
+        for e, h, l in zip(exp[starts].tolist(), high, low):
+            self._by_exponent[e] = self._by_exponent.get(e, 0) + (h << 27) + l
+
+    def __float__(self) -> float:
+        if not self._by_exponent:
+            return 0.0
+        low = min(self._by_exponent)
+        total = sum(m << (e - low) for e, m in self._by_exponent.items())
+        shift = low - 53
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def mertens_sums(n: int) -> tuple[float, float]:
     """Deviations of the two Mertens-type prime sums from their leading terms.
 
     Returns (d1, d2) with
         d1 = sum_{p <= n} log(p)/p - log(n)
         d2 = sum_{p <= n} 1/p - log(log(n))
-    accumulated over primes in ascending order with exact rounding.
+    Each prime sum is exact, streamed segment by segment from the sieve,
+    and rounded once (the value math.fsum gives over all the terms).
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
-    ps = primes_between(2, n + 1).astype(np.float64)
-    d1 = math.fsum(np.log(ps) / ps) - math.log(n)
-    d2 = math.fsum(1.0 / ps) - math.log(math.log(n))
+    log_sum, reciprocal_sum = _ExactSum(), _ExactSum()
+    for seg_lo, bits in iter_prime_segments(2, n + 1):
+        ps = (np.flatnonzero(bits) + seg_lo).astype(np.float64)
+        log_sum.add(np.log(ps) / ps)
+        reciprocal_sum.add(1.0 / ps)
+    d1 = float(log_sum) - math.log(n)
+    d2 = float(reciprocal_sum) - math.log(math.log(n))
     return d1, d2
 
 

@@ -10,7 +10,12 @@ quadratic forms have a second exact route: `power_sum_moments` (P1^j P2^B
 moments from a 2-D convolution power, `_conv_power`),
 `complement_moments` (their binomial expansion to (1 - P1)^A P2^B) and
 `quadratic_forms_fraction` (A1 and A2 assembled from those tables in
-Fractions). Tests compare package output against these.
+Fractions). Scalar loops that the package now runs as numpy passes:
+`f_weight` (the GPY weight at one n, d | product tested by gcd
+accumulation in `_divides_shifted_product`), `greedy_cover_sets` (the
+greedy covering system over a Python set) and `mertens_sums_materialised`
+(math.fsum over every prime <= n at once). Tests compare package output
+against these.
 """
 
 from __future__ import annotations
@@ -186,6 +191,28 @@ def f_weight_slow(n: int, x: int, b: float, offsets, l: int) -> float:
         prod *= n + h
     inner = math.fsum(
         lambda_slow(d, x, b, k, l) for d in range(1, dmax + 1) if prod % d == 0
+    )
+    return inner * inner
+
+
+def _divides_shifted_product(d: int, n: int, offsets) -> bool:
+    """d | (n+h_1)...(n+h_k), via gcd accumulation (no big products)."""
+    rem = d
+    for h in offsets:
+        rem //= math.gcd(rem, n + h)
+        if rem == 1:
+            return True
+    return rem == 1
+
+
+def f_weight(n: int, params) -> float:
+    """Squared divisor sum at one n in [x, 2x), d running to params.D_limit."""
+    if not params.x <= n < 2 * params.x:
+        raise ValidationError(f"n must lie in [x, 2x) = [{params.x}, {2 * params.x})")
+    inner = math.fsum(
+        lambda_slow(d, params.x, params.b, params.k, params.l)
+        for d in range(1, params.D_limit + 1)
+        if _divides_shifted_product(d, n, params.tuple.offsets)
     )
     return inner * inner
 
@@ -452,3 +479,29 @@ def ldl_pivots_fraction(matrix) -> list[Fraction]:
             for col in range(j, n):
                 aj[col] -= f * ai[col]
     return pivots
+
+
+def greedy_cover_sets(n: int, y_len: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """(residues, uncovered) of the greedy covering system, over a Python set.
+
+    Each prime p <= n in ascending order takes the class covering the most
+    still-uncovered m in [1, y_len], ties to the smallest class.
+    """
+    uncovered = set(range(1, y_len + 1))
+    residues: dict[int, int] = {}
+    for p in np.flatnonzero(simple_sieve_bits(n + 1)).tolist():
+        counts = [0] * p
+        for m in uncovered:
+            counts[m % p] += 1
+        best = max(range(p), key=lambda c: (counts[c], -c))
+        residues[p] = best
+        uncovered -= {m for m in uncovered if m % p == best}
+    return residues, tuple(sorted(uncovered))
+
+
+def mertens_sums_materialised(n: int) -> tuple[float, float]:
+    """(d1, d2) of the Mertens sums: math.fsum over the array of all p <= n."""
+    ps = np.flatnonzero(simple_sieve_bits(n + 1)).astype(np.float64)
+    d1 = math.fsum(np.log(ps) / ps) - math.log(n)
+    d2 = math.fsum(1.0 / ps) - math.log(math.log(n))
+    return d1, d2

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +10,17 @@ from primelab.errors import ValidationError
 from primelab.gpy import (
     GpyParams,
     ZHANG_LEVEL_EXPONENT,
+    _direct_weight_blocks,
+    _power_floor,
+    _row_fsums,
     error_sum_E,
-    f_weight,
     lambda_d,
     level_of_distribution_sum,
     remainder_R,
     residue_set_C,
     weighted_sums,
 )
-from primelab.sieve import mangoldt_range
+from primelab.sieve import _simple_prime_array, mangoldt_range
 from primelab.tuples import is_admissible
 
 TUPLE_026 = is_admissible([0, 2, 6])
@@ -46,6 +49,19 @@ class TestParams:
     )
     def test_d_limit_exact_at_perfect_powers(self, x, b, expected):
         assert params_026(x=x, b=b).D_limit == expected
+
+    @pytest.mark.parametrize(
+        "x,b,expected",
+        [
+            # d < x^(2b) for error_sum_E: the float ceil gave 1500625 and 1889568
+            (35**5, 2 * 0.4, 35**4 - 1),
+            (18**6, 2 * (5 / 12), 18**5 - 1),
+            (35**5 + 1, 2 * 0.4, 35**4),
+            (100, 2 * 0.25, 9),
+        ],
+    )
+    def test_strict_power_floor_at_perfect_powers(self, x, b, expected):
+        assert _power_floor(x, b, strict=True) == expected
 
     def test_zhang_constant(self):
         assert ZHANG_LEVEL_EXPONENT == pytest.approx(0.25 + 1 / 1168, abs=0)
@@ -89,29 +105,86 @@ class TestLambdaD:
         )
 
 
+def direct_weights(p, lo, hi, block=1 << 16):
+    """{n: f(n)} for n in [lo, hi) from the vectorised direct scan."""
+    return {
+        n: f
+        for ns, fs in _direct_weight_blocks(p, lo, hi, block)
+        for n, f in zip(ns.tolist(), fs.tolist())
+    }
+
+
 class TestFWeight:
+    # f_weight is the scalar oracle; the direct scan's weights must equal it
     def test_single_divisor_collapse(self):
         p = GpyParams(k=2, l=1, b=0.05, x=1000, tuple=TUPLE_02)
         assert p.D_limit == 1
         lam1 = lambda_d(1, p)
+        fs = direct_weights(p, 1000, 2000)
         for n in (1000, 1500, 1999):
-            assert f_weight(n, p) == lam1 * lam1
+            assert fs[n] == oracles.f_weight(n, p) == lam1 * lam1
 
     def test_nonnegative(self):
         p = params_026()
+        fs = direct_weights(p, 10**4, 10**4 + 50)
         for n in range(10**4, 10**4 + 50):
-            assert f_weight(n, p) >= 0.0
+            assert fs[n] == oracles.f_weight(n, p)
+            assert fs[n] >= 0.0
 
     def test_against_brute_force(self):
         p = params_026()
+        fs = direct_weights(p, 10**4, 2 * 10**4)
         # fixed stride covers varied residue patterns without RNG noise
         for n in range(10**4 + 7, 2 * 10**4, 397):
             expected = oracles.f_weight_slow(n, p.x, p.b, p.tuple.offsets, p.l)
-            assert f_weight(n, p) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+            assert fs[n] == oracles.f_weight(n, p)
+            assert fs[n] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_range_check(self):
         with pytest.raises(ValidationError):
-            f_weight(5, params_026())
+            oracles.f_weight(5, params_026())
+
+    @pytest.mark.parametrize(
+        "offsets,x,b,l,lo,hi",
+        [
+            ((0, 2, 6), 10**4, 0.25, 1, 10**4, 2 * 10**4),
+            ((-2, 0), 100, 0.25, 1, 100, 200),
+            ((-6, -4, 0), 1000, 0.3, 2, 1000, 2000),
+            ((-8, -6, -2), 5000, 0.33, 1, 9000, 10000),
+            ((0, 4, 6, 10, 12), 10**5, 0.25, 1, 10**5, 10**5 + 3000),
+            # D = 396 with 78 primes <= D: the prime sets span two words
+            ((0, 2, 6), 2 * 10**5, 0.49, 1, 2 * 10**5, 2 * 10**5 + 600),
+        ],
+    )
+    def test_direct_scan_equals_oracle(self, offsets, x, b, l, lo, hi):
+        tup = is_admissible(list(offsets))
+        p = GpyParams(k=tup.k, l=l, b=b, x=x, tuple=tup)
+        # a block size that splits the range, so sets recur across blocks
+        fs = direct_weights(p, lo, hi, block=97)
+        assert list(fs) == list(range(lo, hi))
+        for n, f in fs.items():
+            assert f == oracles.f_weight(n, p), n
+
+    def test_more_than_64_primes(self):
+        p = GpyParams(k=3, l=1, b=0.49, x=2 * 10**5, tuple=TUPLE_026)
+        assert _simple_prime_array(p.D_limit).size > 64
+
+
+class TestRowFsums:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 1.0, 1e-16, -1e-16, 3.7, 2.0**-60, 1e300]), min_size=5, max_size=5),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fsum_per_row(self, rows):
+        sums = _row_fsums(np.array(rows, dtype=np.float64).reshape(len(rows), 5))
+        assert sums.tolist() == [math.fsum(row) for row in rows]
+
+    def test_three_terms_take_fsum(self):
+        # (1 + 1e-16) + 1e-16 rounds twice to 1.0; fsum gives the next double
+        assert _row_fsums(np.array([[1.0, 1e-16, 1e-16]]))[0] == math.fsum([1.0, 1e-16, 1e-16]) > 1.0
 
 
 class TestWeightedSums:

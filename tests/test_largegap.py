@@ -58,8 +58,33 @@ class TestGreedyCover:
         system = greedy_cover(11, 40)
         assert system.uncovered == uncovered_in(system.residues, 40)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_uncovered_in_matches_definition(self, data):
+        primes = [2, 3, 5, 7, 11, 13]
+        residues = {p: data.draw(st.integers(0, p - 1)) for p in primes}
+        y_len = data.draw(st.integers(0, 200))
+        assert uncovered_in(residues, y_len) == tuple(
+            m for m in range(1, y_len + 1) if all(m % p != c for p, c in residues.items())
+        )
+
     def test_determinism(self):
         assert greedy_cover(31, 60) == greedy_cover(31, 60)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_set_oracle(self, data):
+        n = data.draw(st.integers(5, 300))
+        y_len = data.draw(st.integers(n, 8 * n))
+        system = greedy_cover(n, y_len)
+        assert (system.residues, system.uncovered) == oracles.greedy_cover_sets(n, y_len)
+
+    def test_widest_cover_at_2000_equals_set_oracle(self):
+        system = widest_covered_length(2000)
+        assert system.covered() and system.y_len >= 7753
+        assert (system.residues, system.uncovered) == oracles.greedy_cover_sets(
+            2000, system.y_len
+        )
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from primelab.errors import ValidationError
 from primelab.stats import (
     StatReport,
+    _ExactSum,
     erdos_kac,
     hardy_ramanujan_proportion,
     mertens_sums,
@@ -96,6 +101,68 @@ class TestMertens:
     def test_convergence_within_band(self):
         values = [mertens_sums(n)[1] for n in (10**4, 10**6, 10**8)]
         assert max(values) - min(values) < 0.05
+
+    @pytest.mark.parametrize("n", [3, 100, 10**4, 10**6, 5 * 10**7])
+    def test_equals_materialised_fsum(self, n):
+        assert mertens_sums(n) == oracles.mertens_sums_materialised(n)
+
+    def test_streams_in_bounded_memory(self):
+        # the materialised array of the 3M primes <= 5e7 peaks near 46 MiB
+        tracemalloc.start()
+        try:
+            mertens_sums(5 * 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _exact_or_overflow(values, chunk):
+    total = _ExactSum()
+    total.add(np.array(values[:chunk], dtype=np.float64))
+    total.add(np.array(values[chunk:], dtype=np.float64))
+    try:
+        return float(total)
+    except OverflowError:
+        return "overflow"
+
+
+_SPREAD = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+
+
+class TestExactSum:
+    @given(
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SPREAD), max_size=40),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_correctly_rounded(self, values, chunk):
+        try:
+            rounded = float(sum(map(Fraction, values), Fraction(0)))
+        except OverflowError:
+            rounded = "overflow"
+        assert _exact_or_overflow(values, chunk) == rounded
+        try:
+            # fsum also raises on an intermediate overflow the exact sum survives
+            assert _exact_or_overflow(values, chunk) == math.fsum(values)
+        except OverflowError:
+            pass
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [5e-324] * 3,
+            [5e-324, -2.2250738585072014e-308, 1e-310],
+            [2.0**1000, 1.0, -(2.0**1000), 2.0**-1000],
+            [2.0**-1074, 2.0**1000, -(2.0**1000)],
+            [0.1],
+            [-3.5],
+        ],
+    )
+    def test_edge_cases_equal_fsum(self, values):
+        for chunk in range(len(values) + 1):
+            assert _exact_or_overflow(values, chunk) == math.fsum(values)
 
 
 class TestHardyRamanujan:
