@@ -28,8 +28,6 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import (
@@ -38,7 +36,7 @@ from .errors import (
     PrimelabError,
     ValidationError,
 )
-from .sieve import gap_scan, sieve_range
+from .sieve import _check_range, gap_scan, iter_prime_segments
 from .tuples import (
     AdmissibleTuple,
     Refutation,
@@ -171,25 +169,15 @@ def _pick(obj, *names: str) -> dict:
 
 # --------- command implementations ---------
 
-def _edge_primes(bits, lo: int, step: int) -> tuple[Optional[int], Optional[int]]:
-    """First and last prime of a sieved bitmap, read `step` bits at a time
-    from each end so that nothing the size of the range is allocated."""
-
-    def edge(starts, pick: int) -> Optional[int]:
-        for start in starts:
-            hits = np.flatnonzero(bits[start : start + step])
-            if hits.size:
-                return lo + start + int(hits[pick])
-        return None
-
-    starts = range(0, bits.size, step)
-    return edge(starts, 0), edge(reversed(starts), -1)
-
-
 def _cmd_sieve(args, config: RunConfig):
-    table = sieve_range(args.lo, args.hi, segment_size=config.segment_size)
-    first, last = _edge_primes(table.primality, table.lo, config.segment_size)
-    result = {"prime_count": table.count(), "first_prime": first, "last_prime": last}
+    _check_range(args.lo, args.hi)
+    count, first, last = 0, None, None
+    for _, primes in iter_prime_segments(args.lo, args.hi, config.segment_size):
+        if primes.size:
+            count += primes.size
+            first = int(primes[0]) if first is None else first
+            last = int(primes[-1])
+    result = {"prime_count": count, "first_prime": first, "last_prime": last}
     return _pick(args, "lo", "hi"), result
 
 

@@ -398,6 +398,7 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
         ns = primes_between(2, x + 1)
         vals = None
         total = float(ns.size)
+    ns = ns.astype(np.min_scalar_type(x))  # uint32 below 2^32: faster %
     terms = []
     for q in range(1, q_max + 1):
         coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1

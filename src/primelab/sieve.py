@@ -1,18 +1,21 @@
 """Segmented sieve of Eratosthenes plus arithmetic-function tables.
 
-Everything else in the package consumes the primality data produced here:
+Everything else in the package consumes the primes produced here:
 PrimeTable for range queries, GapRecord scans for consecutive-prime gaps,
-and dense tables of mu, phi and omega. One kernel, iter_prime_segments,
-yields each segment's primality bits as a full-length bool array. One
-slice strikes the evens; each odd base prime p strikes its odd multiples
-from p^2 on, its next one carried from segment to segment. Primes up to
-an eighth of the segment strike by strided slices. The rest sit in one
-next-multiple array (the buckets of Oliveira e Silva, Herzog and Pardi,
-Math. Comp. 2014): in rounds, its entries below the segment's end are
-struck and advanced by 2p until none is left. The tables take slices over
-p <= sqrt(n) plus one vectorised pass for the one prime factor above
-sqrt(n) an integer can have. mangoldt_range gives the von Mangoldt support
-as (n, prime, exponent) arrays; log(p) floats only appear where summed.
+and dense tables of mu, phi and omega. The kernel, _odd_segments, keeps
+one byte per odd integer of a segment. Each odd base prime p strikes its
+odd multiples from p^2 on, its next one carried from segment to segment.
+Primes up to an eighth of the segment strike by strided slices. The rest
+sit in one next-multiple array (the buckets of Oliveira e Silva, Herzog
+and Pardi, Math. Comp. 2014, whose segments are odd-only too): in rounds,
+its entries below the segment's end are struck and advanced by 2p until
+none is left. The public view is iter_prime_segments, a stream of each
+segment's primes (2 included where in range); prime_count counts the odd
+bits instead. sieve_range builds the only full-length table. The tables
+take slices over p <= sqrt(n) plus one vectorised pass for the one prime
+factor above sqrt(n) an integer can have. mangoldt_range gives the von
+Mangoldt support as (n, prime, exponent) arrays; log(p) floats only
+appear where summed.
 """
 
 from __future__ import annotations
@@ -33,44 +36,71 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     """Primes <= limit: one segment over [0, limit], base primes by recursion."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    ((_, bits),) = iter_prime_segments(0, limit + 1, limit + 1)
-    return np.flatnonzero(bits).astype(np.int64)
+    ((_, primes),) = iter_prime_segments(0, limit + 1, limit + 1)
+    return primes
 
 
-def iter_prime_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (segment_lo, primality bits) covering [lo, hi) in order."""
+def _check_range(lo: int, hi: int, max_range: int = DEFAULT_RANGE_CAP) -> None:
+    """Raise unless 0 <= lo < hi and hi - lo is within the capacity guard."""
+    if not 0 <= lo < hi:
+        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    if hi - lo > max_range:
+        raise CapacityError(
+            f"range of {hi - lo} integers exceeds the cap of {max_range}; "
+            "raise max_range or scan in pieces"
+        )
+
+
+def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Yield (seg_lo, seg_hi, first, bits) covering [lo, hi) in order.
+
+    bits[i] is True iff first + 2i is an odd prime, with first = seg_lo | 1;
+    the odd integers of [seg_lo, seg_hi) are the slots. Odd n sits at
+    global slot n // 2, so a segment's slots are seg_lo // 2 .. seg_hi // 2.
+    """
     if not 0 <= lo < hi:
         raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if segment_size < 1:
         raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
     odd = _simple_prime_array(math.isqrt(hi - 1))[1:]
-    # next odd multiple of each odd base prime at or after max(p^2, lo)
+    # global slot of the next odd multiple of each odd base prime at or
+    # after max(p^2, lo); one slot step is one step of 2p
     nxt = np.maximum(odd * odd, -(-lo // odd) * odd)
     nxt += odd * (nxt % 2 == 0)
+    nxt //= 2
     small = odd <= segment_size // 8  # at least four strikes per segment
-    small_step = (2 * odd[small]).tolist()
+    small_step = odd[small].tolist()
     small_nxt = nxt[small].tolist()
-    live = ~small & (nxt < hi)
-    step, nxt = 2 * odd[live], nxt[live]
+    live = ~small & (nxt < hi // 2)
+    step, nxt = odd[live], nxt[live]
     for seg_lo in range(lo, hi, segment_size):
         seg_hi = min(seg_lo + segment_size, hi)
-        bits = np.ones(seg_hi - seg_lo, dtype=bool)
-        bits[seg_lo % 2 :: 2] = False
-        bits[: max(2 - seg_lo, 0)] = False
-        if seg_lo <= 2 < seg_hi:
-            bits[2 - seg_lo] = True
-        for i, (s, p2) in enumerate(zip(small_nxt, small_step)):
-            if s < seg_hi:
-                bits[s - seg_lo :: p2] = False
-                small_nxt[i] = s + p2 * -(-(seg_hi - s) // p2)
-        idx = np.flatnonzero(nxt < seg_hi)
+        s_lo, s_hi = seg_lo // 2, seg_hi // 2
+        bits = np.ones(s_hi - s_lo, dtype=bool)
+        bits[: max(1 - s_lo, 0)] = False  # the slot of 1
+        for i, (s, p) in enumerate(zip(small_nxt, small_step)):
+            if s < s_hi:
+                bits[s - s_lo :: p] = False
+                small_nxt[i] = s + p * -(-(s_hi - s) // p)
+        idx = np.flatnonzero(nxt < s_hi)
         while idx.size:
-            bits[nxt[idx] - seg_lo] = False
+            bits[nxt[idx] - s_lo] = False
             nxt[idx] += step[idx]
-            idx = idx[nxt[idx] < seg_hi]
-        yield seg_lo, bits
+            idx = idx[nxt[idx] < s_hi]
+        yield seg_lo, seg_hi, seg_lo | 1, bits
+
+
+def iter_prime_segments(
+    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (segment_lo, int64 primes in the segment) covering [lo, hi) in order."""
+    for seg_lo, seg_hi, first, bits in _odd_segments(lo, hi, segment_size):
+        primes = np.flatnonzero(bits)
+        primes *= 2
+        primes += first
+        if seg_lo <= 2 < seg_hi:
+            primes = np.concatenate(([2], primes))
+        yield seg_lo, primes
 
 
 @dataclass(frozen=True)
@@ -122,26 +152,18 @@ def sieve_range(
         segment_size: integers per internal segment.
         max_range: capacity guard; hi - lo beyond this raises CapacityError.
     """
-    if not 0 <= lo < hi:
-        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > max_range:
-        raise CapacityError(
-            f"range of {hi - lo} integers exceeds the cap of {max_range}; "
-            "raise max_range or scan in pieces"
-        )
-    bits = np.empty(hi - lo, dtype=bool)
-    for seg_lo, seg_bits in iter_prime_segments(lo, hi, segment_size):
-        bits[seg_lo - lo : seg_lo - lo + seg_bits.size] = seg_bits
+    _check_range(lo, hi, max_range)
+    bits = np.zeros(hi - lo, dtype=bool)
+    for seg_lo, seg_hi, first, seg_bits in _odd_segments(lo, hi, segment_size):
+        bits[first - lo : seg_hi - lo : 2] = seg_bits
+    if lo <= 2 < hi:
+        bits[2 - lo] = True
 
     spf = None
     if with_factors:
         spf = np.zeros(hi - lo, dtype=np.int64)
-        base = _simple_prime_array(math.isqrt(hi - 1))
-        for p in base.tolist():
-            start = max(p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            view = spf[start - lo :: p]
+        for p in _simple_prime_array(math.isqrt(hi - 1)).tolist():
+            view = spf[max(p, -(-lo // p) * p) - lo :: p]
             view[view == 0] = p
         ns = np.arange(lo, hi, dtype=np.int64)
         unset = spf == 0
@@ -157,17 +179,13 @@ def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """Exact count of primes <= x, summed segment by segment."""
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}")
-    segments = iter_prime_segments(0, x + 1, segment_size)
-    return sum(int(np.count_nonzero(bits)) for _, bits in segments)
+    segments = _odd_segments(0, x + 1, segment_size)
+    return int(x >= 2) + sum(int(np.count_nonzero(bits)) for *_, bits in segments)
 
 
 def primes_between(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All primes in [lo, hi) as one int64 array (materialized)."""
-    chunks = [
-        np.flatnonzero(bits) + seg_lo
-        for seg_lo, bits in iter_prime_segments(lo, hi, segment_size)
-    ]
-    return np.concatenate(chunks)
+    return np.concatenate([ps for _, ps in iter_prime_segments(lo, hi, segment_size)])
 
 
 def _crt_combine(roots: Iterable[tuple[int, Sequence[int]]]) -> tuple[list[int], int]:
@@ -301,13 +319,9 @@ def gap_scan(
     best_min: Optional[GapRecord] = None
     best_max: Optional[GapRecord] = None
     all_records: list[GapRecord] = []
-    prev: Optional[int] = None
-    for seg_lo, bits in iter_prime_segments(lo, hi, segment_size):
-        ps = np.flatnonzero(bits) + seg_lo
-        if ps.size == 0:
-            continue
-        if prev is not None:
-            ps = np.concatenate(([prev], ps))
+    prev = np.empty(0, dtype=np.int64)  # the last prime so far, if any
+    for _, ps in iter_prime_segments(lo, hi, segment_size):
+        ps = np.concatenate((prev, ps))
         if ps.size >= 2:
             gaps = np.diff(ps)
             i_min = int(np.argmin(gaps))
@@ -319,11 +333,8 @@ def gap_scan(
             if best_max is None or cand_max.gap > best_max.gap:
                 best_max = cand_max
             if keep_all:
-                all_records.extend(
-                    GapRecord(int(a), int(b), int(g))
-                    for a, b, g in zip(ps[:-1], ps[1:], gaps)
-                )
-        prev = int(ps[-1])
+                all_records.extend(map(GapRecord, ps[:-1].tolist(), ps[1:].tolist(), gaps.tolist()))
+        prev = ps[-1:]
     if best_min is None:
         raise EmptyRangeError(f"fewer than two primes in [{lo}, {hi})")
     return GapScan(

@@ -163,8 +163,8 @@ def mertens_sums(n: int) -> tuple[float, float]:
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
     log_sum, reciprocal_sum = _ExactSum(), _ExactSum()
-    for seg_lo, bits in iter_prime_segments(2, n + 1):
-        ps = (np.flatnonzero(bits) + seg_lo).astype(np.float64)
+    for _, primes in iter_prime_segments(2, n + 1):
+        ps = primes.astype(np.float64)
         log_sum.add(np.log(ps) / ps)
         reciprocal_sum.add(1.0 / ps)
     d1 = float(log_sum) - math.log(n)

@@ -13,8 +13,10 @@ moments from a 2-D convolution power, `_conv_power`),
 Fractions). Scalar loops that the package now runs as numpy passes:
 `f_weight` (the GPY weight at one n, d | product tested by gcd
 accumulation in `_divides_shifted_product`), `greedy_cover_sets` (the
-greedy covering system over a Python set) and `mertens_sums_materialised`
-(math.fsum over every prime <= n at once). Tests compare package output
+greedy covering system over a Python set), `mertens_sums_materialised`
+(math.fsum over every prime <= n at once) and
+`level_of_distribution_sum_int64` (the residue-class errors with int64
+residues). Tests compare package output
 against these.
 """
 
@@ -505,3 +507,27 @@ def mertens_sums_materialised(n: int) -> tuple[float, float]:
     d1 = math.fsum(np.log(ps) / ps) - math.log(n)
     d2 = math.fsum(1.0 / ps) - math.log(math.log(n))
     return d1, d2
+
+
+def level_of_distribution_sum_int64(x: int, theta: float, weighted: bool) -> float:
+    """The level-of-distribution sum with int64 residues, over the prime
+    powers n <= x in increasing order (log p each when weighted, else the
+    primes alone, each counting 1)."""
+    primes = np.flatnonzero(simple_sieve_bits(x + 1))
+    if weighted:
+        powers = [(p**m, p) for p in primes.tolist() for m in range(1, int(math.log(x, p)) + 2)
+                  if p**m <= x]
+        powers.sort()
+        ns = np.array([n for n, _ in powers], dtype=np.int64)
+        vals = np.log(np.array([p for _, p in powers], dtype=np.float64))
+        total = math.fsum(vals.tolist())
+    else:
+        ns, vals, total = primes.astype(np.int64), None, float(primes.size)
+    terms = []
+    for q in range(1, int(x**theta + 1e-9) + 1):
+        coprime = np.array([math.gcd(a, q) == 1 for a in range(q)], dtype=bool)
+        share = total / int(np.count_nonzero(coprime))
+        per_class = np.bincount(ns % q, weights=vals, minlength=q).astype(np.float64)
+        errs = np.abs(per_class[coprime] - share)
+        terms.append(float(np.max(errs)) if errs.size else 0.0)
+    return math.fsum(terms)

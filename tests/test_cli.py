@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from primelab import sieve
 from primelab.cli import dispatch
 
 
@@ -180,6 +184,45 @@ class TestReports:
         assert out == ""
         assert "k must be >= 2" in err
         assert "Traceback" not in err
+
+
+class TestSieveStream:
+    """`sieve` streams its count and edge primes without a full-length table."""
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=70000),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(90, 7, 1)  # [90, 97): no prime
+    @example(24, 5, 2)  # [24, 29): no prime
+    @example(0, 2, 1)
+    @example(2, 1, 3)
+    def test_report_equals_table(self, lo, span, segment_size):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(["--segment-size", str(segment_size), "sieve",
+                             "--lo", str(lo), "--hi", str(lo + span)])
+        assert code == 0
+        primes = sieve.sieve_range(lo, lo + span).primes().tolist()
+        assert json.loads(out.getvalue())["result"] == {
+            "prime_count": len(primes),
+            "first_prime": primes[0] if primes else None,
+            "last_prime": primes[-1] if primes else None,
+        }
+
+    def test_over_cap_exits_2_before_sieving(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the kernel was entered")
+
+        monkeypatch.setattr(sieve, "_odd_segments", fail)
+        hi = sieve.DEFAULT_RANGE_CAP + 1
+        code, out, err = run_cli(capsys, "sieve", "--hi", str(hi))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: range of {hi} integers exceeds the cap of "
+                              f"{sieve.DEFAULT_RANGE_CAP}")
 
 
 class TestInputValidation:

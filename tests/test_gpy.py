@@ -348,6 +348,14 @@ class TestLevelOfDistribution:
         ]
         assert values[0] > values[1]
 
+    @pytest.mark.parametrize("x", [100, 123457, 3 * 10**6])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_narrow_residues_equal_int64(self, x, weighted):
+        # residues are taken in the narrowest unsigned type holding x
+        got = level_of_distribution_sum(x, 0.4, weighted=weighted)
+        want = oracles.level_of_distribution_sum_int64(x, 0.4, weighted)
+        assert got.hex() == want.hex()
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             level_of_distribution_sum(10, 0.4)

@@ -107,6 +107,13 @@ class TestSegmentKernel:
     @example(3, 5000, 8)
     @example(0, 30000, 64)
     @example(999983 * 999983 - 1, 300, 5)
+    # one-integer segments at even and odd seg_lo: [8, 9), [7, 8), [6, 7), ...
+    @example(4, 5, 2)
+    @example(3, 5, 2)
+    @example(1, 10, 1)
+    # [2, 3): the prime 2 has no odd slot
+    @example(2, 1, 1)
+    @example(2, 1, 7)
     def test_matches_slow_oracle(self, lo, span, segment_size):
         self._check(lo, lo + span, segment_size)
 
@@ -122,8 +129,14 @@ class TestSegmentKernel:
     def _check(lo, hi, segment_size):
         segments = list(iter_prime_segments(lo, hi, segment_size))
         assert [seg_lo for seg_lo, _ in segments] == list(range(lo, hi, segment_size))
-        got = np.concatenate([bits for _, bits in segments])
-        assert np.array_equal(got, oracles.segment_bits_slow(lo, hi)), (lo, hi, segment_size)
+        for seg_lo, primes in segments:
+            assert primes.dtype == np.int64
+            assert np.all(np.diff(primes) > 0)
+            seg_hi = min(seg_lo + segment_size, hi)
+            assert primes.size == 0 or seg_lo <= primes[0] <= primes[-1] < seg_hi
+        got = np.concatenate([primes for _, primes in segments])
+        want = np.flatnonzero(oracles.segment_bits_slow(lo, hi)) + lo
+        assert np.array_equal(got, want), (lo, hi, segment_size)
 
     def test_simple_prime_array(self):
         for n in range(5001):
@@ -138,6 +151,12 @@ class TestPrimeCount:
 
     def test_million(self):
         assert prime_count(10**6) == oracles.simple_prime_count(10**6) == 78498
+
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 4] + [p * p + e for p in (3, 5, 31, 97) for e in (-1, 1)])
+    @pytest.mark.parametrize("segment_size", [1, 2, 7, 1 << 20])
+    def test_odd_bit_count(self, x, segment_size):
+        # counted from the odd slots, plus one for 2
+        assert prime_count(x, segment_size=segment_size) == oracles.simple_prime_count(x)
 
     @pytest.mark.parametrize("segment_size", [0, -5])
     def test_non_positive_segment_size_rejected(self, segment_size):
