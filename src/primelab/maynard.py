@@ -504,29 +504,54 @@ def _eval_combo(
     return acc
 
 
-def _uniform_simplex(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n points uniform on R_dim via exponential spacings; dim 0 allowed."""
+# Samples per chunk. The chunk size is part of the seeded stream: changing
+# it changes every report.
+_MC_CHUNK = 1_000_000
+# numpy sums rows of 8 or more entries pairwise and shorter rows left to
+# right, so bit-exactness, not speed, makes the row width pick the path.
+_PAIRWISE_MIN = 8
+
+
+def _simplex_power_sums(
+    rng: np.random.Generator, n: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P1, P2) of n points uniform on R_dim via exponential spacings.
+
+    One (n, dim + 1) exponential draw, none for dim 0. Every row sum adds
+    in numpy's `sum(axis=1)` order: column by column for draws narrower
+    than _PAIRWISE_MIN, by numpy itself from there on.
+    """
     if dim == 0:
-        return np.zeros((n, 0))
+        return np.zeros(n), np.zeros(n)
     e = rng.standard_exponential((n, dim + 1))
-    return e[:, :dim] / e.sum(axis=1, keepdims=True)
+    if dim + 1 >= _PAIRWISE_MIN:
+        t = e[:, :dim] / e.sum(axis=1, keepdims=True)
+        return t.sum(axis=1), (t * t).sum(axis=1)
+    cols = e.T
+    total = sum(cols[1:], cols[0])
+    p1, p2, t = np.zeros(n), np.zeros(n), np.empty(n)
+    for c in cols[:dim]:
+        np.divide(c, total, out=t)
+        p1 += t
+        p2 += np.multiply(t, t, out=t)
+    return p1, p2
 
 
 def ij_monte_carlo(
-    k: int,
-    coeffs: Sequence[float],
-    degree: int,
-    samples: int,
-    seed: int,
-    *,
-    chunk: int = 1_000_000,
+    k: int, coeffs: Sequence[float], degree: int, samples: int, seed: int
 ) -> IJEstimate:
     """Seeded Monte Carlo estimates of I(F) and J(F) with standard errors.
 
     F = sum c_{a,b} (1-P1)^a P2^b on R_k. I uses uniform simplex samples;
     J uses k times its symmetric last term, with the inner square turned
     into a product over two independent uniform points of the last
-    coordinate. Used only to validate the exact pipeline.
+    coordinate. Used only to validate the exact pipeline. The draws, their
+    order, the chunk size and the order of every row sum are part of the
+    seeded output: the same seed gives the same four floats bit for bit.
+
+    Raises:
+        ValidationError: bad sizes, non-finite coefficients, or estimates
+            that overflow double precision.
     """
     if samples < 1000:
         raise ValidationError(f"samples must be >= 1000, got {samples}")
@@ -536,6 +561,8 @@ def ij_monte_carlo(
     basis = enumerate_basis(degree)
     if len(coeffs) != len(basis):
         raise ValidationError(f"need {len(basis)} coefficients, got {len(coeffs)}")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValidationError(f"coefficients must be finite, got {list(coeffs)}")
     rng = np.random.default_rng(seed)
     vol_k = 1.0 / math.factorial(k)
     vol_k1 = 1.0 / math.factorial(k - 1)
@@ -543,31 +570,29 @@ def ij_monte_carlo(
     sums = np.zeros(2)
     sqsums = np.zeros(2)
     done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        t = _uniform_simplex(rng, n, k)
-        p1 = t.sum(axis=1)
-        p2 = (t * t).sum(axis=1)
-        fi = _eval_combo(coeffs, basis, p1, p2)
-        wi = vol_k * fi * fi
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < samples:
+            n = min(_MC_CHUNK, samples - done)
+            fi = _eval_combo(coeffs, basis, *_simplex_power_sums(rng, n, k))
+            wi = vol_k * fi * fi
 
-        tp = _uniform_simplex(rng, n, k - 1)
-        s = tp.sum(axis=1)
-        q2 = (tp * tp).sum(axis=1)
-        sigma = 1.0 - s
-        u1 = sigma * rng.random(n)
-        u2 = sigma * rng.random(n)
-        f1 = _eval_combo(coeffs, basis, s + u1, q2 + u1 * u1)
-        f2 = _eval_combo(coeffs, basis, s + u2, q2 + u2 * u2)
-        wj = k * vol_k1 * sigma * sigma * f1 * f2
+            s, q2 = _simplex_power_sums(rng, n, k - 1)
+            sigma = 1.0 - s
+            u1 = sigma * rng.random(n)
+            u2 = sigma * rng.random(n)
+            f1 = _eval_combo(coeffs, basis, s + u1, q2 + u1 * u1)
+            f2 = _eval_combo(coeffs, basis, s + u2, q2 + u2 * u2)
+            wj = k * vol_k1 * sigma * sigma * f1 * f2
 
-        sums += (wi.sum(), wj.sum())
-        sqsums += ((wi * wi).sum(), (wj * wj).sum())
-        done += n
+            sums += (wi.sum(), wj.sum())
+            sqsums += ((wi * wi).sum(), (wj * wj).sum())
+            done += n
 
-    means = sums / samples
-    variances = np.maximum(sqsums / samples - means * means, 0.0)
-    stderrs = np.sqrt(variances / samples)
+        means = sums / samples
+        variances = np.maximum(sqsums / samples - means * means, 0.0)
+        stderrs = np.sqrt(variances / samples)
+    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
+        raise ValidationError("I, J or their standard errors overflow double precision")
     return IJEstimate(
         i_value=float(means[0]),
         j_value=float(means[1]),

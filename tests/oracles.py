@@ -16,8 +16,10 @@ accumulation in `_divides_shifted_product`), `greedy_cover_sets` (the
 greedy covering system over a Python set), `mertens_sums_materialised`
 (math.fsum over every prime <= n at once) and
 `level_of_distribution_sum_int64` (the residue-class errors with int64
-residues). Tests compare package output
-against these.
+residues). `ij_monte_carlo_row_sums` is the seeded I/J estimator with P1
+and P2 as numpy row sums (`simplex_row_power_sums`), the summation order
+that the package's column walk must reproduce bit for bit. Tests compare
+package output against these.
 """
 
 from __future__ import annotations
@@ -442,6 +444,68 @@ def mc_form_entries(
             for j in range(i):
                 mat[i, j] = mat[j, i]
     return mean1, se1, mean2, se2
+
+
+def simplex_row_power_sums(rng, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P1, P2) of n points uniform on R_dim as numpy row sums of the
+    (n, dim) coordinate matrix, from one (n, dim + 1) exponential draw
+    (none for dim 0)."""
+    if dim == 0:
+        return np.zeros(n), np.zeros(n)
+    e = rng.standard_exponential((n, dim + 1))
+    t = e[:, :dim] / e.sum(axis=1, keepdims=True)
+    return t.sum(axis=1), (t * t).sum(axis=1)
+
+
+def ij_monte_carlo_row_sums(
+    k: int, coeffs, basis, samples: int, seed: int, chunk: int = 1_000_000
+) -> tuple[float, float, float, float]:
+    """(I, J, I_stderr, J_stderr) by the package's seeded Monte Carlo
+    estimator, with P1 and P2 taken as numpy row sums of (n, dim) matrices.
+
+    Same draws in the same order as `maynard.ij_monte_carlo`, so the two
+    agree bit for bit exactly when their summation orders do.
+    """
+    rng = np.random.default_rng(seed)
+    vol_k = 1.0 / math.factorial(k)
+    vol_k1 = 1.0 / math.factorial(k - 1)
+
+    def combo(p1, p2):
+        acc = np.zeros_like(p1)
+        for c, (a, b) in zip(coeffs, basis):
+            if c == 0.0:
+                continue
+            term = np.full_like(p1, float(c))
+            if a:
+                term = term * (1.0 - p1) ** a
+            if b:
+                term = term * p2**b
+            acc += term
+        return acc
+
+    sums = np.zeros(2)
+    sqsums = np.zeros(2)
+    done = 0
+    while done < samples:
+        n = min(chunk, samples - done)
+        fi = combo(*simplex_row_power_sums(rng, n, k))
+        wi = vol_k * fi * fi
+
+        s, q2 = simplex_row_power_sums(rng, n, k - 1)
+        sigma = 1.0 - s
+        u1 = sigma * rng.random(n)
+        u2 = sigma * rng.random(n)
+        f1 = combo(s + u1, q2 + u1 * u1)
+        f2 = combo(s + u2, q2 + u2 * u2)
+        wj = k * vol_k1 * sigma * sigma * f1 * f2
+
+        sums += (wi.sum(), wj.sum())
+        sqsums += ((wi * wi).sum(), (wj * wj).sum())
+        done += n
+
+    means = sums / samples
+    stderrs = np.sqrt(np.maximum(sqsums / samples - means * means, 0.0) / samples)
+    return float(means[0]), float(means[1]), float(stderrs[0]), float(stderrs[1])
 
 
 def exact_rational_requote(a1, a2, witness) -> Fraction:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -261,6 +262,27 @@ class TestInputValidation:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("nan", "coefficients must be finite"),
+            ("inf", "coefficients must be finite"),
+            ("1e200", "overflow double precision"),
+        ],
+    )
+    def test_montecarlo_non_finite_estimate_exits_2(self, capsys, value, message):
+        # each once exited 0 with NaN or Infinity (not JSON) and numpy
+        # RuntimeWarnings on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "mk", "montecarlo", "--k", "2", "--degree", "0",
+                "--samples", "1000", "--coeffs", value,
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestNegativeNumberLists:

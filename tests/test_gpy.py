@@ -154,6 +154,9 @@ class TestFWeight:
             ((0, 4, 6, 10, 12), 10**5, 0.25, 1, 10**5, 10**5 + 3000),
             # D = 396 with 78 primes <= D: the prime sets span two words
             ((0, 2, 6), 2 * 10**5, 0.49, 1, 2 * 10**5, 2 * 10**5 + 600),
+            # after sorting, n = 370281 sits beside an n whose set shares
+            # word 0 and differs in word 1: the group boundary needs both words
+            ((0, 2, 6), 2 * 10**5, 0.49, 1, 370235, 370235 + 97),
         ],
     )
     def test_direct_scan_equals_oracle(self, offsets, x, b, l, lo, hi):

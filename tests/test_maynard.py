@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
+from primelab import maynard
 from primelab.errors import (
     CapacityError,
     ConsistencyError,
@@ -308,11 +309,38 @@ class TestMonteCarlo:
         )
         assert abs(ratio - cert.lower_bound) <= 3 * se
 
+    @pytest.mark.parametrize("dim", [*range(18), 169, 170])
+    def test_power_sums_equal_row_sums(self, dim):
+        # rows of 8 or more entries are where numpy switches to pairwise sums
+        p1, p2 = maynard._simplex_power_sums(np.random.default_rng(dim), 2000, dim)
+        r1, r2 = oracles.simplex_row_power_sums(np.random.default_rng(dim), 2000, dim)
+        assert np.array_equal(p1, r1) and np.array_equal(p2, r2)
+
+    @pytest.mark.parametrize(
+        "k,degree,samples",
+        [
+            # at a few thousand samples a last-bit change in one row's P1
+            # or P2 still reaches the means; k = 2 ends on a partial chunk
+            (1, 2, 20_000), (2, 3, maynard._MC_CHUNK + 1234), (3, 2, 1000),
+            (6, 3, 1000), (7, 2, 1000), (8, 2, 1000), (8, 3, 1000),
+            (16, 3, 3000), (170, 2, 20_000),
+        ],
+    )
+    def test_bit_identical_to_row_sums(self, k, degree, samples):
+        basis = enumerate_basis(degree)
+        coeffs = [(-1) ** i * (1.0 + 0.37 * i) for i in range(len(basis))]
+        est = ij_monte_carlo(k, coeffs, degree, samples, seed=11)
+        got = (est.i_value, est.j_value, est.i_stderr, est.j_stderr)
+        assert got == oracles.ij_monte_carlo_row_sums(k, coeffs, basis, samples, seed=11)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ij_monte_carlo(2, [1.0], 0, 10, seed=0)
         with pytest.raises(ValidationError):
             ij_monte_carlo(2, [1.0, 2.0], 0, 10_000, seed=0)
+        for c in (math.nan, math.inf, 1e200):
+            with pytest.raises(ValidationError):
+                ij_monte_carlo(2, [c], 0, 10_000, seed=0)
 
 
 class TestInference:
