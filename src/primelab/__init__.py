@@ -62,7 +62,6 @@ from .maynard import (
     dhl_inference,
     gap_bound_chain,
     ij_monte_carlo,
-    largest_generalized_eigenvalue,
     mk_lower_bound_g,
     mk_lower_bound_poly,
     optimize_g_bound,

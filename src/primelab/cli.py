@@ -85,9 +85,10 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-2,0" for a flag; no flag starts "-<digit>" or
-        # "-.<digit>", so such a token is a value: a number or number list
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # argparse takes "-2,0" or "-inf" for a flag; no flag starts
+        # "-<digit>", "-.<digit>", "-inf" or "-nan" as a word, so such a
+        # token is a value: a number or number list
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf(inity)?|nan)\b)", re.I)
 
     def error(self, message):  # argparse would sys.exit(2) with its own text
         raise _CliError(message)
@@ -302,7 +303,7 @@ def _cmd_mk_poly(args, config: RunConfig):
         basis_cap=config.basis_cap,
         residual_tol=config.tolerance("eigen_residual"),
     )
-    return _pick(args, "k", "degree"), cert.to_dict()
+    return _pick(args, "k", "degree"), asdict(cert)
 
 
 def _cmd_mk_gbound(args, config: RunConfig):

@@ -8,6 +8,7 @@ path comes from the CLI flag or the PRIMELAB_CONFIG environment variable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +20,8 @@ DEFAULT_TOLERANCES = {
     "gpy_agreement": 1e-9,
     "eigen_residual": 1e-9,
 }
+# config keys other than tolerance.*, with the parser of their values
+_KEYS = {"seed": int, "segment_size": int, "basis_cap": int, "output_format": str}
 
 
 @dataclass(frozen=True)
@@ -36,12 +39,16 @@ class RunConfig:
             raise ValidationError(
                 f"output_format must be json or csv, got {self.output_format}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name, tol in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ValidationError(f"unknown tolerance name {name!r}")
+            if not 0 <= tol < math.inf:  # NaN fails too
+                raise ValidationError(f"tolerance {name} must be finite and >= 0, got {tol}")
 
     def tolerance(self, name: str) -> float:
-        try:
-            return self.tolerances[name]
-        except KeyError:
-            raise ValidationError(f"unknown tolerance name {name!r}") from None
+        return self.tolerances[name]
 
     def to_dict(self) -> dict:
         return {
@@ -53,11 +60,14 @@ class RunConfig:
         }
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Apply key=value lines to a base config; '#' starts a comment."""
-    cfg = base if base is not None else RunConfig()
-    updates: dict = {}
-    tolerances = dict(cfg.tolerances)
+def parse_config_text(text: str) -> RunConfig:
+    """Apply key=value lines to the defaults; '#' starts a comment.
+
+    Raises:
+        ValidationError: a line is not key=value, names an unknown key, or
+            holds a value RunConfig rejects; the message names the line.
+    """
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,15 +75,17 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ValidationError(f"config line {lineno} is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("tolerance."):
-            tolerances[key.removeprefix("tolerance.")] = float(value)
-        elif key in ("seed", "segment_size", "basis_cap"):
-            updates[key] = int(value)
-        elif key == "output_format":
-            updates[key] = value
-        else:
+        if not key.startswith("tolerance.") and key not in _KEYS:
             raise ValidationError(f"unknown config key {key!r} on line {lineno}")
-    return replace(cfg, tolerances=tolerances, **updates)
+        try:
+            if key.startswith("tolerance."):
+                tolerances = {**cfg.tolerances, key.removeprefix("tolerance."): float(value)}
+                cfg = replace(cfg, tolerances=tolerances)
+            else:
+                cfg = replace(cfg, **{key: _KEYS[key](value)})
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"config line {lineno}, {key}={value}: {exc}") from None
+    return cfg
 
 
 def load_config(path: str | None = None) -> RunConfig:

@@ -9,10 +9,8 @@ shift is the all-zero special case covering the offsets [2, n].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,32 +35,6 @@ class CoveringSystem:
         return not self.uncovered
 
 
-def uncovered_in(residues: dict[int, int], y_len: int) -> tuple[int, ...]:
-    """The m in [1, y_len] missed by every class."""
-    uncovered = np.arange(1, y_len + 1, dtype=np.int64)
-    for p, c in residues.items():
-        uncovered = uncovered[uncovered % p != c]
-    return tuple(uncovered.tolist())
-
-
-def make_covering_system(n: int, residues: dict[int, int], y_len: int) -> CoveringSystem:
-    """Validate a residue assignment and compute its uncovered remainder."""
-    expected = set(_simple_prime_array(n).tolist())
-    if set(residues) != expected:
-        raise ValidationError(
-            f"residues must be keyed by exactly the primes <= {n}"
-        )
-    for p, c in residues.items():
-        if not 0 <= c < p:
-            raise ValidationError(f"class {c} out of range for prime {p}")
-    return CoveringSystem(
-        n=n,
-        residues=dict(sorted(residues.items())),
-        y_len=y_len,
-        uncovered=uncovered_in(residues, y_len),
-    )
-
-
 @dataclass(frozen=True)
 class CompositeRun:
     """Shift y and witnesses: for each offset j, a prime divisor of y + j.
@@ -78,17 +50,6 @@ class CompositeRun:
 
     def offsets(self) -> range:
         return range(self.first_offset, self.first_offset + self.length)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "y": str(self.y),
-                "first_offset": self.first_offset,
-                "length": self.length,
-                "witnesses": list(self.witnesses),
-            },
-            sort_keys=True,
-        )
 
 
 def verify_composite_run(run: CompositeRun) -> bool:
@@ -146,7 +107,7 @@ def greedy_cover(n: int, y_len: int) -> CoveringSystem:
     )
 
 
-def crt_shift(system: CoveringSystem, *, allow_partial: bool = False) -> int:
+def crt_shift(system: CoveringSystem) -> int:
     """Smallest workable y with y = -c_p (mod p) for every prime p <= n.
 
     Then p | y + m whenever m = c_p (mod p), so covered offsets turn
@@ -154,10 +115,9 @@ def crt_shift(system: CoveringSystem, *, allow_partial: bool = False) -> int:
     when it is <= n, keeping every witness a proper divisor.
 
     Raises:
-        ValidationError: the system leaves holes and allow_partial is
-            False (the holes are listed).
+        ValidationError: the system leaves holes (the holes are listed).
     """
-    if not system.covered() and not allow_partial:
+    if not system.covered():
         holes = ", ".join(str(m) for m in system.uncovered[:10])
         more = " ..." if len(system.uncovered) > 10 else ""
         raise ValidationError(
@@ -170,51 +130,29 @@ def crt_shift(system: CoveringSystem, *, allow_partial: bool = False) -> int:
     return y
 
 
-def composite_run_from_cover(
-    system: CoveringSystem, *, allow_partial: bool = False
-) -> CompositeRun:
-    """CRT shift plus witnesses over the longest contiguous covered block.
+def composite_run_from_cover(system: CoveringSystem) -> CompositeRun:
+    """CRT shift plus witnesses: the run [y + 1, y + y_len] of a covered system.
 
-    A fully covered system yields the whole run [y + 1, y + y_len]; a
-    partial one (with allow_partial) yields the widest gap-free stretch.
+    Raises:
+        ValidationError: the system leaves holes.
     """
-    y = crt_shift(system, allow_partial=allow_partial)
-    holes = set(system.uncovered)
-    best_start, best_len = None, 0
-    start = None
-    for m in range(1, system.y_len + 2):
-        if m <= system.y_len and m not in holes:
-            if start is None:
-                start = m
-        else:
-            if start is not None and m - start > best_len:
-                best_start, best_len = start, m - start
-            start = None
-    if best_start is None:
-        raise ValidationError("no covered offsets at all")
+    y = crt_shift(system)
     ordered = sorted(system.residues.items())
-    witnesses = []
-    for m in range(best_start, best_start + best_len):
-        witnesses.append(next(p for p, c in ordered if m % p == c))
-    return CompositeRun(
-        y=y, first_offset=best_start, length=best_len, witnesses=tuple(witnesses)
-    )
+    witnesses = [next(p for p, c in ordered if m % p == c) for m in range(1, system.y_len + 1)]
+    return CompositeRun(y=y, first_offset=1, length=system.y_len, witnesses=tuple(witnesses))
 
 
-def widest_covered_length(
-    n: int, *, start: Optional[int] = None, limit: Optional[int] = None
-) -> CoveringSystem:
-    """Largest y_len <= limit the greedy fully covers: doubling then bisection.
+def widest_covered_length(n: int) -> CoveringSystem:
+    """Largest y_len <= 8n the greedy fully covers: doubling then bisection.
 
     Greedy coverage is not guaranteed monotone in y_len, so the result is
     the widest length at which this particular greedy succeeded.
     """
-    lo = start if start is not None else n
-    cap = limit if limit is not None else 8 * n
-    best = greedy_cover(n, lo)
+    cap = 8 * n
+    best = greedy_cover(n, n)
     if not best.covered():
-        raise ValidationError(f"greedy cannot even cover [1, {lo}] for n={n}")
-    width = lo
+        raise ValidationError(f"greedy cannot even cover [1, {n}] for n={n}")
+    width = n
     while width * 2 <= cap:
         trial = greedy_cover(n, width * 2)
         if not trial.covered():

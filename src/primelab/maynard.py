@@ -11,22 +11,20 @@ symmetric polynomials sum c_{a,b} (1-P1)^a P2^b of degree at most d,
 turning J/I into a ratio of quadratic forms assembled in exact rational
 arithmetic; the largest generalized eigenvalue is solved in floating
 point and then re-certified exactly at the witness, so the reported bound
-is true regardless of floating error. The analytic method evaluates the
-closed-form bound for the product shape built from g(t) = 1/(1+At) on
-[0, T]. A seeded Monte Carlo estimator of I and J validates the exact
-pipeline from outside.
+(an MkCertificate) is true regardless of floating error. The analytic
+method evaluates, in floats, the closed-form bound for the product shape
+built from g(t) = 1/(1+At) on [0, T]. A seeded Monte Carlo estimator of I
+and J validates the exact pipeline from outside.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     CapacityError,
@@ -192,29 +190,26 @@ def _scaled_float(matrix: RationalMatrix) -> tuple[np.ndarray, Fraction]:
     return np.array([[x / top for x in row] for row in rows]), Fraction(top, den)
 
 
-def largest_generalized_eigenvalue(
-    pair: QuadraticFormPair, *, residual_tol: float = 1e-9
-) -> tuple[float, np.ndarray]:
-    """Largest lambda with A2 a = lambda A1 a, plus the witness vector.
+def _eigen_stage(
+    pair: QuadraticFormPair, residual_tol: float
+) -> tuple[float, np.ndarray, float]:
+    """Largest lambda with A2 a = lambda A1 a, its vector, and a residual.
 
     A1 is certified positive definite by exact LDL pivots first; the
     eigenproblem itself is solved in floating point on rescaled matrices
     and the relative eigen-equation residual is checked against
-    residual_tol.
+    residual_tol. The residual returned is the one certificates report:
+    the same norm taken at the vector's own Rayleigh quotient.
 
     Raises:
         ConsistencyError: A1 fails the exact positive-definiteness check.
         ConvergenceError: the float solve fails (A1 numerically singular)
             or misses the residual tolerance.
     """
-    lam, vec, _, _ = _eigen_stage(pair, residual_tol)
-    return lam, vec
+    # the eigen solve is scipy's only use: importing it here spares every
+    # other command the load
+    from scipy.linalg import eigh
 
-
-def _eigen_stage(
-    pair: QuadraticFormPair, residual_tol: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """largest_generalized_eigenvalue plus the scaled float images F1, F2."""
     ldl_pivots(pair.A1)
     F1, s1 = _scaled_float(pair.A1)
     F2, s2 = _scaled_float(pair.A2)
@@ -227,62 +222,36 @@ def _eigen_stage(
     mu = float(vals[-1])
     vec = np.ascontiguousarray(vecs[:, -1])
     lhs = F2 @ vec
-    rhs = mu * (F1 @ vec)
-    residual = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
+    f1v = F1 @ vec
+    scale = max(np.linalg.norm(lhs), 1e-300)
+    residual = float(np.linalg.norm(lhs - mu * f1v) / scale)
     if residual > residual_tol:
         raise ConvergenceError(
             f"eigen residual {residual:.3e} exceeds {residual_tol:.1e}",
             residual=residual,
         )
-    return mu * float(s2 / s1), vec, F1, F2
+    mu_vec = float(vec @ lhs) / float(vec @ f1v)
+    return mu * float(s2 / s1), vec, float(np.linalg.norm(lhs - mu_vec * f1v) / scale)
 
 
 @dataclass(frozen=True)
 class MkCertificate:
-    """Self-verifying lower bound on M_k.
+    """Self-verifying lower bound on M_k from the polynomial method.
 
-    For the polynomial method the witness is the coefficient vector (exact
-    rationals) and lower_bound is the down-rounded float of the exact
-    Rayleigh quotient at that witness, so the bound survives any floating
+    The witness is the coefficient vector (exact rationals) and
+    lower_bound is the down-rounded float of the exact Rayleigh quotient
+    at that witness, exact_value, so the bound survives any floating
     error in the eigen stage. residual is the float eigen-equation
-    residual. For the analytic method the witness is the (A, T) pair.
+    residual.
     """
 
     k: int
     method: str
     lower_bound: float
-    witness: Union[tuple[Fraction, ...], tuple[float, float]]
+    witness: tuple[Fraction, ...]
     residual: float
-    exact_value: Optional[Fraction] = None
-    degree: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        wit: Union[list[dict], dict]
-        if self.method.startswith("poly"):
-            wit = [
-                {"num": str(c.numerator), "den": str(c.denominator)}
-                for c in self.witness  # type: ignore[union-attr]
-            ]
-        else:
-            wit = {"A": self.witness[0], "T": self.witness[1]}
-        out = {
-            "k": self.k,
-            "method": self.method,
-            "lower_bound": self.lower_bound,
-            "witness": wit,
-            "residual": self.residual,
-        }
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.exact_value is not None:
-            out["exact_value"] = {
-                "num": str(self.exact_value.numerator),
-                "den": str(self.exact_value.denominator),
-            }
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    exact_value: Fraction
+    degree: int
 
 
 def rayleigh_quotient(pair: QuadraticFormPair, coeffs: Sequence[Fraction]) -> Fraction:
@@ -332,15 +301,10 @@ def mk_lower_bound_poly(
     the float solve.
     """
     pair = build_quadratic_forms(k, degree, basis_cap=basis_cap)
-    lam, vec, F1, F2 = _eigen_stage(pair, residual_tol)
+    lam, vec, residual = _eigen_stage(pair, residual_tol)
     witness = tuple(Fraction(float(c)) for c in vec)
     exact = rayleigh_quotient(pair, witness)
     bound = _float_rounded_down(exact)
-    lhs = F2 @ vec
-    mu_scaled = float(vec @ lhs) / float(vec @ (F1 @ vec))
-    residual = float(
-        np.linalg.norm(lhs - mu_scaled * (F1 @ vec)) / max(np.linalg.norm(lhs), 1e-300)
-    )
     # the float eigenvalue and the exact quotient must match closely, or
     # the eigen stage silently went wrong
     if abs(lam - bound) > 1e-6 * max(1.0, abs(bound)):
@@ -426,13 +390,13 @@ def mk_lower_bound_g(params: GBoundParams) -> float:
     return first * correction
 
 
-def optimize_g_bound(
-    k: int,
-    variant: str = VARIANT_RATIO_SQUARED,
-    *,
-    grid: int = 64,
-    refine_rounds: int = 48,
-) -> tuple[float, float, float]:
+# optimize_g_bound's seed grid is _G_GRID x _G_GRID points, followed by
+# at most _G_REFINE_ROUNDS rounds of coordinate shrink
+_G_GRID = 64
+_G_REFINE_ROUNDS = 48
+
+
+def optimize_g_bound(k: int, variant: str = VARIANT_RATIO_SQUARED) -> tuple[float, float, float]:
     """Deterministic grid seed plus coordinate shrink over (A, T).
 
     Searches A in [1e-3, 10 log k], T in [1, k]. Returns (A, T, bound).
@@ -451,18 +415,18 @@ def optimize_g_bound(
 
     a_hi = 10.0 * math.log(k)
     best: Optional[tuple[float, float, float]] = None
-    for i in range(1, grid + 1):
-        A = 1e-3 + (a_hi - 1e-3) * i / grid
-        for j in range(1, grid + 1):
-            T = 1.0 + (k - 1.0) * j / grid
+    for i in range(1, _G_GRID + 1):
+        A = 1e-3 + (a_hi - 1e-3) * i / _G_GRID
+        for j in range(1, _G_GRID + 1):
+            T = 1.0 + (k - 1.0) * j / _G_GRID
             v = value(A, T)
             if v is not None and (best is None or v > best[0]):
                 best = (v, A, T)
     if best is None:
         raise InfeasibleError(
-            f"no feasible (A, T) for k={k} on the {grid}x{grid} seed grid"
+            f"no feasible (A, T) for k={k} on the {_G_GRID}x{_G_GRID} seed grid"
         )
-    for _ in range(refine_rounds):
+    for _ in range(_G_REFINE_ROUNDS):
         v0, A0, T0 = best
         for factor in (0.9, 0.97, 1.03, 1.1):
             v = value(A0 * factor, T0)
@@ -640,7 +604,7 @@ class GapChainReport:
             "degree": self.degree,
             "theta": self.theta,
             "m": self.m,
-            "certificate": self.certificate.to_dict(),
+            "certificate": asdict(self.certificate),
             "offsets": list(self.tuple.offsets),
             "tuple_certificate": {str(p): r for p, r in sorted(self.tuple.certificate.items())},
             "threshold": self.threshold,

@@ -40,14 +40,14 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     return primes
 
 
-def _check_range(lo: int, hi: int, max_range: int = DEFAULT_RANGE_CAP) -> None:
-    """Raise unless 0 <= lo < hi and hi - lo is within the capacity guard."""
+def _check_range(lo: int, hi: int) -> None:
+    """Raise unless 0 <= lo < hi and hi - lo is within DEFAULT_RANGE_CAP."""
     if not 0 <= lo < hi:
         raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > max_range:
+    if hi - lo > DEFAULT_RANGE_CAP:
         raise CapacityError(
-            f"range of {hi - lo} integers exceeds the cap of {max_range}; "
-            "raise max_range or scan in pieces"
+            f"range of {hi - lo} integers exceeds the cap of {DEFAULT_RANGE_CAP}; "
+            "scan it in pieces"
         )
 
 
@@ -121,17 +121,9 @@ class PrimeTable:
     primality: np.ndarray
     smallest_factor: Optional[np.ndarray] = None
 
-    def is_prime(self, n: int) -> bool:
-        if not self.lo <= n < self.hi:
-            raise ValidationError(f"{n} outside table range [{self.lo}, {self.hi})")
-        return bool(self.primality[n - self.lo])
-
     def primes(self) -> np.ndarray:
         """All primes in [lo, hi) as an int64 array."""
         return np.flatnonzero(self.primality) + self.lo
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.primality))
 
 
 def sieve_range(
@@ -140,7 +132,6 @@ def sieve_range(
     *,
     with_factors: bool = False,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    max_range: int = DEFAULT_RANGE_CAP,
 ) -> PrimeTable:
     """Sieve [lo, hi) into a PrimeTable, segmenting internally.
 
@@ -150,9 +141,11 @@ def sieve_range(
         with_factors: also build the smallest-prime-factor table (one int64
             per integer in range; skip for very large ranges).
         segment_size: integers per internal segment.
-        max_range: capacity guard; hi - lo beyond this raises CapacityError.
+
+    Raises:
+        CapacityError: hi - lo exceeds DEFAULT_RANGE_CAP.
     """
-    _check_range(lo, hi, max_range)
+    _check_range(lo, hi)
     bits = np.zeros(hi - lo, dtype=bool)
     for seg_lo, seg_hi, first, seg_bits in _odd_segments(lo, hi, segment_size):
         bits[first - lo : seg_hi - lo : 2] = seg_bits

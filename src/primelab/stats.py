@@ -208,6 +208,9 @@ def normal_interval(a: float, b: float) -> float:
     return cdf(b) - cdf(a)
 
 
+_KS_GRID_POINTS = 1000  # erdos_kac's grid in [-5, 5]
+
+
 @dataclass(frozen=True)
 class ErdosKacReport:
     x: int
@@ -224,20 +227,19 @@ def erdos_kac(
     b: float,
     *,
     tables: Optional[ArithTables] = None,
-    grid_points: int = 1000,
 ) -> ErdosKacReport:
     """Empirical law of the standardized distinct-prime-factor count.
 
     Standardizes omega(n) by log log n per n over 3 <= n <= x (smaller n
     have no usable normalization), compares the [a, b] mass with the
     normal law, and reports the sup-distance between the empirical CDF and
-    the normal CDF over a fixed grid of `grid_points` points in [-5, 5].
+    the normal CDF over a fixed grid of _KS_GRID_POINTS points in [-5, 5].
 
     The grid value is a lower bound on the true supremum over the real
     line. Both CDFs are monotone between grid points, so there the gap is
-    at most phi(0) * dz, the normal density's maximum times the grid step
-    dz = 10 / (grid_points - 1) (0.0040 at the default 1000 points);
-    outside [-5, 5] it is at most Phi(-5) < 3e-7.
+    at most phi(0) * dz = 0.0040, the normal density's maximum times the
+    grid step dz = 10 / (_KS_GRID_POINTS - 1); outside [-5, 5] it is at
+    most Phi(-5) < 3e-7.
     """
     if x < 16:
         raise ValidationError(f"x must be >= 16, got {x}")
@@ -255,7 +257,7 @@ def erdos_kac(
     gaussian = normal_interval(a, b)
 
     std.sort()
-    zs = np.linspace(-5.0, 5.0, grid_points)
+    zs = np.linspace(-5.0, 5.0, _KS_GRID_POINTS)
     ecdf = np.searchsorted(std, zs, side="right") / total
     ncdf = 0.5 * (1.0 + np.array([math.erf(z / math.sqrt(2.0)) for z in zs]))
     ks = float(np.max(np.abs(ecdf - ncdf)))

@@ -8,7 +8,6 @@ map from each prime p <= k to one avoided residue.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -30,9 +29,6 @@ class AdmissibleTuple:
     @property
     def diameter(self) -> int:
         return self.offsets[-1] - self.offsets[0]
-
-    def certificate_json(self) -> str:
-        return json.dumps({str(p): r for p, r in sorted(self.certificate.items())})
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,18 @@ import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import primelab
 from primelab import sieve
 from primelab.cli import dispatch
 
@@ -254,6 +260,9 @@ class TestInputValidation:
              "k + l must be <= 170"),
             (("mk", "gbound", "--k", "2", "--A", "inf", "--T", "0.25"),
              "A and T must be finite and > 0"),
+            # numpy's generators refuse negative seeds with a ValueError
+            (("--seed", "-1", "stats", "pigeonhole", "--X", "1000", "--H", "10",
+              "--samples", "5"), "seed must be >= 0, got -1"),
         ],
     )
     def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, message):
@@ -269,6 +278,9 @@ class TestInputValidation:
             ("nan", "coefficients must be finite"),
             ("inf", "coefficients must be finite"),
             ("1e200", "overflow double precision"),
+            # "-inf" and "-NaN" once read as unknown flags: "expected one argument"
+            ("-inf", "coefficients must be finite"),
+            ("-NaN", "coefficients must be finite"),
         ],
     )
     def test_montecarlo_non_finite_estimate_exits_2(self, capsys, value, message):
@@ -284,6 +296,48 @@ class TestInputValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the first two once escaped as ValueError tracebacks (exit 1)
+            ("seed=abc\n", "config line 1, seed=abc: invalid literal for int()"),
+            ("# strict\ntolerance.gpy_agreement=x\n",
+             "config line 2, tolerance.gpy_agreement=x: could not convert"),
+            # once echoed into every report and never read
+            ("tolerance.eigen_residul=1e-3\n", "unknown tolerance name 'eigen_residul'"),
+            # NaN once printed as NaN (not JSON) and turned the gate off
+            ("tolerance.eigen_residual=nan\n", "must be finite and >= 0, got nan"),
+            ("tolerance.eigen_residual=-inf\n", "must be finite and >= 0, got -inf"),
+            ("tolerance.gpy_agreement=inf\n", "must be finite and >= 0, got inf"),
+            # once exited 3 with "exceeds -1.0e+00"
+            ("seed=2\ntolerance.eigen_residual=-1\n",
+             "config line 2, tolerance.eigen_residual=-1: tolerance eigen_residual "
+             "must be finite and >= 0, got -1.0"),
+            ("seed=-1\n", "config line 1, seed=-1: seed must be >= 0, got -1"),
+            ("output_format=xml\n", "config line 1, output_format=xml: output_format must"),
+        ],
+    )
+    def test_hostile_config_file_exits_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "hostile.conf"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "--config", str(cfg),
+                                 "mk", "poly", "--k", "5", "--degree", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is imported only where the M_k eigen solve runs
+        src = Path(primelab.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import primelab.cli, sys; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout == "False\n"
+
 
 class TestNegativeNumberLists:
     """A number list that starts with a minus sign parses with or without '='."""
@@ -296,6 +350,8 @@ class TestNegativeNumberLists:
             (("gpy", "sums", "--x", "100", "--b", "0.25"), "--offsets", "-2,0", [-2, 0]),
             (MC, "--coeffs", "-1,.5", [-1.0, 0.5]),
             (MC, "--coeffs", "-.5,1", [-0.5, 1.0]),
+            (("stats", "erdos-kac", "--x", "1000", "--b", "1"), "--a", "-inf", -math.inf),
+            (("stats", "erdos-kac", "--x", "1000", "--b", "1"), "--a", "-Infinity", -math.inf),
         ],
     )
     def test_spaced_value_equals_joined(self, capsys, head, flag, value, expected):

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from primelab.cli import COMMANDS, GLOBAL_FLAGS, dispatch
 
 PATH_FLAGS = {"--config", "--file", "--out", "--tuple-file"}
-FLOATS = ["nan", "inf", "-1", "0", "0.25", "0.5", "1"]
+FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.25", "0.5", "1"]
+# config files with values the config parser must refuse
+HOSTILE_CONFIGS = {
+    "seed.conf": "seed=abc\n",
+    "typo.conf": "tolerance.eigen_residul=1e-3\n",
+    "nan.conf": "tolerance.eigen_residual=nan\n",
+    "negative.conf": "tolerance.gpy_agreement=-1\n",
+}
 # --basis-cap is the size knob of the exact M_k computation: a cap of a
 # few hundred admits bases whose exact arithmetic runs for minutes, which
 # the CLI accepts by design, so it keeps its default here.
@@ -27,6 +34,8 @@ FUZZED_GLOBALS = [(flag, spec) for flag, spec in GLOBAL_FLAGS if flag != "--basi
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "t.txt").write_text("0\n2\n6\n")
+    for name, text in HOSTILE_CONFIGS.items():
+        (path / name).write_text(text)
     return path
 
 
@@ -56,8 +65,9 @@ def _draw_flags(data, flags, paths: list[str]) -> list[str]:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_random_command_lines_keep_the_exit_contract(data, fuzz_dir):
-    # a --out may create missing.txt or rewrite t.txt; both stay valid inputs
-    paths = [str(fuzz_dir / name) for name in ("missing.txt", "no/dir/f.txt", "t.txt", "")]
+    # a --out may create missing.txt or rewrite a file here; each stays a valid input
+    names = ("missing.txt", "no/dir/f.txt", "t.txt", "", *HOSTILE_CONFIGS)
+    paths = [str(fuzz_dir / name) for name in names]
     name = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
     argv = _draw_flags(data, FUZZED_GLOBALS, paths) + name.split()
     argv += _draw_flags(data, COMMANDS[name][1], paths)

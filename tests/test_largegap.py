@@ -1,4 +1,4 @@
-import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 import oracles
 from primelab.errors import ValidationError
 from primelab.largegap import (
+    CoveringSystem,
     composite_run_from_cover,
     crt_shift,
     greedy_cover,
-    make_covering_system,
     max_gap_G,
     primorial_run,
     run_length_ratio,
-    uncovered_in,
     verify_composite_run,
     widest_covered_length,
 )
-from primelab.sieve import primorial
+from primelab.sieve import _crt_combine, primorial
 
 
 class TestPrimorialRun:
@@ -56,16 +55,8 @@ class TestGreedyCover:
 
     def test_uncovered_is_definitionally_correct(self):
         system = greedy_cover(11, 40)
-        assert system.uncovered == uncovered_in(system.residues, 40)
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_uncovered_in_matches_definition(self, data):
-        primes = [2, 3, 5, 7, 11, 13]
-        residues = {p: data.draw(st.integers(0, p - 1)) for p in primes}
-        y_len = data.draw(st.integers(0, 200))
-        assert uncovered_in(residues, y_len) == tuple(
-            m for m in range(1, y_len + 1) if all(m % p != c for p, c in residues.items())
+        assert system.uncovered == tuple(
+            m for m in range(1, 41) if all(m % p != c for p, c in system.residues.items())
         )
 
     def test_determinism(self):
@@ -95,24 +86,36 @@ class TestGreedyCover:
 
 class TestCrtShift:
     def test_hand_case(self):
-        # classes 0 mod 2 and 0 mod 3 cover {2, 3, 4}; the shift lands on 6
-        # and turns the covered stretch into {8, 9, 10}
-        system = make_covering_system(3, {2: 0, 3: 0}, 4)
-        assert system.uncovered == (1,)
-        run = composite_run_from_cover(system, allow_partial=True)
-        assert run.y == 6
-        assert [run.y + j for j in run.offsets()] == [8, 9, 10]
+        # classes 0 mod 2 and 1 mod 3 cover {1, 2}; y = 0 mod 2, 2 mod 3
+        # gives 2 <= n, bumped by 6 to 8, so the run is {9, 10}
+        system = CoveringSystem(n=3, residues={2: 0, 3: 1}, y_len=2, uncovered=())
+        run = composite_run_from_cover(system)
+        assert run.y == crt_shift(system) == 8
+        assert [run.y + j for j in run.offsets()] == [9, 10]
+        assert run.witnesses == (3, 2)
         assert verify_composite_run(run)
 
     def test_all_zero_system_reproduces_primorial(self):
-        residues = {p: 0 for p in (2, 3, 5, 7)}
-        system = make_covering_system(7, residues, 7)
-        assert crt_shift(system, allow_partial=True) == primorial(7) == primorial_run(7).y
+        (y,), mod = _crt_combine((p, [0]) for p in (2, 3, 5, 7))
+        assert (y, mod) == (0, primorial(7)) and primorial_run(7).y == primorial(7)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_crt_combine_matches_definition(self, data):
+        primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11]), unique=True))
+        allowed = {p: data.draw(st.sets(st.integers(0, p - 1), max_size=2)) for p in primes}
+        residues, mod = _crt_combine((p, sorted(allowed[p])) for p in primes)
+        assert mod == math.prod(primes)
+        assert sorted(residues) == [
+            r for r in range(mod) if all(r % p in allowed[p] for p in primes)
+        ]
 
     def test_uncovered_raises_with_holes(self):
-        system = make_covering_system(3, {2: 0, 3: 0}, 4)
+        system = CoveringSystem(n=3, residues={2: 0, 3: 0}, y_len=4, uncovered=(1,))
         with pytest.raises(ValidationError, match=r"\b1\b"):
             crt_shift(system)
+        with pytest.raises(ValidationError, match="holes"):
+            composite_run_from_cover(system)
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_greedy_chain_beats_primorial_baseline(self, n):
@@ -130,16 +133,6 @@ class TestCrtShift:
             for j, w in zip(run.offsets(), run.witnesses):
                 assert (run.y + j) % w == 0
                 assert 1 < w < run.y + j
-
-    def test_json_serialization(self):
-        run = primorial_run(11)
-        blob = json.loads(run.to_json())
-        assert blob["y"] == str(primorial(11))
-        assert blob["length"] == 10
-        # the decimal string is enough for an outside tool to recheck
-        for j, w in zip(range(blob["first_offset"], blob["first_offset"] + blob["length"]),
-                        blob["witnesses"]):
-            assert (int(blob["y"]) + j) % w == 0
 
 
 class TestWidestCover:

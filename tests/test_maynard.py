@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import oracles
 from primelab import maynard
+from primelab.cli import dispatch
 from primelab.errors import (
     CapacityError,
     ConsistencyError,
@@ -25,7 +26,6 @@ from primelab.maynard import (
     enumerate_basis,
     gap_bound_chain,
     ij_monte_carlo,
-    largest_generalized_eigenvalue,
     ldl_pivots,
     mk_lower_bound_g,
     mk_lower_bound_poly,
@@ -160,13 +160,13 @@ class TestLdl:
 class TestEigen:
     def test_identity_pair(self):
         pair = synthetic_pair([[1, 0], [0, 1]], [[1, 0], [0, 2]])
-        lam, vec = largest_generalized_eigenvalue(pair)
+        lam, vec, _ = maynard._eigen_stage(pair, 1e-9)
         assert lam == pytest.approx(2.0, rel=1e-12)
         assert abs(vec[1]) == pytest.approx(1.0, rel=1e-9)
 
     def test_diagonal_pair(self):
         pair = synthetic_pair([[2, 0], [0, 1]], [[2, 0], [0, 3]])
-        lam, _ = largest_generalized_eigenvalue(pair)
+        lam, _, _ = maynard._eigen_stage(pair, 1e-9)
         assert lam == pytest.approx(3.0, rel=1e-12)
 
     def test_random_spd_pair_rayleigh_maximality(self):
@@ -176,7 +176,7 @@ class TestEigen:
         a1 = r1 @ r1.T + 5 * np.eye(5, dtype=int)
         a2 = (r2 + r2.T) // 1
         pair = synthetic_pair(a1.tolist(), a2.tolist())
-        lam, vec = largest_generalized_eigenvalue(pair)
+        lam, vec, _ = maynard._eigen_stage(pair, 1e-9)
         witness = [Fraction(float(v)) for v in vec]
         exact = rayleigh_quotient(pair, witness)
         assert float(exact) == pytest.approx(lam, rel=1e-9)
@@ -187,7 +187,7 @@ class TestEigen:
     def test_structural_error_on_indefinite_a1(self):
         pair = synthetic_pair([[1, 2], [2, 1]], [[1, 0], [0, 1]])
         with pytest.raises(ConsistencyError):
-            largest_generalized_eigenvalue(pair)
+            maynard._eigen_stage(pair, 1e-9)
 
     def test_numerically_singular_a1_is_a_convergence_error(self):
         # exactly definite (pivots 1 and 10^-30) but singular in doubles
@@ -195,7 +195,7 @@ class TestEigen:
         pair = synthetic_pair([[1, 1], [1, 1 + tiny]], [[1, 0], [0, 1]])
         assert ldl_pivots(pair.A1) == [1, tiny]
         with pytest.raises(ConvergenceError, match="eigensolver failed"):
-            largest_generalized_eigenvalue(pair)
+            maynard._eigen_stage(pair, 1e-9)
 
 
 class TestMkLowerBoundPoly:
@@ -226,13 +226,16 @@ class TestMkLowerBoundPoly:
         bounds = [mk_lower_bound_poly(4, d).lower_bound for d in range(4)]
         assert bounds == sorted(bounds)
 
-    def test_json_round_trip_recertifies(self):
-        cert = mk_lower_bound_poly(3, 2)
-        blob = json.loads(cert.to_json())
+    def test_json_round_trip_recertifies(self, capsys):
+        # the CLI report alone carries enough to recertify the bound
+        assert dispatch(["mk", "poly", "--k", "3", "--degree", "2"]) == 0
+        blob = json.loads(capsys.readouterr().out)["result"]
         witness = [Fraction(int(w["num"]), int(w["den"])) for w in blob["witness"]]
         pair = build_quadratic_forms(3, 2)
         value = oracles.exact_rational_requote(pair.A1, pair.A2, witness)
-        assert value == cert.exact_value
+        exact = blob["exact_value"]
+        assert value == Fraction(int(exact["num"]), int(exact["den"]))
+        assert value == mk_lower_bound_poly(3, 2).exact_value
 
 
 class TestGBound:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
+    DEFAULT_RANGE_CAP,
     _simple_prime_array,
     arith_tables,
     gap_scan,
@@ -40,7 +41,7 @@ class TestSieveRange:
         lo, hi = 10**8 - 100, 10**8
         table = sieve_range(lo, hi)
         for n in range(lo, hi):
-            assert table.is_prime(n) == oracles.trial_division_is_prime(n), n
+            assert table.primality[n - lo] == oracles.trial_division_is_prime(n), n
 
     def test_segmentation_is_invisible(self):
         # same range, very different segment sizes, identical bits
@@ -53,8 +54,9 @@ class TestSieveRange:
         assert np.array_equal(table.primality, oracles.simple_sieve_bits(10**5))
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            sieve_range(0, 10**7, max_range=10**6)
+        # raised before the table is allocated
+        with pytest.raises(CapacityError, match=f"exceeds the cap of {DEFAULT_RANGE_CAP}"):
+            sieve_range(0, DEFAULT_RANGE_CAP + 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -69,7 +71,7 @@ class TestSieveRange:
             w = int(spf[n])
             assert n % w == 0
             assert oracles.trial_division_is_prime(w)
-            if table.is_prime(n):
+            if table.primality[n]:
                 assert w == n
             else:
                 assert w < n
@@ -174,7 +176,7 @@ class TestPrimeCount:
         assert prime_count(x) >= prime_count(x - 1)
         lo = x // 2
         table = sieve_range(lo, x)
-        assert table.count() == prime_count(x - 1) - prime_count(lo - 1)
+        assert table.primes().size == prime_count(x - 1) - prime_count(lo - 1)
 
 
 class TestArithTables:

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,8 +153,3 @@ class TestFileInterface:
             read_offsets(str(bad))
         with pytest.raises(ValidationError, match="cannot write offsets file"):
             write_offsets(str(tmp_path / "no" / "dir.txt"), prime_offset_tuple(3))
-
-    def test_certificate_json(self):
-        tup = is_admissible([0, 2, 6])
-        data = json.loads(tup.certificate_json())
-        assert data == {"2": 1, "3": 1}
