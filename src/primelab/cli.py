@@ -36,7 +36,7 @@ from .errors import (
     PrimelabError,
     ValidationError,
 )
-from .sieve import _check_range, gap_scan, iter_prime_segments
+from .sieve import gap_scan, iter_prime_segments
 from .tuples import (
     AdmissibleTuple,
     Refutation,
@@ -95,9 +95,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _stringify_big(obj):
-    """Big integers become decimal strings (lossless across JSON readers)."""
+    """Big integers become decimal strings (lossless across JSON readers);
+    non-finite floats become "inf", "-inf" and "nan", which JSON lacks."""
     if isinstance(obj, bool):
         return obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     if isinstance(obj, int):
         return str(obj) if abs(obj) >= _JS_SAFE_INT else obj
     if isinstance(obj, Fraction):
@@ -171,7 +174,6 @@ def _pick(obj, *names: str) -> dict:
 # --------- command implementations ---------
 
 def _cmd_sieve(args, config: RunConfig):
-    _check_range(args.lo, args.hi)
     count, first, last = 0, None, None
     for _, primes in iter_prime_segments(args.lo, args.hi, config.segment_size):
         if primes.size:

@@ -141,19 +141,25 @@ def _prime_sets(values: np.ndarray, primes: list[int], offsets: tuple[int, ...])
     return words
 
 
+def _lambda_table(params: GpyParams) -> dict[int, float]:
+    """{d: lambda_d} for the d <= D_limit with lambda_d != 0, ascending."""
+    lam = ((d, lambda_d(d, params)) for d in range(1, params.D_limit + 1))
+    return {d: v for d, v in lam if v != 0.0}
+
+
 def _direct_weight_blocks(
-    params: GpyParams, lo: int, hi: int, block: int = 1 << 16
+    params: GpyParams, lam: dict[int, float], lo: int, hi: int, block: int = 1 << 16
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (ns, f(ns)) over [lo, hi) in blocks of n, by divisibility tests.
 
     A squarefree d divides (n+h_1)...(n+h_k) exactly when each of its
     primes does, so f(n) depends only on the set of primes p <= D dividing
     some n + h. The n of a block are sorted by set; each set sums once.
+    lam is _lambda_table(params).
     """
-    ds = [d for d in range(1, params.D_limit + 1) if lambda_d(d, params) != 0.0]
-    lams = np.array([lambda_d(d, params) for d in ds])
+    lams = np.array(list(lam.values()))
     primes = _simple_prime_array(params.D_limit).tolist()
-    factors = _prime_sets(np.array(ds, dtype=np.int64), primes, (0,))
+    factors = _prime_sets(np.array(list(lam), dtype=np.int64), primes, (0,))
     square_by_set: dict[bytes, float] = {}
     for start in range(lo, hi, block):
         ns = np.arange(start, min(start + block, hi), dtype=np.int64)
@@ -207,13 +213,19 @@ def weighted_sums(
     divisibility tests, grouped by the set of primes p <= D dividing some
     n + h: one fsum of lambda_d per distinct set (_direct_weight_blocks).
     The rearranged pipeline expands the square into a double sum over
-    divisor pairs and counts n in residue classes mod lcm(d1, d2) with
-    exact integer counts (and, for S2, prime counts in those classes).
-    Disagreement beyond rel_tol raises ConsistencyError.
+    divisor pairs (d1, d2) and walks the moduli m = lcm(d1, d2) in
+    ascending order, one at a time. For each m it takes three totals over
+    the residues r mod m with m | (r+h_1)...(r+h_k): the exact count of n
+    in [x, 2x) in those classes, the count of (n, h) with n + h prime, and
+    the sum of log(n + h) over those (one bincount per offset, one fsum).
+    Each pair with that modulus contributes lambda_d1 * lambda_d2 times
+    each total, so memory is bounded by the largest modulus. Both
+    pipelines read one table of the nonzero lambda_d. Disagreement beyond
+    rel_tol raises ConsistencyError.
     """
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
-    lam = {d: lambda_d(d, params) for d in range(1, D + 1)}
+    lam = _lambda_table(params)
     # both pipelines index the bits from lo, the least n + h they read
     lo = x + min(offsets[0], 0)
     if lo < 0:
@@ -222,7 +234,7 @@ def weighted_sums(
 
     # direct scan
     f_terms, s2_terms, s2_theta_terms = [], [], []
-    for ns, f in _direct_weight_blocks(params, x, 2 * x):
+    for ns, f in _direct_weight_blocks(params, lam, x, 2 * x):
         ns, f = ns[f != 0.0], f[f != 0.0]
         hits = np.stack([bits[ns + h - lo] for h in offsets], axis=1)
         logs = np.zeros(hits.shape)
@@ -235,52 +247,33 @@ def weighted_sums(
     S2_direct = math.fsum(np.concatenate(s2_terms).tolist())
     S2_theta_direct = math.fsum(np.concatenate(s2_theta_terms).tolist())
 
-    # rearranged double sum over divisor pairs
-    nonzero = [d for d in range(1, D + 1) if lam[d] != 0.0]
-    pair_lcm: dict[tuple[int, int], int] = {}
-    for d1 in nonzero:
-        for d2 in nonzero:
-            pair_lcm[(d1, d2)] = math.lcm(d1, d2)
-    moduli = sorted(set(pair_lcm.values()))
-    residues_by_m = {m: _valid_residues(m, offsets) for m in moduli}
-
-    # per offset: the n in [x, 2x) with n + h prime, bucketed mod m on demand
-    ns_by_offset = {}
-    logq_by_offset = {}
+    # rearranged double sum over divisor pairs, one modulus at a time
+    pairs_by_m: dict[int, list[tuple[int, int]]] = {}
+    for d1 in lam:
+        for d2 in lam:
+            pairs_by_m.setdefault(math.lcm(d1, d2), []).append((d1, d2))
+    # per offset: the n in [x, 2x) with n + h prime, and log(n + h)
+    prime_ns = []
     for h in offsets:
         qs = np.flatnonzero(bits[x + h - lo : 2 * x + h - lo]).astype(np.int64) + x
-        ns_by_offset[h] = qs
-        logq_by_offset[h] = np.log((qs + h).astype(np.float64))
-
-    class_counts = {
-        m: {
-            h: np.bincount(ns_by_offset[h] % m, minlength=m)
-            for h in offsets
-        }
-        for m in moduli
-    }
-    class_logsums = {
-        m: {
-            h: np.bincount(
-                ns_by_offset[h] % m, weights=logq_by_offset[h], minlength=m
-            )
-            for h in offsets
-        }
-        for m in moduli
-    }
+        prime_ns.append((qs, np.log((qs + h).astype(np.float64))))
 
     re_s1, re_s2, re_s2_theta = [], [], []
-    for (d1, d2), m in pair_lcm.items():
-        coef = lam[d1] * lam[d2]
-        rs = residues_by_m[m]
+    for m in sorted(pairs_by_m):
+        rs = _valid_residues(m, offsets)
         n_count = sum(_count_in_class(x, 2 * x, r, m) for r in rs)
-        re_s1.append(coef * n_count)
-        prime_hits = sum(int(class_counts[m][h][r]) for h in offsets for r in rs)
-        re_s2.append(coef * prime_hits)
-        logsum = math.fsum(
-            float(class_logsums[m][h][r]) for h in offsets for r in rs
-        )
-        re_s2_theta.append(coef * logsum)
+        prime_hits, class_logs = 0, []
+        for qs, logq in prime_ns:
+            cls = qs % m
+            counts = np.bincount(cls, minlength=m)
+            prime_hits += sum(int(counts[r]) for r in rs)
+            class_logs += np.bincount(cls, weights=logq, minlength=m)[rs].tolist()
+        logsum = math.fsum(class_logs)
+        for d1, d2 in pairs_by_m[m]:
+            coef = lam[d1] * lam[d2]
+            re_s1.append(coef * n_count)
+            re_s2.append(coef * prime_hits)
+            re_s2_theta.append(coef * logsum)
     S1_re = math.fsum(re_s1)
     S2_re = math.fsum(re_s2)
     S2_theta_re = math.fsum(re_s2_theta)
@@ -352,12 +345,7 @@ def remainder_R(
     return lam_sum - x / totient
 
 
-def error_sum_E(
-    params: GpyParams,
-    i: int = 1,
-    *,
-    support: Optional[SupportArrays] = None,
-) -> float:
+def error_sum_E(params: GpyParams, i: int = 1) -> float:
     """Sum of |remainder_R| over squarefree d < x^(2b) and c in the residue set.
 
     The index i selects which tuple offset anchors the residue sets; it is
@@ -366,8 +354,7 @@ def error_sum_E(
     """
     x = params.x
     d_max = _power_floor(x, 2 * params.b, strict=True)
-    if support is None:
-        support = mangoldt_range(x, 2 * x)
+    support = mangoldt_range(x, 2 * x)
     terms = []
     for d in range(1, d_max + 1):
         if _mobius(d) == 0:

@@ -40,17 +40,6 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     return primes
 
 
-def _check_range(lo: int, hi: int) -> None:
-    """Raise unless 0 <= lo < hi and hi - lo is within DEFAULT_RANGE_CAP."""
-    if not 0 <= lo < hi:
-        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > DEFAULT_RANGE_CAP:
-        raise CapacityError(
-            f"range of {hi - lo} integers exceeds the cap of {DEFAULT_RANGE_CAP}; "
-            "scan it in pieces"
-        )
-
-
 def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield (seg_lo, seg_hi, first, bits) covering [lo, hi) in order.
 
@@ -145,7 +134,13 @@ def sieve_range(
     Raises:
         CapacityError: hi - lo exceeds DEFAULT_RANGE_CAP.
     """
-    _check_range(lo, hi)
+    if not 0 <= lo < hi:
+        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    if hi - lo > DEFAULT_RANGE_CAP:
+        raise CapacityError(
+            f"range of {hi - lo} integers exceeds the cap of {DEFAULT_RANGE_CAP}; "
+            "scan it in pieces"
+        )
     bits = np.zeros(hi - lo, dtype=bool)
     for seg_lo, seg_hi, first, seg_bits in _odd_segments(lo, hi, segment_size):
         bits[first - lo : seg_hi - lo : 2] = seg_bits

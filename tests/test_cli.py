@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -219,17 +218,20 @@ class TestSieveStream:
             "last_prime": primes[-1] if primes else None,
         }
 
-    def test_over_cap_exits_2_before_sieving(self, capsys, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the kernel was entered")
+    def test_no_range_cap(self, capsys, monkeypatch):
+        # the stream holds one segment at a time, so a range past
+        # DEFAULT_RANGE_CAP reaches the kernel whole
+        calls = []
 
-        monkeypatch.setattr(sieve, "_odd_segments", fail)
+        def empty(*args):
+            calls.append(args)
+            return iter(())
+
+        monkeypatch.setattr(sieve, "_odd_segments", empty)
         hi = sieve.DEFAULT_RANGE_CAP + 1
-        code, out, err = run_cli(capsys, "sieve", "--hi", str(hi))
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: range of {hi} integers exceeds the cap of "
-                              f"{sieve.DEFAULT_RANGE_CAP}")
+        report = run_json(capsys, "sieve", "--hi", str(hi))
+        assert calls == [(0, hi, sieve.DEFAULT_SEGMENT_SIZE)]
+        assert report["result"] == {"prime_count": 0, "first_prime": None, "last_prime": None}
 
 
 class TestInputValidation:
@@ -350,8 +352,8 @@ class TestNegativeNumberLists:
             (("gpy", "sums", "--x", "100", "--b", "0.25"), "--offsets", "-2,0", [-2, 0]),
             (MC, "--coeffs", "-1,.5", [-1.0, 0.5]),
             (MC, "--coeffs", "-.5,1", [-0.5, 1.0]),
-            (("stats", "erdos-kac", "--x", "1000", "--b", "1"), "--a", "-inf", -math.inf),
-            (("stats", "erdos-kac", "--x", "1000", "--b", "1"), "--a", "-Infinity", -math.inf),
+            (("stats", "erdos-kac", "--x", "1000", "--b", "1"), "--a", "-inf", "-inf"),
+            (("stats", "erdos-kac", "--x", "1000", "--b", "1"), "--a", "-Infinity", "-inf"),
         ],
     )
     def test_spaced_value_equals_joined(self, capsys, head, flag, value, expected):
@@ -390,6 +392,22 @@ class TestDeterminismAndFormats:
         assert int(rows["result.p"]) == report["result"]["p"]
         assert int(rows["result.q"]) == report["result"]["q"]
         assert int(rows["result.gap"]) == report["result"]["gap"]
+
+    def test_non_finite_floats_are_strict_json(self, capsys):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for argv, key, text in [
+            (("stats", "erdos-kac", "--x", "1000", "--a", "-inf", "--b", "1"), "a", "-inf"),
+            (("stats", "hardy-ramanujan", "--n", "1000", "--a", "inf"), "a", "inf"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert json.loads(out, parse_constant=refuse)["params"][key] == text
+        corpus = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+        for entry in corpus:
+            if entry["stdout"].startswith("{"):
+                json.loads(entry["stdout"], parse_constant=refuse)
 
     def test_stats_csv_is_columnar(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "stats", "pnt", "--x", "1000")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from primelab.errors import ValidationError
+from primelab.errors import ConsistencyError, ValidationError
 from primelab.gpy import (
     GpyParams,
     ZHANG_LEVEL_EXPONENT,
     _direct_weight_blocks,
+    _lambda_table,
     _power_floor,
     _row_fsums,
     error_sum_E,
@@ -109,7 +111,7 @@ def direct_weights(p, lo, hi, block=1 << 16):
     """{n: f(n)} for n in [lo, hi) from the vectorised direct scan."""
     return {
         n: f
-        for ns, fs in _direct_weight_blocks(p, lo, hi, block)
+        for ns, fs in _direct_weight_blocks(p, _lambda_table(p), lo, hi, block)
         for n, f in zip(ns.tolist(), fs.tolist())
     }
 
@@ -229,6 +231,32 @@ class TestWeightedSums:
         tup = is_admissible([-200, 0])
         with pytest.raises(ValidationError, match="x \\+ h_1 >= 0"):
             weighted_sums(GpyParams(k=2, l=1, b=0.25, x=100, tuple=tup))
+
+    @pytest.mark.parametrize(
+        "offsets,message",
+        [
+            ((0, 2, 6), "S1 disagree: 443627.8244299498 vs 443627.82442994986"),
+            ((0, 4, 6, 10, 12), "S2_theta disagree: 290568.31355517724 vs 290568.31355517695"),
+        ],
+    )
+    def test_rearranged_bits_pinned(self, offsets, message):
+        # with no tolerance the message quotes both sides' exact reprs
+        tup = is_admissible(list(offsets))
+        p = GpyParams(k=tup.k, l=1, b=0.25, x=10**5, tuple=tup)
+        with pytest.raises(ConsistencyError) as info:
+            weighted_sums(p, rel_tol=0.0)
+        assert str(info.value) == f"direct and rearranged {message}"
+
+    def test_rearranged_memory_bounded_by_largest_modulus(self):
+        # per-modulus class tables, not one per (modulus, offset) at once
+        p = params_026(b=0.45)
+        tracemalloc.start()
+        try:
+            weighted_sums(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.slow
     def test_objective_sign_exploration(self):
