@@ -9,9 +9,11 @@ R_k = {t_i >= 0, sum t_i <= 1}, with
 Two bound families are implemented. The polynomial method restricts F to
 symmetric polynomials sum c_{a,b} (1-P1)^a P2^b of degree at most d,
 turning J/I into a ratio of quadratic forms assembled in exact rational
-arithmetic; the largest generalized eigenvalue is solved in floating
-point and then re-certified exactly at the witness, so the reported bound
-(an MkCertificate) is true regardless of floating error. The analytic
+arithmetic. One exact LDL factorisation of the I-form certifies it
+positive definite and whitens the J-form in decimal arithmetic; the
+largest eigenvalue of the whitened matrix is solved in floating point and
+then re-certified exactly at the witness, so the reported bound (an
+MkCertificate) is true regardless of floating error. The analytic
 method evaluates, in floats, the closed-form bound for the product shape
 built from g(t) = 1/(1+At) on [0, T]. A seeded Monte Carlo estimator of I
 and J validates the exact pipeline from outside.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -141,8 +144,8 @@ def _integer_image(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
-def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
-    """Pivots of the exact LDL^T decomposition of a symmetric matrix.
+def _ldl(matrix: RationalMatrix) -> tuple[list[Fraction], list[list[int]]]:
+    """Exact LDL^T pivots of a symmetric matrix and the rows that give L.
 
     Fraction-free (Bareiss) elimination on the upper triangle of the
     integer image S = den * matrix (`_integer_image`).
@@ -152,6 +155,8 @@ def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
     division below is exact. The diagonal entry d_i at step i is the
     leading minor D_(i+1)(S) over g_0 ... g_i, so pivot i, which is
     D_(i+1)(S) / (D_i(S) den), equals g_i d_i / (d_(i-1) den) exactly.
+    Step i's content-divided row holds columns i .. n-1 and is a multiple
+    of row i of L^T: row[j] / row[0] = L[i + j][i].
 
     Raises:
         ConsistencyError: some pivot is <= 0 (matrix not positive definite).
@@ -161,7 +166,7 @@ def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
     # a[i] holds columns i .. n-1 of row i
     a = [row[i:] for i, row in enumerate(rows)]
     content = [math.gcd(*a[i], *(a[r][i - r] for r in range(i))) or 1 for i in range(n)]
-    pivots = []
+    pivots, factor = [], []
     prev = 1
     for i in range(n):
         g = content[i]
@@ -174,64 +179,65 @@ def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
                 "matrix is not positive definite"
             )
         pivots.append(piv)
+        factor.append(row)
         for j in range(i + 1, n):
             aij = a[i][j - i]
             a[j] = [(d * x - aij * y) // prev for x, y in zip(a[j], row[j - i :])]
         prev = d
-    return pivots
+    return pivots, factor
 
 
-def _scaled_float(matrix: RationalMatrix) -> tuple[np.ndarray, Fraction]:
-    """Float image of matrix / max|entry|; entries at k ~ 100 underflow raw."""
-    den, rows = _integer_image(matrix)
-    top = max(abs(x) for row in rows for x in row)
-    if top == 0:
-        return np.zeros((len(rows), len(rows[0]))), Fraction(1)
-    return np.array([[x / top for x in row] for row in rows]), Fraction(top, den)
+def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
+    """Exact LDL^T pivots (`_ldl`); ConsistencyError unless positive definite."""
+    return _ldl(matrix)[0]
 
 
 def _eigen_stage(
     pair: QuadraticFormPair, residual_tol: float
 ) -> tuple[float, np.ndarray, float]:
-    """Largest lambda with A2 a = lambda A1 a, its vector, and a residual.
+    """Largest lambda with A2 a = lambda A1 a, its vector, and the residual.
 
-    A1 is certified positive definite by exact LDL pivots first; the
-    eigenproblem itself is solved in floating point on rescaled matrices
-    and the relative eigen-equation residual is checked against
-    residual_tol. The residual returned is the one certificates report:
-    the same norm taken at the vector's own Rayleigh quotient.
+    The exact A1 = L D L^T (`_ldl`) certifies A1 positive definite and
+    whitens A2 into M = D^-1/2 L^-1 A2 L^-T D^-1/2, with a = L^-T D^-1/2 y.
+    L^-1 A2 L^-T is formed in decimals, 20 digits past the cancellation
+    the pivots show (the digits of max A1[i][i] / pivot_i). Float eigh
+    solves M; |My - lambda y| / |My| is gated by residual_tol and returned.
+    y maps back to a in decimals, each entry to its own relative
+    precision, and a is scaled to max |a_i| = 1.
 
     Raises:
         ConsistencyError: A1 fails the exact positive-definiteness check.
-        ConvergenceError: the float solve fails (A1 numerically singular)
-            or misses the residual tolerance.
+        ConvergenceError: the float solve misses the residual tolerance.
     """
     # the eigen solve is scipy's only use: importing it here spares every
     # other command the load
     from scipy.linalg import eigh
 
-    ldl_pivots(pair.A1)
-    F1, s1 = _scaled_float(pair.A1)
-    F2, s2 = _scaled_float(pair.A2)
-    try:
-        vals, vecs = eigh(F2, F1)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"float eigensolver failed on the scaled forms: {exc}", residual=math.inf
-        ) from exc
-    mu = float(vals[-1])
-    vec = np.ascontiguousarray(vecs[:, -1])
-    lhs = F2 @ vec
-    f1v = F1 @ vec
-    scale = max(np.linalg.norm(lhs), 1e-300)
-    residual = float(np.linalg.norm(lhs - mu * f1v) / scale)
-    if residual > residual_tol:
-        raise ConvergenceError(
-            f"eigen residual {residual:.3e} exceeds {residual_tol:.1e}",
-            residual=residual,
-        )
-    mu_vec = float(vec @ lhs) / float(vec @ f1v)
-    return mu * float(s2 / s1), vec, float(np.linalg.norm(lhs - mu_vec * f1v) / scale)
+    pivots, factor = _ldl(pair.A1)
+    with localcontext() as ctx:
+        ctx.prec = 20 + len(str(max(pair.A1[i][i] // p for i, p in enumerate(pivots))))
+        lt = np.array([[0] * i + [Decimal(x) / row[0] for x in row] for i, row in enumerate(factor)])
+        w = np.array([[Decimal(x.numerator) / x.denominator for x in r] for r in pair.A2])
+        for upper in (0, 1):
+            w = w.T.copy()
+            for i in range(1, len(w)):
+                # the second pass yields a symmetric matrix: its upper triangle suffices
+                w[i, i * upper :] -= lt[:i, i].dot(w[:i, i * upper :])
+        root = np.array([(Decimal(p.numerator) / p.denominator).sqrt() for p in pivots])
+        m = np.triu((w / np.outer(root, root)).astype(float))
+        m += np.triu(m, 1).T
+        vals, vecs = eigh(m)
+        lam, y = float(vals[-1]), vecs[:, -1]
+        my = m @ y
+        residual = float(np.linalg.norm(my - lam * y) / max(np.linalg.norm(my), 1e-300))
+        if residual > residual_tol:
+            raise ConvergenceError(
+                f"eigen residual {residual:.3e} exceeds {residual_tol:.1e}", residual=residual
+            )
+        a = np.array([Decimal(c) for c in y.tolist()]) / root
+        for i in range(len(a) - 2, -1, -1):
+            a[i] -= lt[i, i + 1 :].dot(a[i + 1 :])
+        return lam, (a / max(abs(a))).astype(float), residual
 
 
 @dataclass(frozen=True)

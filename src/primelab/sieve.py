@@ -33,7 +33,11 @@ DEFAULT_RANGE_CAP = 1 << 30
 
 
 def _simple_prime_array(limit: int) -> np.ndarray:
-    """Primes <= limit: one segment over [0, limit], base primes by recursion."""
+    """Primes <= limit: one segment over [0, limit], base primes by recursion.
+
+    Raises CapacityError, before allocating, when limit > DEFAULT_RANGE_CAP."""
+    if limit > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"prime table up to {limit} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
     if limit < 2:
         return np.array([], dtype=np.int64)
     ((_, primes),) = iter_prime_segments(0, limit + 1, limit + 1)

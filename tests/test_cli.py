@@ -275,6 +275,23 @@ class TestInputValidation:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gaps", "--lo", "0", "--hi", str(10**20)),
+            ("sieve", "--hi", str(10**30)),
+            ("largegap", "primorial", "--n", str(10**11)),
+            ("tuple", "prime-offset", "--k", str(10**11)),
+        ],
+    )
+    def test_prime_table_past_cap_exits_2(self, capsys, argv):
+        # each once asked numpy for 4.7 GiB to 455 TiB and escaped as a
+        # MemoryError traceback (exit 1) under a memory limit
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: prime table up to ") and err.count("\n") == 1
+        assert f"exceeds the cap of {sieve.DEFAULT_RANGE_CAP} integers" in err
+
+    @pytest.mark.parametrize(
         "value,message",
         [
             ("nan", "coefficients must be finite"),

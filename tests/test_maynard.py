@@ -14,7 +14,6 @@ from primelab.cli import dispatch
 from primelab.errors import (
     CapacityError,
     ConsistencyError,
-    ConvergenceError,
     ValidationError,
 )
 from primelab.maynard import (
@@ -189,13 +188,30 @@ class TestEigen:
         with pytest.raises(ConsistencyError):
             maynard._eigen_stage(pair, 1e-9)
 
-    def test_numerically_singular_a1_is_a_convergence_error(self):
-        # exactly definite (pivots 1 and 10^-30) but singular in doubles
+    def test_numerically_singular_a1_solves_exactly(self):
+        # exactly definite (pivots 1 and 10^-30) but singular in doubles;
+        # the exact factor whitens it, so the float solve never sees A1
         tiny = Fraction(1, 10**30)
         pair = synthetic_pair([[1, 1], [1, 1 + tiny]], [[1, 0], [0, 1]])
         assert ldl_pivots(pair.A1) == [1, tiny]
-        with pytest.raises(ConvergenceError, match="eigensolver failed"):
-            maynard._eigen_stage(pair, 1e-9)
+        lam, vec, _ = maynard._eigen_stage(pair, 1e-9)
+        assert lam == pytest.approx(2e30, rel=1e-12)
+        exact = rayleigh_quotient(pair, [Fraction(float(v)) for v in vec])
+        assert float(exact) == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 12, 13, 14])
+    def test_hilbert_pencil(self, n):
+        # max (a_1)^2 / a^T H_n a is (H_n^-1)[0][0] = n^2. A float solve
+        # of the pencil misses a 1e-9 residual at n = 12 and 13, and its
+        # Cholesky of H_n breaks down at n = 14
+        hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+        e1 = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+        pair = synthetic_pair(hilbert, e1)
+        lam, vec, residual = maynard._eigen_stage(pair, 1e-9)
+        assert lam == pytest.approx(n * n, rel=1e-12)
+        assert residual <= 1e-9
+        exact = rayleigh_quotient(pair, [Fraction(float(v)) for v in vec])
+        assert float(exact) == pytest.approx(n * n, rel=1e-12)
 
 
 class TestMkLowerBoundPoly:
@@ -236,6 +252,30 @@ class TestMkLowerBoundPoly:
         exact = blob["exact_value"]
         assert value == Fraction(int(exact["num"]), int(exact["den"]))
         assert value == mk_lower_bound_poly(3, 2).exact_value
+
+
+class TestFormerBreakdowns:
+    """Cases on which the float pencil solve exited 3; bounds from the
+    whitened solve, each recertified exactly from the report alone."""
+
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (("mk", "poly", "--k", "2", "--degree", "14"), 1.385933275998194),
+            (("mk", "poly", "--k", "400", "--degree", "14"), 4.281099699189973),
+            (("--basis-cap", "100", "mk", "poly", "--k", "54", "--degree", "16"),
+             3.7012023924449413),
+        ],
+    )
+    def test_exits_0_and_recertifies(self, capsys, argv, bound):
+        assert dispatch(list(argv)) == 0
+        blob = json.loads(capsys.readouterr().out)["result"]
+        assert blob["lower_bound"] == pytest.approx(bound, abs=1e-9)
+        witness = [Fraction(int(w["num"]), int(w["den"])) for w in blob["witness"]]
+        pair = build_quadratic_forms(blob["k"], blob["degree"], basis_cap=100)
+        exact = rayleigh_quotient(pair, witness)
+        assert exact == Fraction(int(blob["exact_value"]["num"]), int(blob["exact_value"]["den"]))
+        assert Fraction(blob["lower_bound"]) <= exact
 
 
 class TestGBound:
