@@ -17,8 +17,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
-from .sieve import _crt_combine, _simple_prime_array, mangoldt_range, primes_between, sieve_range
+from .errors import CapacityError, ConsistencyError, ValidationError
+from .sieve import DEFAULT_RANGE_CAP, _crt_combine, _simple_prime_array, mangoldt_range, primes_between, sieve_range
 from .tuples import AdmissibleTuple
 
 # Level exponent sufficient for the remainder sum to stay negligible in
@@ -364,6 +364,15 @@ def error_sum_E(params: GpyParams, i: int = 1) -> float:
     return math.fsum(terms)
 
 
+def _residues(ns: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """ns % q into out, as ns - ns // q * q: numpy divides an integer array
+    by a scalar with a multiply and a shift, where % takes one hardware
+    divide per element."""
+    np.floor_divide(ns, q, out=out)
+    out *= q
+    return np.subtract(ns, out, out=out)
+
+
 def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -> float:
     """Sum over q <= x^theta of the worst residue-class error E_q.
 
@@ -374,6 +383,8 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
     """
     if x < 100:
         raise ValidationError(f"x must be >= 100, got {x}")
+    if x > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"x = {x} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
     if not 0 < theta < 1:
         raise ValidationError(f"theta must lie in (0, 1), got {theta}")
     q_max = int(x**theta + 1e-9)
@@ -385,16 +396,18 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
         ns = primes_between(2, x + 1)
         vals = None
         total = float(ns.size)
-    ns = ns.astype(np.min_scalar_type(x))  # uint32 below 2^32: faster %
+    ns = ns.astype(np.min_scalar_type(x))  # the narrowest unsigned type holding x
+    residues = np.empty_like(ns)
     terms = []
     for q in range(1, q_max + 1):
         coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
         phi_q = int(np.count_nonzero(coprime))
         share = total / phi_q
+        _residues(ns, q, residues)
         if vals is None:
-            per_class = np.bincount(ns % q, minlength=q).astype(np.float64)
+            per_class = np.bincount(residues, minlength=q).astype(np.float64)
         else:
-            per_class = np.bincount(ns % q, weights=vals, minlength=q)
+            per_class = np.bincount(residues, weights=vals, minlength=q)
         errs = np.abs(per_class[coprime] - share)
         terms.append(float(np.max(errs)) if errs.size else 0.0)
     return math.fsum(terms)

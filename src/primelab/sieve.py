@@ -1,21 +1,23 @@
 """Segmented sieve of Eratosthenes plus arithmetic-function tables.
 
 Everything else in the package consumes the primes produced here:
-PrimeTable for range queries, GapRecord scans for consecutive-prime gaps,
-and dense tables of mu, phi and omega. The kernel, _odd_segments, keeps
-one byte per odd integer of a segment. Each odd base prime p strikes its
-odd multiples from p^2 on, its next one carried from segment to segment.
-Primes up to an eighth of the segment strike by strided slices. The rest
-sit in one next-multiple array (the buckets of Oliveira e Silva, Herzog
-and Pardi, Math. Comp. 2014, whose segments are odd-only too): in rounds,
+PrimeTable for range queries, GapRecord scans for consecutive-prime
+gaps, and dense tables of mu, phi and omega. The kernel, _odd_segments,
+keeps one byte per odd integer of a segment. Each odd base prime p
+strikes its odd multiples from p^2 on, its next one carried from segment
+to segment. Primes up to a thirty-second of the segment (at least
+sixteen strikes per segment) strike by strided slices, their next
+multiples kept in one array and advanced together. The rest sit in a
+second next-multiple array (the buckets of Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 2014, whose segments are odd-only too): in rounds,
 its entries below the segment's end are struck and advanced by 2p until
 none is left. The public view is iter_prime_segments, a stream of each
 segment's primes (2 included where in range); prime_count counts the odd
 bits instead. sieve_range builds the only full-length table. The tables
-take slices over p <= sqrt(n) plus one vectorised pass for the one prime
-factor above sqrt(n) an integer can have. mangoldt_range gives the von
-Mangoldt support as (n, prime, exponent) arrays; log(p) floats only
-appear where summed.
+take slices over p <= sqrt(n); the one prime factor q > sqrt(n) an
+integer can have is struck at its multiples m*q, one indexed update per
+m. mangoldt_range gives the von Mangoldt support as (n, prime, exponent)
+arrays; log(p) floats only appear where summed.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, in
     nxt = np.maximum(odd * odd, -(-lo // odd) * odd)
     nxt += odd * (nxt % 2 == 0)
     nxt //= 2
-    small = odd <= segment_size // 8  # at least four strikes per segment
-    small_step = odd[small].tolist()
-    small_nxt = nxt[small].tolist()
+    small = odd <= segment_size // 32  # at least sixteen strikes per segment
+    small_step, small_nxt = odd[small], nxt[small]
     live = ~small & (nxt < hi // 2)
     step, nxt = odd[live], nxt[live]
     for seg_lo in range(lo, hi, segment_size):
@@ -71,10 +72,11 @@ def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, in
         s_lo, s_hi = seg_lo // 2, seg_hi // 2
         bits = np.ones(s_hi - s_lo, dtype=bool)
         bits[: max(1 - s_lo, 0)] = False  # the slot of 1
-        for i, (s, p) in enumerate(zip(small_nxt, small_step)):
-            if s < s_hi:
-                bits[s - s_lo :: p] = False
-                small_nxt[i] = s + p * -(-(s_hi - s) // p)
+        act = small_nxt < s_hi
+        s, p = small_nxt[act], small_step[act]
+        for o, q in zip((s - s_lo).tolist(), p.tolist()):
+            bits[o::q] = False
+        small_nxt[act] = s - (s - s_hi) // p * p  # first slot at or past s_hi
         idx = np.flatnonzero(nxt < s_hi)
         while idx.size:
             bits[nxt[idx] - s_lo] = False
@@ -213,31 +215,37 @@ class ArithTables:
 
 
 def arith_tables(n: int) -> ArithTables:
-    """Build mu, phi, omega tables for 1..n from the primes p <= sqrt(n).
+    """Build mu, phi, omega tables for 1..n from the primes p <= n.
 
-    Each p strikes its multiples and divides its powers out of a cofactor;
-    a cofactor still above 1 is the one prime factor q > sqrt(n).
+    Each p <= sqrt(n) strikes its multiples by slices. An integer has at
+    most one prime factor q > sqrt(n), so the multiples m*q (m <= n // q)
+    are distinct and are struck by one fancy-index update per m.
+
+    Raises:
+        CapacityError: n > DEFAULT_RANGE_CAP, before allocating.
     """
     if n < 1:
         raise ValidationError(f"arith_tables needs n >= 1, got {n}")
+    if n > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"tables up to {n} exceed the cap of {DEFAULT_RANGE_CAP} integers")
     mobius = np.ones(n + 1, dtype=np.int8)
     totient = np.arange(n + 1, dtype=np.int64)
     omega = np.zeros(n + 1, dtype=np.int8)
-    cofactor = np.arange(n + 1, dtype=np.int64)
-    for p in _simple_prime_array(math.isqrt(n)).tolist():
+    primes = _simple_prime_array(n)
+    root = math.isqrt(n)
+    k = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:k].tolist():
         mobius[p::p] *= -1
         omega[p::p] += 1
         totient[p::p] -= totient[p::p] // p
         mobius[p * p :: p * p] = 0
-        pe = p
-        while pe <= n:
-            cofactor[pe::pe] //= p
-            pe *= p
-    big = np.flatnonzero(cofactor > 1)
-    q = cofactor[big]
-    mobius[big] *= -1
-    omega[big] += 1
-    totient[big] -= totient[big] // q
+    big = primes[k:]
+    for m in range(1, n // (root + 1) + 1):
+        q = big[: int(np.searchsorted(big, n // m, side="right"))]
+        idx = q * m
+        mobius[idx] *= -1
+        omega[idx] += 1
+        totient[idx] -= totient[idx] // q
     mobius[0] = 0  # slices start at p, so phi(0) and omega(0) stay 0
 
     for arr in (mobius, totient, omega):

@@ -249,9 +249,12 @@ def erdos_kac(
         tables = arith_tables(x)
     elif tables.n < x:
         raise ValidationError(f"tables cover only 1..{tables.n} < {x}")
-    ns = np.arange(3, x + 1, dtype=np.float64)
-    loglog = np.log(np.log(ns))
-    std = (tables.omega[3 : x + 1].astype(np.float64) - loglog) / np.sqrt(loglog)
+    loglog = np.arange(3, x + 1, dtype=np.float64)
+    np.log(loglog, out=loglog)
+    np.log(loglog, out=loglog)
+    std = tables.omega[3 : x + 1].astype(np.float64)
+    std -= loglog
+    std /= np.sqrt(loglog, out=loglog)
     total = std.size
     empirical = float(np.count_nonzero((std >= a) & (std <= b))) / total
     gaussian = normal_interval(a, b)

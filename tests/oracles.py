@@ -16,10 +16,12 @@ accumulation in `_divides_shifted_product`), `greedy_cover_sets` (the
 greedy covering system over a Python set), `mertens_sums_materialised`
 (math.fsum over every prime <= n at once) and
 `level_of_distribution_sum_int64` (the residue-class errors with int64
-residues). `ij_monte_carlo_row_sums` is the seeded I/J estimator with P1
-and P2 as numpy row sums (`simplex_row_power_sums`), the summation order
-that the package's column walk must reproduce bit for bit. Tests compare
-package output against these.
+residues). `erdos_kac_fields` standardizes omega into a fresh array at
+each step, where the package works in place. `ij_monte_carlo_row_sums`
+is the seeded I/J estimator with P1 and P2 as numpy row sums
+(`simplex_row_power_sums`), the summation order that the package's
+column walk must reproduce bit for bit. Tests compare package output
+against these.
 """
 
 from __future__ import annotations
@@ -595,3 +597,16 @@ def level_of_distribution_sum_int64(x: int, theta: float, weighted: bool) -> flo
         errs = np.abs(per_class[coprime] - share)
         terms.append(float(np.max(errs)) if errs.size else 0.0)
     return math.fsum(terms)
+
+
+def erdos_kac_fields(omega: np.ndarray, x: int, a: float, b: float) -> tuple[float, float]:
+    """(empirical [a, b] mass, grid KS distance) of (omega(n) - log log n) /
+    sqrt(log log n) over 3 <= n <= x, each step into a new array."""
+    ns = np.arange(3, x + 1, dtype=np.float64)
+    loglog = np.log(np.log(ns))
+    std = (omega[3 : x + 1].astype(np.float64) - loglog) / np.sqrt(loglog)
+    empirical = float(np.count_nonzero((std >= a) & (std <= b))) / std.size
+    zs = np.linspace(-5.0, 5.0, 1000)
+    ecdf = np.searchsorted(np.sort(std), zs, side="right") / std.size
+    ncdf = 0.5 * (1.0 + np.array([math.erf(z / math.sqrt(2.0)) for z in zs]))
+    return empirical, float(np.max(np.abs(ecdf - ncdf)))

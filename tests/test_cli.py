@@ -292,6 +292,25 @@ class TestInputValidation:
         assert f"exceeds the cap of {sieve.DEFAULT_RANGE_CAP} integers" in err
 
     @pytest.mark.parametrize(
+        "argv,head",
+        [
+            (("stats", "erdos-kac", "--x", "3000000000", "--a", "-1", "--b", "1"),
+             "error: tables up to 3000000000 "),
+            (("stats", "hardy-ramanujan", "--n", "3000000000", "--a", "1"),
+             "error: tables up to 3000000000 "),
+            (("gpy", "levels", "--x", "3000000000", "--theta", "0.1"),
+             "error: x = 3000000000 "),
+        ],
+    )
+    def test_tables_past_cap_exits_2(self, capsys, argv, head):
+        # each once asked numpy for 1.08 to 2.79 GiB and escaped as a
+        # MemoryError traceback (exit 1) under a memory limit
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(head) and err.count("\n") == 1
+        assert f"the cap of {sieve.DEFAULT_RANGE_CAP} integers" in err
+
+    @pytest.mark.parametrize(
         "value,message",
         [
             ("nan", "coefficients must be finite"),

@@ -28,6 +28,9 @@ HOSTILE_CONFIGS = {
 # few hundred admits bases whose exact arithmetic runs for minutes, which
 # the CLI accepts by design, so it keeps its default here.
 FUZZED_GLOBALS = [(flag, spec) for flag, spec in GLOBAL_FLAGS if flag != "--basis-cap"]
+# the size flag of each command that refuses a size past the 2^30 cap
+# before allocating; elsewhere a size that large runs for minutes by design
+PAST_CAP = {"stats erdos-kac": "--x", "stats hardy-ramanujan": "--n", "gpy levels": "--x"}
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +79,20 @@ def test_random_command_lines_keep_the_exit_contract(data, fuzz_dir):
         code = dispatch(argv)
     assert code in (0, 2, 3, 64), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sizes_past_the_cap_exit_2(data):
+    name = data.draw(st.sampled_from(sorted(PAST_CAP)), label="command")
+    size_flag = PAST_CAP[name]
+    size = data.draw(st.integers(min_value=2**30 + 1, max_value=2**64), label=size_flag)
+    argv = name.split() + [size_flag, str(size)]
+    for flag, spec in COMMANDS[name][1]:
+        if flag != size_flag and "action" not in spec:
+            argv += [flag, data.draw(_values(flag, spec, []), label=flag)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = dispatch(argv)
+    assert code == 2, (argv, code, err.getvalue())
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

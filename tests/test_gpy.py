@@ -14,6 +14,7 @@ from primelab.gpy import (
     _direct_weight_blocks,
     _lambda_table,
     _power_floor,
+    _residues,
     _row_fsums,
     error_sum_E,
     lambda_d,
@@ -386,6 +387,20 @@ class TestLevelOfDistribution:
         got = level_of_distribution_sum(x, 0.4, weighted=weighted)
         want = oracles.level_of_distribution_sum_int64(x, 0.4, weighted)
         assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("x", [100, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_residues_equal_mod(self, x):
+        # each dtype np.min_scalar_type picks for an x >= 100, up to its maximum
+        dtype = np.min_scalar_type(x)
+        top = int(np.iinfo(dtype).max)
+        for q in (1, 2, 3, 7, 97, 100, x // 3, x - 1, x):
+            # multiples of q, their neighbours, and the top of the dtype
+            near = {m * q + e for m in (0, 1, 2, top // q) for e in (-1, 0, 1)} | {top - 1, top}
+            small = list(range(min(top, 5000) + 1))
+            ns = np.array(sorted(v for v in near if 0 <= v <= top) + small, dtype=dtype)
+            out = np.empty_like(ns)
+            assert _residues(ns, q, out) is out
+            assert np.array_equal(out, ns % q), (x, q)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

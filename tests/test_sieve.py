@@ -87,9 +87,9 @@ class TestSieveRange:
 class TestSegmentKernel:
     """The segments, concatenated, against a one-slice-per-prime oracle.
 
-    Segment sizes below 8 send every odd base prime through the
+    Segment sizes below 96 send every odd base prime through the
     next-multiple array; larger ones split the base primes between the
-    strided slices and that array.
+    strided slices (odd p <= segment_size // 32) and that array.
     """
 
     @given(
@@ -116,8 +116,23 @@ class TestSegmentKernel:
     # [2, 3): the prime 2 has no odd slot
     @example(2, 1, 1)
     @example(2, 1, 7)
+    # 3 enters the slice tier at segment 96
+    @example(0, 30000, 95)
+    @example(0, 30000, 96)
+    @example(0, 30000, 97)
+    @example(10**6 + 1, 30000, 96)
+    # at 2^16 the tiers split at 2048: base primes 2039 and 2053 both strike
+    @example(2053 * 2053 - 10000, 30000, 1 << 16)
+    # slice primes whose p^2 lies beyond the first segments
+    @example(0, 10**6, 4096)
     def test_matches_slow_oracle(self, lo, span, segment_size):
         self._check(lo, lo + span, segment_size)
+
+    @pytest.mark.parametrize("segment_size", [1 << 12, 1 << 16, 1 << 20])
+    def test_bucket_heavy_window(self, segment_size):
+        # base primes reach 1.16e6: nearly all strike through the buckets
+        lo = 1346294310749 - 10**5
+        self._check(lo, lo + 10**6, segment_size)
 
     @pytest.mark.parametrize("square", _SQUARES)
     @pytest.mark.parametrize("segment_size", [3, 8, 1000, 1 << 16])
@@ -241,13 +256,17 @@ class TestArithTables:
             st.integers(min_value=1, max_value=5000),
             st.sampled_from(_SMALL_PRIMES).map(lambda p: p * p),
             st.sampled_from(_SMALL_PRIMES).map(lambda p: p * p - 1),
+            st.sampled_from(_SMALL_PRIMES).map(lambda p: p * p + 1),
         )
     )
     @settings(max_examples=60, deadline=None)
     @example(1)
+    @example(2)
     @example(3)
     @example(4)
+    @example(67 * 67 - 1)
     @example(67 * 67)
+    @example(67 * 67 + 1)
     def test_matches_all_primes_oracle(self, n):
         t = arith_tables(n)
         expected = oracles.arith_tables_all_primes(n)

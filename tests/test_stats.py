@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from primelab.errors import ValidationError
+from primelab.sieve import arith_tables
 from primelab.stats import (
     StatReport,
     _ExactSum,
@@ -218,6 +219,15 @@ class TestErdosKac:
         masses = [erdos_kac(10**6, -INF, b, tables=tables_1e6).empirical for b in bs]
         assert all(0.0 <= m <= 1.0 for m in masses)
         assert masses == sorted(masses)
+
+    @pytest.mark.parametrize("x", [16, 10**4, 3 * 10**6])
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.5, 2.0)])
+    def test_in_place_standardization_is_bit_identical(self, x, a, b):
+        tables = arith_tables(x)
+        rep = erdos_kac(x, a, b, tables=tables)
+        empirical, ks = oracles.erdos_kac_fields(tables.omega, x, a, b)
+        assert rep.empirical.hex() == empirical.hex()
+        assert rep.ks_distance.hex() == ks.hex()
 
     def test_validation(self):
         with pytest.raises(ValidationError):
