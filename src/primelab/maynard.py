@@ -9,10 +9,11 @@ R_k = {t_i >= 0, sum t_i <= 1}, with
 Two bound families are implemented. The polynomial method restricts F to
 symmetric polynomials sum c_{a,b} (1-P1)^a P2^b of degree at most d,
 turning J/I into a ratio of quadratic forms assembled in exact rational
-arithmetic. One exact LDL factorisation of the I-form certifies it
-positive definite and whitens the J-form in decimal arithmetic; the
-largest eigenvalue of the whitened matrix is solved in floating point and
-then re-certified exactly at the witness, so the reported bound (an
+arithmetic. An LDL factorisation of the I-form in decimal arithmetic,
+every entry certified to equal the exact factor's rounded to the working
+digits, shows it positive definite and whitens the J-form; the largest
+eigenvalue of the whitened matrix is solved in floating point and then
+re-certified exactly at the witness, so the reported bound (an
 MkCertificate) is true regardless of floating error. The analytic
 method evaluates, in floats, the closed-form bound for the product shape
 built from g(t) = 1/(1+At) on [0, T]. A seeded Monte Carlo estimator of I
@@ -21,9 +22,10 @@ and J validates the exact pipeline from outside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -144,52 +146,221 @@ def _integer_image(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
-def _ldl(matrix: RationalMatrix) -> tuple[list[Fraction], list[list[int]]]:
-    """Exact LDL^T pivots of a symmetric matrix and the rows that give L.
+# The decimal LDL's first attempt carries _GUARD digits past prec, with
+# prec first guessed as _PREC_GUESS; each failed certification doubles the
+# guard; after _ATTEMPTS attempts (a guard of at most 30 * 2^11 digits) it
+# gives up.
+_GUARD = 30
+_PREC_GUESS = 40
+_ATTEMPTS = 12
+# a float sum or product of n < 2^20 nonnegative terms, times this, bounds
+# its exact value from above
+_FLOAT_SLACK = 1 + 2.0**-30
+# the error bounds themselves are carried in 16 digits, rounded outward
+_UP = Context(prec=16, rounding=ROUND_CEILING)
+_DOWN = Context(prec=16, rounding=ROUND_FLOOR)
 
-    Fraction-free (Bareiss) elimination on the upper triangle of the
-    integer image S = den * matrix (`_integer_image`).
-    Every row of S is first divided by its content g_r: all minors through
-    row r are multiples of g_r, so after step i each active entry is its
-    bordered minor of S divided by g_0 ... g_(i-1), an integer, and every
-    division below is exact. The diagonal entry d_i at step i is the
-    leading minor D_(i+1)(S) over g_0 ... g_i, so pivot i, which is
-    D_(i+1)(S) / (D_i(S) den), equals g_i d_i / (d_(i-1) den) exactly.
-    Step i's content-divided row holds columns i .. n-1 and is a multiple
-    of row i of L^T: row[j] / row[0] = L[i + j][i].
+
+def _not_positive_definite(i: int, value) -> ConsistencyError:
+    return ConsistencyError(
+        f"pivot {i} of the LDL decomposition is {value} <= 0: "
+        "matrix is not positive definite"
+    )
+
+
+def _ldl_at(b: list[list[tuple[Fraction, int]]], wp: int) -> tuple[np.ndarray, int]:
+    """Right-looking LDL^T at wp digits of the upper triangle in b.
+
+    b[i] holds (x, e) for columns i .. n-1: the entry is x * 10^-e, each
+    rounded once to wp digits. On return, entry (i, i) of the array is
+    pivot i and (i, j) is L[j][i]; the count of factored rows is also
+    returned, and the last factored pivot is the first that is <= 0.
+    """
+    n = len(b)
+    ctx = Context(prec=wp, rounding=ROUND_HALF_EVEN)
+    s = np.zeros((n, n), dtype=object)
+    for i, row in enumerate(b):
+        s[i, i:] = [ctx.divide(x.numerator, x.denominator).scaleb(-e, ctx) for x, e in row]
+    with localcontext(ctx):
+        for i in range(n):
+            d = s[i, i]
+            if d <= 0:
+                return s, i + 1
+            row = s[i, i + 1 :].copy()
+            lcol = row / d
+            for j in range(i + 1, n):
+                s[j, j:] -= lcol[j - i - 1] * row[j - i - 1 :]
+            s[i, i + 1 :] = lcol
+    return s, n
+
+
+def _inverse_times(lf: np.ndarray, lu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """An upper bound on |L^-1| v for unit lower triangular L, v >= 0.
+
+    lf is L's float image and lu >= |L| bounds it entrywise. Z is lf's
+    float inverse. F = Z L - I is strictly lower triangular, so
+    L^-1 = (I + F)^-1 Z = sum_k (-F)^k Z and |L^-1| v <= w, where
+    (I - |F|) w = |Z| v. |F| is bounded by |fl(Z lf)| below the diagonal
+    plus the float product's and lf's rounding.
+    """
+    from scipy.linalg import solve_triangular
+
+    m = len(lf)
+    z = solve_triangular(lf, np.eye(m), lower=True, unit_diagonal=True)
+    za = np.abs(np.tril(z, -1)) + np.eye(m)
+    f = (np.tril(np.abs(z @ lf), -1) + (m + 4) * 2.0**-52 * (za @ lu)) * _FLOAT_SLACK
+    y = za @ v * _FLOAT_SLACK
+    w = np.empty(m)
+    for j in range(m):
+        w[j] = (y[j] + f[j, :j] @ w[:j]) * _FLOAT_SLACK
+    if not np.isfinite(w).all():
+        raise ConvergenceError("the decimal LDL's error bound overflows a float", math.inf)
+    return w
+
+
+def _up_bound(x: np.ndarray) -> np.ndarray:
+    """|x| from above, for floats rounded to nearest from exact values."""
+    return np.abs(x) * _FLOAT_SLACK + 2.0**-1074
+
+
+def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]]:
+    """(prec, L^T, pivots) of A = L D L^T, every entry correctly rounded
+    to prec digits, with prec = 20 + the digits of max floor(A[i][i] / pivot_i).
+
+    A is scaled by powers of ten to B = P A P with a diagonal near 1 (an
+    exact shift of each entry of L and D) and factored at wp = prec + G
+    digits (`_ldl_at`). The computed L~, D~ are the exact factors of
+    B + E with |E| <= tau |L~| |D~| |L~|^T <= tau v v^T, where
+    u = 10^(1-wp) / 2 and tau = 2 (n+3) u covers the entries' rounding and
+    the elimination's (each entry of B~ unrolls into at most n+1 products
+    carrying at most n+1 roundings each, as in Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 9.3), and
+    v_j^2 = sum_t L~_jt^2 |d~_t| (Cauchy-Schwarz). With w >= |L~^-1| v
+    (`_inverse_times`) and
+    eta_i = tau sum_{t<=i} w_t^2 / d~_t < 1, writing B as
+    L~ (D~ - L~^-1 E L~^-T) L~^T and factoring the middle gives
+
+        |pivot_k - d~_k| <= tau w_k^2 / (1 - eta_(k-1)),
+        |L_ji - L~_ji| <= sqrt(tau eta_i / d~_i) / (1 - eta_i)
+                          * sum_{i<m<=j} |L~_jm| w_m.
+
+    An entry is certified when both ends of its interval round alike at
+    prec (rounding is monotone). An interval around 0 is certified zero
+    once it is shorter than the smallest nonzero value Hadamard's bound
+    allows: with D_m the leading minors of the integer image S = den A,
+    pivot t is D_(t+1) / (D_t den) and L_ji a minor over D_(i+1), and
+    0 < D_m <= prod_{t<m} S_tt while the leading block is definite.
+    Otherwise G doubles (Ziv's strategy) when a pivot or L entry is not
+    certified, or when the digit count of some A[i][i] / pivot_i is; and
+    the factor is redone, G kept, when wp turns out below prec + G.
 
     Raises:
-        ConsistencyError: some pivot is <= 0 (matrix not positive definite).
+        ConsistencyError: a pivot is certified <= 0 (A is not positive
+            definite); the index is that of exact elimination.
+        ConvergenceError: nothing certified in _ATTEMPTS attempts, or a
+            bound leaves the float range.
     """
     n = len(matrix)
-    den, rows = _integer_image(matrix)
-    # a[i] holds columns i .. n-1 of row i
-    a = [row[i:] for i, row in enumerate(rows)]
-    content = [math.gcd(*a[i], *(a[r][i - r] for r in range(i))) or 1 for i in range(n)]
-    pivots, factor = [], []
-    prev = 1
-    for i in range(n):
-        g = content[i]
-        row = [x // g for x in a[i]]
-        d = row[0]
-        piv = Fraction(g * d, prev * den)
-        if d <= 0:
-            raise ConsistencyError(
-                f"pivot {i} of the LDL decomposition is {piv} <= 0: "
-                "matrix is not positive definite"
+    diag = [matrix[i][i] for i in range(n)]
+    ex = [(len(str(a.numerator)) - len(str(a.denominator))) // 2 if a > 0 else 0 for a in diag]
+    b = [[(matrix[i][j], ex[i] + ex[j]) for j in range(i, n)] for i in range(n)]
+
+    @functools.cache
+    def image_diagonal() -> tuple[int, list[int]]:
+        den = math.lcm(*(x.denominator for row in matrix for x in row))
+        return den, [den // a.denominator * a.numerator for a in diag]
+
+    def nonzero_floor(m: int) -> Fraction:
+        """The least |D_(m+1)| / D_m: 1 / prod_{t<m} S_tt."""
+        return Fraction(1, math.prod(image_diagonal()[1][:m]))
+
+    guard, prec = _GUARD, _PREC_GUESS
+    for _ in range(_ATTEMPTS):
+        wp = prec + guard
+        s, m = _ldl_at(b, wp)
+        dd = [s[t, t] for t in range(m)]
+        lf = np.eye(m)
+        upper = np.triu_indices(m, 1)
+        lf.T[upper] = s[:m, :m][upper].astype(float)
+        lu = _up_bound(lf)
+        v = np.sqrt((lu * lu) @ _up_bound(np.array(dd).astype(float)) * _FLOAT_SLACK)
+        w = _inverse_times(lf, lu, v * _FLOAT_SLACK)
+        tau = _UP.multiply(2 * (n + 3), Decimal(5).scaleb(-wp))
+        lo_ctx = Context(prec=wp, rounding=ROUND_FLOOR)
+        hi_ctx = Context(prec=wp, rounding=ROUND_CEILING)
+
+        eta = [Decimal(0)]  # eta[t] is eta_(t-1)
+        ends = []  # the pivots' intervals
+        for t, d in enumerate(dd):
+            if eta[-1] >= 1:
+                break
+            tw2 = _UP.multiply(tau, _UP.multiply(Decimal(w[t]), Decimal(w[t])))
+            err = _UP.divide(tw2, _DOWN.subtract(1, eta[-1]))
+            lo, hi = lo_ctx.subtract(d, err), hi_ctx.add(d, err)
+            if lo <= 0:
+                if hi < 0:
+                    raise _not_positive_definite(t, d.scaleb(2 * ex[t], _UP).normalize())
+                floor = nonzero_floor(t) / image_diagonal()[0] / Fraction(10) ** (2 * ex[t])
+                if 2 * Fraction(err) < floor:
+                    raise _not_positive_definite(t, 0)
+                break
+            ends.append((lo, hi))
+            eta.append(_UP.add(eta[-1], _UP.divide(tw2, d)))
+        if len(ends) < n:
+            guard *= 2
+            continue
+        digits = {
+            20 + max(
+                len(str(a // (Fraction(x) * Fraction(10) ** (2 * e))))
+                for a, e, x in zip(diag, ex, side)
             )
-        pivots.append(piv)
-        factor.append(row)
-        for j in range(i + 1, n):
-            aij = a[i][j - i]
-            a[j] = [(d * x - aij * y) // prev for x, y in zip(a[j], row[j - i :])]
-        prev = d
-    return pivots, factor
+            for side in zip(*ends)
+        }
+        if len(digits) > 1:
+            guard *= 2
+            continue
+        prec = digits.pop()
+        if wp < prec + guard:
+            continue
 
-
-def ldl_pivots(matrix: RationalMatrix) -> list[Fraction]:
-    """Exact LDL^T pivots (`_ldl`); ConsistencyError unless positive definite."""
-    return _ldl(matrix)[0]
+        pc = Context(prec=prec, rounding=ROUND_HALF_EVEN)
+        pivots = [pc.plus(lo) for lo, _ in ends]
+        if any(p != pc.plus(hi) for p, (_, hi) in zip(pivots, ends)):
+            guard *= 2
+            continue
+        # tail[j, i] = sum_{m >= i} |L~_jm| w_m
+        tail = np.cumsum((lu * w)[:, ::-1], axis=1)[:, ::-1] * _FLOAT_SLACK
+        lt = np.zeros((n, n), dtype=object)
+        lt[n - 1, n - 1] = Decimal(1)
+        certified = True
+        for i in range(n - 1):
+            lt[i, i] = Decimal(1)
+            alpha = _UP.divide(
+                _UP.next_plus(_UP.divide(_UP.multiply(tau, eta[i + 1]), dd[i]).sqrt(_UP)),
+                _DOWN.subtract(1, eta[i + 1]),
+            )
+            for j in range(i + 1, n):
+                err = _UP.multiply(alpha, Decimal(tail[j, i + 1]))
+                lo, hi = lo_ctx.subtract(s[i, j], err), hi_ctx.add(s[i, j], err)
+                x = pc.plus(lo)
+                if x != pc.plus(hi):
+                    floor = nonzero_floor(i + 1) * Fraction(10) ** (ex[i] - ex[j])
+                    if not (lo <= 0 <= hi and 2 * Fraction(err) < floor):
+                        certified = False
+                        break
+                    x = Decimal(0)
+                lt[i, j] = x.scaleb(ex[j] - ex[i], pc)
+            if not certified:
+                break
+        if not certified:
+            guard *= 2
+            continue
+        return prec, lt, [p.scaleb(2 * e, pc) for p, e in zip(pivots, ex)]
+    raise ConvergenceError(
+        f"no certified rounding of the LDL factor in {_ATTEMPTS} attempts, "
+        f"the last with {wp} digits",
+        math.inf,
+    )
 
 
 def _eigen_stage(
@@ -197,33 +368,39 @@ def _eigen_stage(
 ) -> tuple[float, np.ndarray, float]:
     """Largest lambda with A2 a = lambda A1 a, its vector, and the residual.
 
-    The exact A1 = L D L^T (`_ldl`) certifies A1 positive definite and
-    whitens A2 into M = D^-1/2 L^-1 A2 L^-T D^-1/2, with a = L^-T D^-1/2 y.
-    L^-1 A2 L^-T is formed in decimals, 20 digits past the cancellation
-    the pivots show (the digits of max A1[i][i] / pivot_i). Float eigh
-    solves M; |My - lambda y| / |My| is gated by residual_tol and returned.
-    y maps back to a in decimals, each entry to its own relative
-    precision, and a is scaled to max |a_i| = 1.
+    A1 = L D L^T (`_decimal_ldl`, every entry of L and D correctly rounded
+    to prec digits) whitens A2 into M = D^-1/2 L^-1 A2 L^-T D^-1/2, with
+    a = L^-T D^-1/2 y. prec is 20 digits past the cancellation the pivots
+    show (the digits of max A1[i][i] / pivot_i), and L^-1 A2 L^-T is
+    formed in decimals at prec. Float eigh solves M; |My - lambda y| / |My|
+    is gated by residual_tol and returned. y maps back to a in decimals,
+    each entry to its own relative precision, and a is scaled to
+    max |a_i| = 1.
+
+    The factor's digits are guaranteed (the same rounded values as an
+    exact factorisation gives), so the witness is reproducible bit for
+    bit; the bound's truth does not rest on them, since any witness is
+    recertified exactly by `rayleigh_quotient`.
 
     Raises:
-        ConsistencyError: A1 fails the exact positive-definiteness check.
-        ConvergenceError: the float solve misses the residual tolerance.
+        ConsistencyError: A1 is not positive definite.
+        ConvergenceError: the float solve misses the residual tolerance, or
+            the factor cannot be certified.
     """
     # the eigen solve is scipy's only use: importing it here spares every
     # other command the load
     from scipy.linalg import eigh
 
-    pivots, factor = _ldl(pair.A1)
+    prec, lt, pivots = _decimal_ldl(pair.A1)
     with localcontext() as ctx:
-        ctx.prec = 20 + len(str(max(pair.A1[i][i] // p for i, p in enumerate(pivots))))
-        lt = np.array([[0] * i + [Decimal(x) / row[0] for x in row] for i, row in enumerate(factor)])
+        ctx.prec = prec
         w = np.array([[Decimal(x.numerator) / x.denominator for x in r] for r in pair.A2])
         for upper in (0, 1):
             w = w.T.copy()
             for i in range(1, len(w)):
                 # the second pass yields a symmetric matrix: its upper triangle suffices
                 w[i, i * upper :] -= lt[:i, i].dot(w[:i, i * upper :])
-        root = np.array([(Decimal(p.numerator) / p.denominator).sqrt() for p in pivots])
+        root = np.array([p.sqrt() for p in pivots])
         m = np.triu((w / np.outer(root, root)).astype(float))
         m += np.triu(m, 1).T
         vals, vecs = eigh(m)

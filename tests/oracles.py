@@ -5,10 +5,12 @@ package: trial division, one-shot sieves, a segment sieve with one slice
 per base prime (`segment_bits_slow`), mu/phi/omega tables by one slice
 update per prime p <= n, prime powers by factorization, direct
 definitional loops, nested quadrature, Monte Carlo form entries, an exact
-Kolmogorov-Smirnov supremum, and an LDL decomposition in Fractions. The
-quadratic forms have a second exact route: `power_sum_moments` (P1^j P2^B
-moments from a 2-D convolution power, `_conv_power`),
-`complement_moments` (their binomial expansion to (1 - P1)^A P2^B) and
+Kolmogorov-Smirnov supremum, and an exact LDL decomposition by
+fraction-free elimination (`ldl_bareiss`), which the package's decimal
+factor must reproduce rounded. The quadratic forms have a second exact
+route: `power_sum_moments` (P1^j P2^B moments from a 2-D convolution
+power, `_conv_power`), `complement_moments` (their binomial expansion to
+(1 - P1)^A P2^B) and
 `quadratic_forms_fraction` (A1 and A2 assembled from those tables in
 Fractions). Scalar loops that the package now runs as numpy passes:
 `f_weight` (the GPY weight at one n, d | product tested by gcd
@@ -522,31 +524,50 @@ def exact_rational_requote(a1, a2, witness) -> Fraction:
     return num / den
 
 
-def ldl_pivots_fraction(matrix) -> list[Fraction]:
-    """LDL^T pivots of a symmetric matrix by elimination in Fractions.
+def ldl_bareiss(matrix) -> tuple[list[Fraction], list[list[int]]]:
+    """Exact LDL^T pivots of a symmetric matrix and the rows that give L.
 
-    Reads the upper triangle only. Raises ConsistencyError, with the
-    package's message, at the first pivot <= 0.
+    Fraction-free (Bareiss) elimination on the upper triangle of the
+    integer image S = den * matrix, den the lcm of the entry denominators.
+    Every row of S is first divided by its content g_r: all minors through
+    row r are multiples of g_r, so after step i each active entry is its
+    bordered minor of S divided by g_0 ... g_(i-1), an integer, and every
+    division below is exact. The diagonal entry d_i at step i is the
+    leading minor D_(i+1)(S) over g_0 ... g_i, so pivot i, which is
+    D_(i+1)(S) / (D_i(S) den), equals g_i d_i / (d_(i-1) den) exactly.
+    Step i's content-divided row holds columns i .. n-1 and is a multiple
+    of row i of L^T: row[j] / row[0] = L[i + j][i]. Raises ConsistencyError,
+    with the package's message, at the first pivot <= 0.
     """
     n = len(matrix)
-    a = [row[:] for row in matrix]
-    pivots = []
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    # a[i] holds columns i .. n-1 of row i of the integer image
+    a = [[x.numerator * (den // x.denominator) for x in row[i:]] for i, row in enumerate(matrix)]
+    content = [math.gcd(*a[i], *(a[r][i - r] for r in range(i))) or 1 for i in range(n)]
+    pivots, factor = [], []
+    prev = 1
     for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
+        g = content[i]
+        row = [x // g for x in a[i]]
+        d = row[0]
+        piv = Fraction(g * d, prev * den)
+        if d <= 0:
             raise ConsistencyError(
                 f"pivot {i} of the LDL decomposition is {piv} <= 0: "
                 "matrix is not positive definite"
             )
         pivots.append(piv)
+        factor.append(row)
         for j in range(i + 1, n):
-            f = a[i][j] / piv
-            if f == 0:
-                continue
-            aj, ai = a[j], a[i]
-            for col in range(j, n):
-                aj[col] -= f * ai[col]
-    return pivots
+            aij = a[i][j - i]
+            a[j] = [(d * x - aij * y) // prev for x, y in zip(a[j], row[j - i :])]
+        prev = d
+    return pivots, factor
+
+
+def ldl_pivots(matrix) -> list[Fraction]:
+    """Exact LDL^T pivots (`ldl_bareiss`)."""
+    return ldl_bareiss(matrix)[0]
 
 
 def greedy_cover_sets(n: int, y_len: int) -> tuple[dict[int, int], tuple[int, ...]]:

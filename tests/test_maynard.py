@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
+from oracles import ldl_pivots
 from primelab import maynard
 from primelab.cli import dispatch
 from primelab.errors import (
     CapacityError,
     ConsistencyError,
+    ConvergenceError,
     ValidationError,
 )
 from primelab.maynard import (
@@ -25,7 +29,6 @@ from primelab.maynard import (
     enumerate_basis,
     gap_bound_chain,
     ij_monte_carlo,
-    ldl_pivots,
     mk_lower_bound_g,
     mk_lower_bound_poly,
     optimize_g_bound,
@@ -129,31 +132,147 @@ class TestBuildQuadraticForms:
             build_quadratic_forms(5, 12, basis_cap=10)
 
 
+def rounded_oracle(matrix):
+    """(prec, rows of L^T, pivots) from the exact factor, rounded as the
+    decimal LDL must give them: prec = 20 + the digits of
+    max floor(A[i][i] / pivot_i), every entry rounded once to prec."""
+    pivots, factor = oracles.ldl_bareiss(matrix)
+    prec = 20 + len(str(max(matrix[i][i] // p for i, p in enumerate(pivots))))
+    with localcontext() as ctx:
+        ctx.prec = prec
+        rows = [[Decimal(x) / row[0] for x in row] for row in factor]
+        return prec, rows, [Decimal(p.numerator) / p.denominator for p in pivots]
+
+
+def decimal_factor(matrix):
+    """`_decimal_ldl` in the oracle's layout."""
+    prec, lt, pivots = maynard._decimal_ldl(matrix)
+    return prec, [list(lt[i, i:]) for i in range(len(matrix))], pivots
+
+
+def failing_pivot(exc):
+    return int(re.match(r"pivot (\d+) of the LDL decomposition is .+ <= 0: "
+                        r"matrix is not positive definite$", str(exc)).group(1))
+
+
+def working_precisions(monkeypatch):
+    """Record the digits of every factorisation `_decimal_ldl` attempts."""
+    seen = []
+    factor = maynard._ldl_at
+
+    def record(b, wp):
+        seen.append(wp)
+        return factor(b, wp)
+
+    monkeypatch.setattr(maynard, "_ldl_at", record)
+    return seen
+
+
+# c + ulp/2 at prec 21 for a c of 21 digits in [0.1, 1): the rounding
+# boundary between c and c + 10^-21
+_EVEN_TIE = Fraction(123456789012345678902, 10**21) + Fraction(5, 10**22)
+_ODD_TIE = _EVEN_TIE + Fraction(1, 10**21)
+
+
+def near_tie(tie, side):
+    """Within 10^-75 of the tie, past the first attempt's 70 digits
+    (_PREC_GUESS + _GUARD): there the value reads as the tie itself, which
+    half-even rounding may send to the wrong side."""
+    return tie + side * Fraction(1, 10**75)
+
+
+RANK_ONE = [
+    [Fraction(1, 3**600), Fraction(1, 21**300)],
+    [Fraction(1, 21**300), Fraction(1, 7**600)],
+]
+
+
 class TestLdl:
     def test_rejects_indefinite(self):
-        with pytest.raises(ConsistencyError):
-            ldl_pivots([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+        with pytest.raises(ConsistencyError, match="^pivot 1 of the LDL decomposition is -3 <= 0"):
+            maynard._decimal_ldl([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
 
     def test_pivots_match_minor_ratios(self):
         mat = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(3)]]
-        pivots = ldl_pivots(mat)
-        assert pivots == [Fraction(4), Fraction(3) - Fraction(1)]
+        prec, rows, pivots = decimal_factor(mat)
+        assert (prec, pivots) == (21, [4, 2])
+        assert rows == [[1, Fraction(1, 2)], [1]]
 
     @given(symmetric_rational())
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_oracle(self, mat):
         try:
-            expected = oracles.ldl_pivots_fraction(mat)
+            expected = rounded_oracle(mat)
         except ConsistencyError as exc:
             with pytest.raises(ConsistencyError) as got:
-                ldl_pivots(mat)
-            assert str(got.value) == str(exc)
+                maynard._decimal_ldl(mat)
+            assert failing_pivot(got.value) == failing_pivot(exc)
         else:
-            assert ldl_pivots(mat) == expected
+            assert decimal_factor(mat) == expected
 
     def test_maynard_a1_matches_fraction_oracle(self):
         a1 = build_quadratic_forms(105, 12).A1
-        assert ldl_pivots(a1) == oracles.ldl_pivots_fraction(a1)
+        assert decimal_factor(a1) == rounded_oracle(a1)
+
+    def test_exact_zeros_in_l(self):
+        # some entries of L are exactly 0 at k=2, d=14: no interval around
+        # them rounds alike, and Hadamard's bound certifies them
+        a1 = build_quadratic_forms(2, 14).A1
+        expected = rounded_oracle(a1)
+        assert any(x == 0 for row in expected[1] for x in row)
+        assert decimal_factor(a1) == expected
+
+    def test_first_attempt_certifies(self, monkeypatch):
+        seen = working_precisions(monkeypatch)
+        prec, _, _ = maynard._decimal_ldl(build_quadratic_forms(105, 12).A1)
+        assert len(seen) == 1 and seen[0] >= prec + maynard._GUARD
+
+    @pytest.mark.parametrize("tie", [_EVEN_TIE, _ODD_TIE])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_l_entry_near_rounding_boundary_retries(self, monkeypatch, tie, side):
+        x = near_tie(tie, side)
+        mat = [[Fraction(1), x], [x, Fraction(1)]]
+        seen = working_precisions(monkeypatch)
+        got = decimal_factor(mat)
+        assert got[0] == 21 and len(seen) == 2
+        assert got == rounded_oracle(mat)
+
+    @pytest.mark.parametrize("tie", [_EVEN_TIE, _ODD_TIE])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_pivot_near_rounding_boundary_retries(self, monkeypatch, tie, side):
+        # pivot 1 is x + 1/9 - (1/3)^2 = x
+        x = near_tie(tie, side)
+        mat = [[Fraction(1), Fraction(1, 3)], [Fraction(1, 3), x + Fraction(1, 9)]]
+        seen = working_precisions(monkeypatch)
+        got = decimal_factor(mat)
+        assert got[0] == 21 and len(seen) == 2
+        assert got == rounded_oracle(mat)
+
+    @pytest.mark.parametrize(
+        "mat,index,attempts",
+        [
+            ([[0, 0], [0, 1]], 0, 1),
+            ([[1, 2], [2, 4]], 1, 1),
+            ([[Fraction(1, 3), Fraction(2, 7), 1],
+              [Fraction(2, 7), Fraction(12, 49), Fraction(6, 7)],
+              [1, Fraction(6, 7), 5]], 1, 1),
+            # v v^T with v = (3^-300, 7^-300): the rounding noise in pivot 1
+            # falls below Hadamard's floor (about 10^-790 after scaling)
+            # only at a guard of 960 digits
+            (RANK_ONE, 1, 6),
+        ],
+    )
+    def test_exactly_singular_raises(self, monkeypatch, mat, index, attempts):
+        mat = [[Fraction(x) for x in row] for row in mat]
+        seen = working_precisions(monkeypatch)
+        with pytest.raises(ConsistencyError, match=f"^pivot {index} of the LDL decomposition is 0 <= 0"):
+            maynard._decimal_ldl(mat)
+        assert len(seen) == attempts
+
+    def test_gives_up_after_the_last_attempt(self, monkeypatch):
+        monkeypatch.setattr(maynard, "_ATTEMPTS", 2)
+        with pytest.raises(ConvergenceError, match="in 2 attempts"):
+            maynard._decimal_ldl(RANK_ONE)
 
 
 class TestEigen:
