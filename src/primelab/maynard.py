@@ -147,9 +147,9 @@ def _integer_image(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
 
 
 # The decimal LDL's first attempt carries _GUARD digits past prec, with
-# prec first guessed as _PREC_GUESS; each failed certification doubles the
-# guard; after _ATTEMPTS attempts (a guard of at most 30 * 2^11 digits) it
-# gives up.
+# prec first guessed as _PREC_GUESS (the bench's forms need 22 to 37); each
+# failed certification doubles the guard, and after _ATTEMPTS attempts (a
+# guard of at most 30 * 2^11 digits) it gives up.
 _GUARD = 30
 _PREC_GUESS = 40
 _ATTEMPTS = 12
@@ -173,8 +173,8 @@ def _ldl_at(b: list[list[tuple[Fraction, int]]], wp: int) -> tuple[np.ndarray, i
 
     b[i] holds (x, e) for columns i .. n-1: the entry is x * 10^-e, each
     rounded once to wp digits. On return, entry (i, i) of the array is
-    pivot i and (i, j) is L[j][i]; the count of factored rows is also
-    returned, and the last factored pivot is the first that is <= 0.
+    pivot i and (i, j) is L[j][i]. The count m of factored rows comes
+    with it: m < n means pivot m - 1 is <= 0 and its row is not divided.
     """
     n = len(b)
     ctx = Context(prec=wp, rounding=ROUND_HALF_EVEN)
@@ -232,13 +232,13 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
     digits (`_ldl_at`). The computed L~, D~ are the exact factors of
     B + E with |E| <= tau |L~| |D~| |L~|^T <= tau v v^T, where
     u = 10^(1-wp) / 2 and tau = 2 (n+3) u covers the entries' rounding and
-    the elimination's (each entry of B~ unrolls into at most n+1 products
-    carrying at most n+1 roundings each, as in Higham, Accuracy and
+    the elimination's (each entry of B~ unrolls into at most n products
+    carrying at most n roundings each, as in Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 9.3), and
     v_j^2 = sum_t L~_jt^2 |d~_t| (Cauchy-Schwarz). With w >= |L~^-1| v
-    (`_inverse_times`) and
-    eta_i = tau sum_{t<=i} w_t^2 / d~_t < 1, writing B as
-    L~ (D~ - L~^-1 E L~^-T) L~^T and factoring the middle gives
+    (`_inverse_times`) and eta_i = tau sum_{t<=i} w_t^2 / d~_t < 1,
+    writing B as L~ (D~ - L~^-1 E L~^-T) L~^T and factoring the middle
+    gives
 
         |pivot_k - d~_k| <= tau w_k^2 / (1 - eta_(k-1)),
         |L_ji - L~_ji| <= sqrt(tau eta_i / d~_i) / (1 - eta_i)
