@@ -22,12 +22,11 @@ and J validates the exact pipeline from outside.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -223,6 +222,42 @@ def _up_bound(x: np.ndarray) -> np.ndarray:
     return np.abs(x) * _FLOAT_SLACK + 2.0**-1074
 
 
+def _pinned(lo: Decimal, hi: Decimal, c: Fraction, scale: int, qmax: int) -> bool:
+    """Whether x in [lo, hi] must equal c, given that x * 10^scale is a
+    fraction over a denominator at most qmax.
+
+    Two such values x, c that differ are at least 10^-scale / (qmax q)
+    apart, q the denominator of c * 10^scale.
+    """
+    ten = Fraction(10) ** scale
+    lo, hi = Fraction(lo), Fraction(hi)
+    return lo <= c <= hi and (hi - lo) * ten * qmax * (c * ten).denominator < 1
+
+
+def _round_pinned(
+    pc: Context, lo: Decimal, hi: Decimal, scale: int, qmax: Callable[[], int]
+) -> Optional[Decimal]:
+    """x in [lo, hi] rounded to pc's digits, or None when that is unknown.
+
+    Rounding is monotone, so ends that round alike fix it. Otherwise the
+    one point where the rounding changes, 0 or the tie between two
+    neighbours, decides it when x is pinned there (`_pinned`, the
+    denominator bound qmax() as there).
+    """
+    x = pc.plus(lo)
+    if x == pc.plus(hi):
+        return x
+    if lo <= 0 <= hi:
+        c = Decimal(0)
+    else:
+        up = pc.next_plus(x)
+        if up != pc.plus(hi):
+            return None
+        exact = Context(prec=pc.prec + 2)  # x + up and its half carry prec + 2 digits
+        c = exact.divide(exact.add(x, up), 2)
+    return pc.plus(c) if _pinned(lo, hi, Fraction(c), scale, qmax()) else None
+
+
 def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]]:
     """(prec, L^T, pivots) of A = L D L^T, every entry correctly rounded
     to prec digits, with prec = 20 + the digits of max floor(A[i][i] / pivot_i).
@@ -245,14 +280,18 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
                           * sum_{i<m<=j} |L~_jm| w_m.
 
     An entry is certified when both ends of its interval round alike at
-    prec (rounding is monotone). An interval around 0 is certified zero
-    once it is shorter than the smallest nonzero value Hadamard's bound
-    allows: with D_m the leading minors of the integer image S = den A,
-    pivot t is D_(t+1) / (D_t den) and L_ji a minor over D_(i+1), and
-    0 < D_m <= prod_{t<m} S_tt while the leading block is definite.
-    Otherwise G doubles (Ziv's strategy) when a pivot or L entry is not
-    certified, or when the digit count of some A[i][i] / pivot_i is; and
-    the factor is redone, G kept, when wp turns out below prec + G.
+    prec (rounding is monotone), or when it is pinned to the one point
+    of the interval where its rounding changes: 0 or the tie between two
+    neighbours at prec (`_round_pinned`). With D_m the leading minors of
+    the integer image S = den A, pivot t is D_(t+1) / (D_t den) and L_ji
+    a minor over D_(i+1), and 0 < D_m <= prod_{t<m} S_tt (Hadamard)
+    while the leading block is definite; so an interval shorter than the
+    least gap between such a fraction and the point holds no other value
+    (`_pinned`). The same argument pins a pivot at 0 (A is not definite)
+    and a pivot at A[i][i] / 10^m, where the digit count of
+    A[i][i] / pivot_i changes. Otherwise G doubles (Ziv's strategy) when
+    a pivot, an L entry or that digit count is not certified; and the
+    factor is redone, G kept, when wp turns out below prec + G.
 
     Raises:
         ConsistencyError: a pivot is certified <= 0 (A is not positive
@@ -262,17 +301,22 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
     """
     n = len(matrix)
     diag = [matrix[i][i] for i in range(n)]
-    ex = [(len(str(a.numerator)) - len(str(a.denominator))) // 2 if a > 0 else 0 for a in diag]
+    # half the difference in digit counts; Decimal(int) is exact and, unlike
+    # str, has no digit limit
+    ex = [
+        (Decimal(a.numerator).adjusted() - Decimal(a.denominator).adjusted()) // 2 if a > 0 else 0
+        for a in diag
+    ]
     b = [[(matrix[i][j], ex[i] + ex[j]) for j in range(i, n)] for i in range(n)]
 
-    @functools.cache
-    def image_diagonal() -> tuple[int, list[int]]:
-        den = math.lcm(*(x.denominator for row in matrix for x in row))
-        return den, [den // a.denominator * a.numerator for a in diag]
+    image = None  # (den, S), made when a value is first to be pinned
 
-    def nonzero_floor(m: int) -> Fraction:
-        """The least |D_(m+1)| / D_m: 1 / prod_{t<m} S_tt."""
-        return Fraction(1, math.prod(image_diagonal()[1][:m]))
+    def minor_bound(m: int) -> tuple[int, int]:
+        """(den, prod_{t<m} S_tt), the latter >= D_m (Hadamard)."""
+        nonlocal image
+        image = image or _integer_image(matrix)
+        den, rows = image
+        return den, math.prod(rows[t][t] for t in range(m))
 
     guard, prec = _GUARD, _PREC_GUESS
     for _ in range(_ATTEMPTS):
@@ -300,8 +344,7 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
             if lo <= 0:
                 if hi < 0:
                     raise _not_positive_definite(t, d.scaleb(2 * ex[t], _UP).normalize())
-                floor = nonzero_floor(t) / image_diagonal()[0] / Fraction(10) ** (2 * ex[t])
-                if 2 * Fraction(err) < floor:
+                if _pinned(lo, hi, Fraction(0), 2 * ex[t], math.prod(minor_bound(t))):
                     raise _not_positive_definite(t, 0)
                 break
             ends.append((lo, hi))
@@ -309,23 +352,33 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
         if len(ends) < n:
             guard *= 2
             continue
-        digits = {
-            20 + max(
-                len(str(a // (Fraction(x) * Fraction(10) ** (2 * e))))
+        # the digits of floor(A[i][i] / pivot_i) at either end of its interval
+        lows, highs = (
+            [
+                Decimal(a // (Fraction(x) * Fraction(10) ** (2 * e))).adjusted() + 1
                 for a, e, x in zip(diag, ex, side)
-            )
+            ]
             for side in zip(*ends)
-        }
-        if len(digits) > 1:
+        )
+        top = max(lows)
+        # the count changes where the pivot is A[i][i] / 10^(top-1)
+        if max(highs) < top and not any(
+            low == top
+            and _pinned(lo, hi, a / Fraction(10) ** (top - 1 + 2 * e), 2 * e, math.prod(minor_bound(t)))
+            for t, (a, e, low, (lo, hi)) in enumerate(zip(diag, ex, lows, ends))
+        ):
             guard *= 2
             continue
-        prec = digits.pop()
+        prec = 20 + top
         if wp < prec + guard:
             continue
 
         pc = Context(prec=prec, rounding=ROUND_HALF_EVEN)
-        pivots = [pc.plus(lo) for lo, _ in ends]
-        if any(p != pc.plus(hi) for p, (_, hi) in zip(pivots, ends)):
+        pivots = [
+            _round_pinned(pc, lo, hi, 2 * ex[t], lambda: math.prod(minor_bound(t)))
+            for t, (lo, hi) in enumerate(ends)
+        ]
+        if None in pivots:
             guard *= 2
             continue
         # tail[j, i] = sum_{m >= i} |L~_jm| w_m
@@ -342,13 +395,10 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
             for j in range(i + 1, n):
                 err = _UP.multiply(alpha, Decimal(tail[j, i + 1]))
                 lo, hi = lo_ctx.subtract(s[i, j], err), hi_ctx.add(s[i, j], err)
-                x = pc.plus(lo)
-                if x != pc.plus(hi):
-                    floor = nonzero_floor(i + 1) * Fraction(10) ** (ex[i] - ex[j])
-                    if not (lo <= 0 <= hi and 2 * Fraction(err) < floor):
-                        certified = False
-                        break
-                    x = Decimal(0)
+                x = _round_pinned(pc, lo, hi, ex[j] - ex[i], lambda: minor_bound(i + 1)[1])
+                if x is None:
+                    certified = False
+                    break
                 lt[i, j] = x.scaleb(ex[j] - ex[i], pc)
             if not certified:
                 break

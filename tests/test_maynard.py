@@ -105,6 +105,7 @@ class TestBuildQuadraticForms:
                 assert pair.A1[i][j] == pair.A1[j][i]
                 assert pair.A2[i][j] == pair.A2[j][i]
         assert all(p > 0 for p in ldl_pivots(pair.A1))
+        assert all(p > 0 for p in maynard._decimal_ldl(pair.A1)[2])
 
     def test_entries_against_monte_carlo(self):
         pair = build_quadratic_forms(3, 2)
@@ -177,7 +178,9 @@ _ODD_TIE = _EVEN_TIE + Fraction(1, 10**21)
 def near_tie(tie, side):
     """Within 10^-75 of the tie, past the first attempt's 70 digits
     (_PREC_GUESS + _GUARD): there the value reads as the tie itself, which
-    half-even rounding may send to the wrong side."""
+    half-even rounding may send to the wrong side. Side 0 is the tie: no
+    interval rounds alike there, and the bound on the entry's denominator
+    pins it to the tie, which rounds half to even."""
     return tie + side * Fraction(1, 10**75)
 
 
@@ -214,13 +217,22 @@ class TestLdl:
         a1 = build_quadratic_forms(105, 12).A1
         assert decimal_factor(a1) == rounded_oracle(a1)
 
-    def test_exact_zeros_in_l(self):
+    def test_exact_zeros_in_l(self, monkeypatch):
         # some entries of L are exactly 0 at k=2, d=14: no interval around
-        # them rounds alike, and Hadamard's bound certifies them
+        # them rounds alike, and Hadamard's bound certifies them at once
         a1 = build_quadratic_forms(2, 14).A1
         expected = rounded_oracle(a1)
         assert any(x == 0 for row in expected[1] for x in row)
+        seen = working_precisions(monkeypatch)
         assert decimal_factor(a1) == expected
+        assert len(seen) == 1
+
+    def test_diagonal_past_the_int_str_digit_limit(self):
+        # A1[0][0] = 1/k! at every k; k! has over 4300 digits from k = 1600,
+        # past what str() of an int accepts by default
+        mat = [[Fraction(1, 10**5000), Fraction(1, 10**5001)],
+               [Fraction(1, 10**5001), Fraction(1, 10**5000)]]
+        assert decimal_factor(mat) == rounded_oracle(mat)
 
     def test_first_attempt_certifies(self, monkeypatch):
         seen = working_precisions(monkeypatch)
@@ -228,24 +240,35 @@ class TestLdl:
         assert len(seen) == 1 and seen[0] >= prec + maynard._GUARD
 
     @pytest.mark.parametrize("tie", [_EVEN_TIE, _ODD_TIE])
-    @pytest.mark.parametrize("side", [1, -1])
-    def test_l_entry_near_rounding_boundary_retries(self, monkeypatch, tie, side):
+    @pytest.mark.parametrize("side", [1, -1, 0])
+    def test_l_entry_at_or_near_rounding_boundary(self, monkeypatch, tie, side):
         x = near_tie(tie, side)
         mat = [[Fraction(1), x], [x, Fraction(1)]]
         seen = working_precisions(monkeypatch)
         got = decimal_factor(mat)
-        assert got[0] == 21 and len(seen) == 2
+        assert got[0] == 21 and len(seen) == (1 if side == 0 else 2)
         assert got == rounded_oracle(mat)
 
     @pytest.mark.parametrize("tie", [_EVEN_TIE, _ODD_TIE])
-    @pytest.mark.parametrize("side", [1, -1])
-    def test_pivot_near_rounding_boundary_retries(self, monkeypatch, tie, side):
+    @pytest.mark.parametrize("side", [1, -1, 0])
+    def test_pivot_at_or_near_rounding_boundary(self, monkeypatch, tie, side):
         # pivot 1 is x + 1/9 - (1/3)^2 = x
         x = near_tie(tie, side)
         mat = [[Fraction(1), Fraction(1, 3)], [Fraction(1, 3), x + Fraction(1, 9)]]
         seen = working_precisions(monkeypatch)
         got = decimal_factor(mat)
-        assert got[0] == 21 and len(seen) == 2
+        assert got[0] == 21 and len(seen) == (1 if side == 0 else 2)
+        assert got == rounded_oracle(mat)
+
+    @pytest.mark.parametrize("side", [1, -1, 0])
+    def test_digit_count_at_or_near_power_of_ten(self, monkeypatch, side):
+        # A[1][1] / pivot_1 lies about 10^-72 below 10 (side 1, 1 digit),
+        # above it (side -1, 2 digits) or on it: (1/10) / (1/100) = 10
+        delta = side * Fraction(1, 10**75)
+        mat = [[Fraction(1), Fraction(3, 10)], [Fraction(3, 10), Fraction(1, 10) + delta]]
+        seen = working_precisions(monkeypatch)
+        got = decimal_factor(mat)
+        assert got[0] == (21 if side == 1 else 22) and len(seen) == (1 if side == 0 else 2)
         assert got == rounded_oracle(mat)
 
     @pytest.mark.parametrize(
@@ -313,6 +336,7 @@ class TestEigen:
         tiny = Fraction(1, 10**30)
         pair = synthetic_pair([[1, 1], [1, 1 + tiny]], [[1, 0], [0, 1]])
         assert ldl_pivots(pair.A1) == [1, tiny]
+        assert maynard._decimal_ldl(pair.A1)[2] == [1, Decimal("1E-30")]
         lam, vec, _ = maynard._eigen_stage(pair, 1e-9)
         assert lam == pytest.approx(2e30, rel=1e-12)
         exact = rayleigh_quotient(pair, [Fraction(float(v)) for v in vec])
