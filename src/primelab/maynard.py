@@ -701,9 +701,15 @@ def _eval_combo(
     return acc
 
 
-# Samples per chunk. The chunk size is part of the seeded stream: changing
-# it changes every report.
+# Samples per chunk. The chunk size is part of the seeded stream: the four
+# sums are numpy's pairwise sums over whole chunks, so changing it changes
+# every report.
 _MC_CHUNK = 1_000_000
+# Entries per row block: a chunk is drawn and evaluated in blocks of at most
+# _MC_BLOCK_ENTRIES // (k + 1) rows, about 1 MiB of draws at every k. The
+# block size is not part of the stream: consecutive draws read the generator
+# exactly as one large draw does, and all block arithmetic is per row.
+_MC_BLOCK_ENTRIES = 1 << 17
 # numpy sums rows of 8 or more entries pairwise and shorter rows left to
 # right, so bit-exactness, not speed, makes the row width pick the path.
 _PAIRWISE_MIN = 8
@@ -714,16 +720,17 @@ def _simplex_power_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(P1, P2) of n points uniform on R_dim via exponential spacings.
 
-    One (n, dim + 1) exponential draw, none for dim 0. Every row sum adds
-    in numpy's `sum(axis=1)` order: column by column for draws narrower
-    than _PAIRWISE_MIN, by numpy itself from there on.
+    One (n, dim + 1) exponential draw per block of rows, none for dim 0.
+    Every row sum adds in numpy's `sum(axis=1)` order: column by column for
+    draws narrower than _PAIRWISE_MIN, by numpy itself from there on.
     """
     if dim == 0:
         return np.zeros(n), np.zeros(n)
     e = rng.standard_exponential((n, dim + 1))
     if dim + 1 >= _PAIRWISE_MIN:
-        t = e[:, :dim] / e.sum(axis=1, keepdims=True)
-        return t.sum(axis=1), (t * t).sum(axis=1)
+        t = np.divide(e[:, :dim], e.sum(axis=1, keepdims=True), out=e[:, :dim])
+        p1 = t.sum(axis=1)
+        return p1, np.multiply(t, t, out=t).sum(axis=1)
     cols = e.T
     total = sum(cols[1:], cols[0])
     p1, p2, t = np.zeros(n), np.zeros(n), np.empty(n)
@@ -746,6 +753,13 @@ def ij_monte_carlo(
     order, the chunk size and the order of every row sum are part of the
     seeded output: the same seed gives the same four floats bit for bit.
 
+    Each chunk takes its four draws (I's simplex points, J's first k - 1
+    coordinates, then the two uniforms of the last one) in that order, each
+    as a run of row blocks into chunk-length buffers, and sums the weights
+    over the whole chunk. The block size is not part of the output: a run
+    of draws reads the same stream as one draw of their total size, and
+    every value in a block depends on its own row alone.
+
     Raises:
         ValidationError: bad sizes, non-finite coefficients, or estimates
             that overflow double precision.
@@ -763,6 +777,10 @@ def ij_monte_carlo(
     rng = np.random.default_rng(seed)
     vol_k = 1.0 / math.factorial(k)
     vol_k1 = 1.0 / math.factorial(k - 1)
+    rows = max(1, _MC_BLOCK_ENTRIES // (k + 1))
+    # the weights (I's, then J's), J's P1 and P2 of the first k - 1
+    # coordinates, and F at J's first point
+    w, s, q2, f1 = (np.empty(min(_MC_CHUNK, samples)) for _ in range(4))
 
     sums = np.zeros(2)
     sqsums = np.zeros(2)
@@ -770,19 +788,28 @@ def ij_monte_carlo(
     with np.errstate(over="ignore", invalid="ignore"):
         while done < samples:
             n = min(_MC_CHUNK, samples - done)
-            fi = _eval_combo(coeffs, basis, *_simplex_power_sums(rng, n, k))
-            wi = vol_k * fi * fi
+            edges = [*range(0, n, rows), n]
+            blocks = [(slice(lo, hi), hi - lo) for lo, hi in zip(edges, edges[1:])]
+            for b, m in blocks:
+                fi = _eval_combo(coeffs, basis, *_simplex_power_sums(rng, m, k))
+                w[b] = vol_k * fi * fi
+            wi = w[:n]
+            sums[0] += wi.sum()
+            sqsums[0] += np.multiply(wi, wi, out=wi).sum()
 
-            s, q2 = _simplex_power_sums(rng, n, k - 1)
-            sigma = 1.0 - s
-            u1 = sigma * rng.random(n)
-            u2 = sigma * rng.random(n)
-            f1 = _eval_combo(coeffs, basis, s + u1, q2 + u1 * u1)
-            f2 = _eval_combo(coeffs, basis, s + u2, q2 + u2 * u2)
-            wj = k * vol_k1 * sigma * sigma * f1 * f2
-
-            sums += (wi.sum(), wj.sum())
-            sqsums += ((wi * wi).sum(), (wj * wj).sum())
+            for b, m in blocks:
+                s[b], q2[b] = _simplex_power_sums(rng, m, k - 1)
+            for b, m in blocks:
+                u1 = (1.0 - s[b]) * rng.random(m)
+                f1[b] = _eval_combo(coeffs, basis, s[b] + u1, q2[b] + u1 * u1)
+            for b, m in blocks:
+                sigma = 1.0 - s[b]
+                u2 = sigma * rng.random(m)
+                f2 = _eval_combo(coeffs, basis, s[b] + u2, q2[b] + u2 * u2)
+                w[b] = k * vol_k1 * sigma * sigma * f1[b] * f2
+            wj = w[:n]
+            sums[1] += wj.sum()
+            sqsums[1] += np.multiply(wj, wj, out=wj).sum()
             done += n
 
         means = sums / samples

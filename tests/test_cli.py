@@ -365,6 +365,27 @@ class TestInputValidation:
         assert message in err
 
 
+class TestAddressSpaceLimit:
+    def test_montecarlo_at_large_k_fits_in_1_gb(self):
+        # the whole-chunk estimator asked numpy for 458 MiB per (10^6, 60)
+        # array and escaped as a MemoryError traceback (exit 1)
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        src = Path(primelab.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "primelab.cli", "mk", "montecarlo",
+             "--k", "60", "--degree", "0", "--samples", "1000000"],
+            # one BLAS thread, so the limit does not depend on the core count
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit, capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["result"]["samples"] == 1_000_000
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         # scipy is imported only where the M_k eigen solve runs

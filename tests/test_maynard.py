@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -475,6 +476,14 @@ class TestGBound:
             assert printed < target  # stays below 1, cannot reach the target
 
 
+# at a few thousand samples a last-bit change in one row's P1 or P2 still
+# reaches the means; k = 2 ends on a partial chunk
+_MC_CASES = [
+    (1, 2, 20_000), (2, 3, maynard._MC_CHUNK + 1234), (3, 2, 1000), (6, 3, 1000),
+    (7, 2, 1000), (8, 2, 1000), (8, 3, 1000), (16, 3, 3000), (170, 2, 20_000),
+]
+
+
 class TestMonteCarlo:
     def test_constant_f_on_triangle(self):
         est = ij_monte_carlo(2, [1.0], 0, 200_000, seed=9)
@@ -503,21 +512,47 @@ class TestMonteCarlo:
         assert np.array_equal(p1, r1) and np.array_equal(p2, r2)
 
     @pytest.mark.parametrize(
-        "k,degree,samples",
+        "k,degree,samples,block_entries",
         [
-            # at a few thousand samples a last-bit change in one row's P1
-            # or P2 still reaches the means; k = 2 ends on a partial chunk
-            (1, 2, 20_000), (2, 3, maynard._MC_CHUNK + 1234), (3, 2, 1000),
-            (6, 3, 1000), (7, 2, 1000), (8, 2, 1000), (8, 3, 1000),
-            (16, 3, 3000), (170, 2, 20_000),
+            *(pytest.param(*case, None, id="-".join(map(str, case))) for case in _MC_CASES),
+            # block sizes that divide no chunk, and one that makes every
+            # chunk a single block
+            *(
+                pytest.param(*case, entries, id="-".join(map(str, (*case, entries))))
+                for case in _MC_CASES
+                for entries in (1000, 7919, maynard._MC_CHUNK * 171)
+            ),
         ],
     )
-    def test_bit_identical_to_row_sums(self, k, degree, samples):
+    def test_bit_identical_to_row_sums(self, k, degree, samples, block_entries, monkeypatch):
+        if block_entries is not None:
+            monkeypatch.setattr(maynard, "_MC_BLOCK_ENTRIES", block_entries)
         basis = enumerate_basis(degree)
         coeffs = [(-1) ** i * (1.0 + 0.37 * i) for i in range(len(basis))]
         est = ij_monte_carlo(k, coeffs, degree, samples, seed=11)
         got = (est.i_value, est.j_value, est.i_stderr, est.j_stderr)
         assert got == oracles.ij_monte_carlo_row_sums(k, coeffs, basis, samples, seed=11)
+
+    @pytest.mark.parametrize("a,b,width", [(1, 1, 1), (37, 91, 4), (1000, 7, 9), (5, 3000, 61)])
+    def test_split_draws_read_one_stream(self, a, b, width):
+        # the estimator draws each chunk in row blocks on the strength of this
+        one, two = np.random.default_rng(a + b), np.random.default_rng(a + b)
+        whole = one.standard_exponential((a + b, width))
+        parts = two.standard_exponential((a, width)), two.standard_exponential((b, width))
+        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(one.random(a + b), np.concatenate([two.random(a), two.random(b)]))
+
+    @pytest.mark.parametrize("k", [3, 40])
+    def test_memory_does_not_grow_with_k(self, k):
+        # four chunk-length buffers (30.5 MiB) and blocks of about 1 MiB; the
+        # whole-chunk estimator peaked at 108 MiB at k = 3 and 938 MiB at k = 40
+        tracemalloc.start()
+        try:
+            ij_monte_carlo(k, [1.0, -0.5, 0.25, 0.75], 2, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValidationError):
