@@ -728,6 +728,8 @@ def _simplex_power_sums(
         return np.zeros(n), np.zeros(n)
     e = rng.standard_exponential((n, dim + 1))
     if dim + 1 >= _PAIRWISE_MIN:
+        # in place in the draw's own columns: at large dim, fresh temporaries
+        # of a block's size cost more in page faults than the arithmetic
         t = np.divide(e[:, :dim], e.sum(axis=1, keepdims=True), out=e[:, :dim])
         p1 = t.sum(axis=1)
         return p1, np.multiply(t, t, out=t).sum(axis=1)
@@ -777,7 +779,7 @@ def ij_monte_carlo(
     rng = np.random.default_rng(seed)
     vol_k = 1.0 / math.factorial(k)
     vol_k1 = 1.0 / math.factorial(k - 1)
-    rows = max(1, _MC_BLOCK_ENTRIES // (k + 1))
+    rows = _MC_BLOCK_ENTRIES // (k + 1)
     # the weights (I's, then J's), J's P1 and P2 of the first k - 1
     # coordinates, and F at J's first point
     w, s, q2, f1 = (np.empty(min(_MC_CHUNK, samples)) for _ in range(4))
