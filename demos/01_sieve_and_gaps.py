@@ -3,13 +3,13 @@
 
 The segmented sieve keeps memory flat no matter how far the range goes;
 prime counts, gap extremes and the von Mangoldt support all come from
-its primality bits, and the mu/phi/omega tables from the same slices
+its primality bits, and the smallest-prime-factor table from slices
 struck by the primes up to the square root of n.
 """
 
 import time
 
-from primelab import arith_tables, gap_scan, prime_count, primorial, sieve_range
+from primelab import gap_scan, prime_count, primorial, sieve_range
 from primelab.sieve import mangoldt_range
 
 
@@ -25,9 +25,8 @@ def main():
     scan = gap_scan(2, 10**6)
     print(f"\ngaps in [2, 10^6): min {scan.min_gap}, max {scan.max_gap}")
 
-    t = arith_tables(30)
-    print("\nmu on 1..30:", t.mobius[1:31].tolist())
-    print("omega(30) =", int(t.omega[30]), " phi(30) =", int(t.totient[30]))
+    spf = sieve_range(0, 31, with_factors=True).smallest_factor
+    print("\nsmallest prime factor on 2..30:", spf[2:].tolist())
     ns, ps, ms = mangoldt_range(2, 31)
     powers = list(zip(ns.tolist(), zip(ps.tolist(), ms.tolist())))
     print("prime powers up to 30:", powers)

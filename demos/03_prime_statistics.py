@@ -14,7 +14,6 @@ from primelab import (
     pigeonhole_experiment,
     pnt_ratio,
 )
-from primelab.sieve import arith_tables
 
 
 def main():
@@ -34,14 +33,13 @@ def main():
         d1, d2 = mertens_sums(n)
         print(f"  n=10^{len(str(n)) - 1}: d1={d1:+.6f} d2={d2:+.6f}")
 
-    tables = arith_tables(10**6)
     print("\nconcentration of the distinct-prime-factor count (n <= 10^6):")
     for a in (0.5, 1.0, 3.0):
-        frac = hardy_ramanujan_proportion(10**6, a, tables=tables)
+        frac = hardy_ramanujan_proportion(10**6, a)
         print(f"  band width {a} sqrt(log log n): {frac:.4f} of integers inside")
 
     print("\nGaussian limit of the standardized factor count (n <= 10^6):")
-    rep = erdos_kac(10**6, -1.0, 1.0, tables=tables)
+    rep = erdos_kac(10**6, -1.0, 1.0)
     print(f"  mass in [-1, 1]: empirical {rep.empirical:.4f} vs normal {rep.gaussian:.4f}")
     print(f"  Kolmogorov-Smirnov distance: {rep.ks_distance:.4f}")
     print("  (convergence is log log slow; the gap shrinks only glacially)")

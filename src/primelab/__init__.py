@@ -11,11 +11,9 @@ from .errors import (
     ValidationError,
 )
 from .sieve import (
-    ArithTables,
     GapRecord,
     GapScan,
     PrimeTable,
-    arith_tables,
     gap_scan,
     prime_count,
     primes_between,

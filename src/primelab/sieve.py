@@ -1,23 +1,26 @@
-"""Segmented sieve of Eratosthenes plus arithmetic-function tables.
+"""Segmented sieve of Eratosthenes plus a streamed omega kernel.
 
 Everything else in the package consumes the primes produced here:
 PrimeTable for range queries, GapRecord scans for consecutive-prime
-gaps, and dense tables of mu, phi and omega. The kernel, _odd_segments,
-keeps one byte per odd integer of a segment. Each odd base prime p
-strikes its odd multiples from p^2 on, its next one carried from segment
-to segment. Primes up to a thirty-second of the segment (at least
-sixteen strikes per segment) strike by strided slices, their next
-multiples kept in one array and advanced together. The rest sit in a
-second next-multiple array (the buckets of Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 2014, whose segments are odd-only too): in rounds,
-its entries below the segment's end are struck and advanced by 2p until
-none is left. The public view is iter_prime_segments, a stream of each
-segment's primes (2 included where in range); prime_count counts the odd
-bits instead. sieve_range builds the only full-length table. The tables
-take slices over p <= sqrt(n); the one prime factor q > sqrt(n) an
-integer can have is struck at its multiples m*q, one indexed update per
-m. mangoldt_range gives the von Mangoldt support as (n, prime, exponent)
-arrays; log(p) floats only appear where summed.
+gaps, and blocks of omega, the distinct-prime-factor count. The sieve
+kernel, _odd_segments, keeps one byte per odd integer of a segment. Each
+odd base prime p strikes its odd multiples from p^2 on, its next one
+carried from segment to segment. Primes up to a thirty-second of the
+segment (at least sixteen strikes per segment) strike by strided slices,
+their next multiples kept in one array and advanced together. The rest
+sit in a second next-multiple array (the buckets of Oliveira e Silva,
+Herzog and Pardi, Math. Comp. 2014, whose segments are odd-only too): in
+rounds, its entries below the segment's end are struck and advanced by
+2p until none is left. The public view is iter_prime_segments, a stream
+of each segment's primes (2 included where in range); prime_count counts
+the odd bits instead. sieve_range builds the only full-length table.
+_omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
+integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
+at its multiples by slices and multiplies a per-integer product by p at
+the multiples of p, p^2, ...; an integer whose product falls short of it
+has exactly one more prime factor, above sqrt(hi). mangoldt_range gives
+the von Mangoldt support as (n, prime, exponent) arrays; log(p) floats
+only appear where summed.
 """
 
 from __future__ import annotations
@@ -204,53 +207,40 @@ def primorial(n: int) -> int:
     return math.prod(_simple_prime_array(n).tolist())
 
 
-@dataclass(frozen=True)
-class ArithTables:
-    """Dense mu, phi and omega tables for 1..n (index 0 holds 0)."""
-
-    n: int
-    mobius: np.ndarray
-    totient: np.ndarray
-    omega: np.ndarray
+_OMEGA_BLOCK = 1 << 18  # integers per block of _omega_blocks; no output depends on it
 
 
-def arith_tables(n: int) -> ArithTables:
-    """Build mu, phi, omega tables for 1..n from the primes p <= n.
+def _omega_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (block_lo, omega) covering [lo, hi) in order, 1 <= lo < hi.
 
-    Each p <= sqrt(n) strikes its multiples by slices. An integer has at
-    most one prime factor q > sqrt(n), so the multiples m*q (m <= n // q)
-    are distinct and are struck by one fancy-index update per m.
+    omega[i] is the number of distinct prime factors of n = block_lo + i,
+    as int8. Blocks end at multiples of _OMEGA_BLOCK (and at hi). part[i]
+    is the product of the largest powers of the primes p <= sqrt(hi - 1)
+    that divide n; it fits int32 under the cap, and where n > part, n / part
+    is one more prime factor, above sqrt(hi - 1).
 
     Raises:
-        CapacityError: n > DEFAULT_RANGE_CAP, before allocating.
+        CapacityError: hi - 1 > DEFAULT_RANGE_CAP, before allocating.
     """
-    if n < 1:
-        raise ValidationError(f"arith_tables needs n >= 1, got {n}")
-    if n > DEFAULT_RANGE_CAP:
-        raise CapacityError(f"tables up to {n} exceed the cap of {DEFAULT_RANGE_CAP} integers")
-    mobius = np.ones(n + 1, dtype=np.int8)
-    totient = np.arange(n + 1, dtype=np.int64)
-    omega = np.zeros(n + 1, dtype=np.int8)
-    primes = _simple_prime_array(n)
-    root = math.isqrt(n)
-    k = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:k].tolist():
-        mobius[p::p] *= -1
-        omega[p::p] += 1
-        totient[p::p] -= totient[p::p] // p
-        mobius[p * p :: p * p] = 0
-    big = primes[k:]
-    for m in range(1, n // (root + 1) + 1):
-        q = big[: int(np.searchsorted(big, n // m, side="right"))]
-        idx = q * m
-        mobius[idx] *= -1
-        omega[idx] += 1
-        totient[idx] -= totient[idx] // q
-    mobius[0] = 0  # slices start at p, so phi(0) and omega(0) stay 0
-
-    for arr in (mobius, totient, omega):
-        arr.flags.writeable = False
-    return ArithTables(n=n, mobius=mobius, totient=totient, omega=omega)
+    if not 1 <= lo < hi:
+        raise ValidationError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    if hi - 1 > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"tables up to {hi - 1} exceed the cap of {DEFAULT_RANGE_CAP} integers")
+    primes = _simple_prime_array(math.isqrt(hi - 1)).tolist()
+    b_lo = lo
+    while b_lo < hi:
+        b_hi = min(b_lo - b_lo % _OMEGA_BLOCK + _OMEGA_BLOCK, hi)
+        omega = np.zeros(b_hi - b_lo, dtype=np.int8)
+        part = np.ones(b_hi - b_lo, dtype=np.int32)
+        for p in primes:
+            omega[-b_lo % p :: p] += 1
+            pk = p
+            while pk < b_hi:
+                part[-b_lo % pk :: pk] *= p
+                pk *= p
+        omega += part != np.arange(b_lo, b_hi, dtype=np.int32)
+        yield b_lo, omega
+        b_lo = b_hi
 
 
 def mangoldt_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,9 @@ gaps in [X, 2X), Mertens-type partial sums, the concentration of the
 distinct-prime-factor count, and its Gaussian limit law. All sums that
 feed assertions are correctly rounded regardless of summation order:
 math.fsum, or for the streamed Mertens sums an exact sum rounded once.
+The two omega statistics stream omega block by block (sieve._omega_blocks)
+and sum integer counts over the blocks, so they hold O(block + sqrt(x))
+memory and give the same bits as one pass over a full table.
 """
 
 from __future__ import annotations
@@ -13,12 +16,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import ValidationError
-from .sieve import ArithTables, arith_tables, gap_scan, iter_prime_segments, prime_count, sieve_range
+from .sieve import _omega_blocks, gap_scan, iter_prime_segments, prime_count, sieve_range
 
 # Limit constants for the Mertens-type sums (reference targets only).
 MERTENS_RECIPROCAL_CONSTANT = 0.2614972128476428  # lim sum 1/p - log log n
@@ -172,9 +173,7 @@ def mertens_sums(n: int) -> tuple[float, float]:
     return d1, d2
 
 
-def hardy_ramanujan_proportion(
-    n: int, a: float, *, tables: Optional[ArithTables] = None
-) -> float:
+def hardy_ramanujan_proportion(n: int, a: float) -> float:
     """Fraction of N in {2..n} with |omega(N) - log log n| <= a sqrt(log log n).
 
     The centering uses log log n at the top of the range, so the band is
@@ -184,15 +183,12 @@ def hardy_ramanujan_proportion(
         raise ValidationError(f"n must be >= 16, got {n}")
     if not a > 0:
         raise ValidationError(f"a must be > 0, got {a}")
-    if tables is None:
-        tables = arith_tables(n)
-    elif tables.n < n:
-        raise ValidationError(f"tables cover only 1..{tables.n} < {n}")
     loglog = math.log(math.log(n))
     band = a * math.sqrt(loglog)
-    om = tables.omega[2 : n + 1].astype(np.float64)
-    inside = np.abs(om - loglog) <= band
-    return float(np.count_nonzero(inside)) / (n - 1)
+    inside = 0
+    for _, omega in _omega_blocks(2, n + 1):
+        inside += int(np.count_nonzero(np.abs(omega.astype(np.float64) - loglog) <= band))
+    return float(inside) / (n - 1)
 
 
 def normal_interval(a: float, b: float) -> float:
@@ -221,13 +217,7 @@ class ErdosKacReport:
     ks_distance: float
 
 
-def erdos_kac(
-    x: int,
-    a: float,
-    b: float,
-    *,
-    tables: Optional[ArithTables] = None,
-) -> ErdosKacReport:
+def erdos_kac(x: int, a: float, b: float) -> ErdosKacReport:
     """Empirical law of the standardized distinct-prime-factor count.
 
     Standardizes omega(n) by log log n per n over 3 <= n <= x (smaller n
@@ -245,23 +235,22 @@ def erdos_kac(
         raise ValidationError(f"x must be >= 16, got {x}")
     if not a < b:
         raise ValidationError(f"need a < b, got a={a} b={b}")
-    if tables is None:
-        tables = arith_tables(x)
-    elif tables.n < x:
-        raise ValidationError(f"tables cover only 1..{tables.n} < {x}")
-    loglog = np.arange(3, x + 1, dtype=np.float64)
-    np.log(loglog, out=loglog)
-    np.log(loglog, out=loglog)
-    std = tables.omega[3 : x + 1].astype(np.float64)
-    std -= loglog
-    std /= np.sqrt(loglog, out=loglog)
-    total = std.size
-    empirical = float(np.count_nonzero((std >= a) & (std <= b))) / total
-    gaussian = normal_interval(a, b)
-
-    std.sort()
     zs = np.linspace(-5.0, 5.0, _KS_GRID_POINTS)
-    ecdf = np.searchsorted(std, zs, side="right") / total
+    inside, below = 0, np.zeros(zs.size, dtype=np.int64)
+    for n_lo, omega in _omega_blocks(3, x + 1):
+        loglog = np.arange(n_lo, n_lo + omega.size, dtype=np.float64)
+        np.log(loglog, out=loglog)
+        np.log(loglog, out=loglog)
+        std = omega.astype(np.float64)
+        std -= loglog
+        std /= np.sqrt(loglog, out=loglog)
+        inside += int(np.count_nonzero((std >= a) & (std <= b)))
+        std.sort()
+        below += np.searchsorted(std, zs, side="right")
+    total = x - 2
+    empirical = float(inside) / total
+    gaussian = normal_interval(a, b)
+    ecdf = below / total
     ncdf = 0.5 * (1.0 + np.array([math.erf(z / math.sqrt(2.0)) for z in zs]))
     ks = float(np.max(np.abs(ecdf - ncdf)))
     return ErdosKacReport(x=x, a=a, b=b, empirical=empirical, gaussian=gaussian, ks_distance=ks)

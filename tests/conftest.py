@@ -1,9 +1,9 @@
 import pytest
 
-from primelab.sieve import arith_tables
+import oracles
 
 
 @pytest.fixture(scope="session")
 def tables_1e6():
     """Shared mu/phi/omega tables up to 10^6 (built once per session)."""
-    return arith_tables(10**6)
+    return oracles.arith_tables(10**6)

@@ -3,9 +3,12 @@
 Everything here is deliberately naive and shares no code path with the
 package: trial division, one-shot sieves, a segment sieve with one slice
 per base prime (`segment_bits_slow`), mu/phi/omega tables by one slice
-update per prime p <= n, prime powers by factorization, direct
-definitional loops, nested quadrature, Monte Carlo form entries, an exact
-Kolmogorov-Smirnov supremum, and an exact LDL decomposition by
+update per prime p <= n (`arith_tables_all_primes`) and by slices over
+p <= sqrt(n) plus one indexed update per cofactor (`arith_tables`, the
+full-length tables that the package's streamed omega blocks must
+match), prime powers by factorization, direct definitional loops, nested
+quadrature, Monte Carlo form entries, an exact Kolmogorov-Smirnov
+supremum, and an exact LDL decomposition by
 fraction-free elimination (`ldl_bareiss`), which the package's decimal
 factor must reproduce rounded. The quadratic forms have a second exact
 route: `power_sum_moments` (P1^j P2^B moments from a 2-D convolution
@@ -19,16 +22,18 @@ greedy covering system over a Python set), `mertens_sums_materialised`
 (math.fsum over every prime <= n at once) and
 `level_of_distribution_sum_int64` (the residue-class errors with int64
 residues). `erdos_kac_fields` standardizes omega into a fresh array at
-each step, where the package works in place. `ij_monte_carlo_row_sums`
-is the seeded I/J estimator with P1 and P2 as numpy row sums
-(`simplex_row_power_sums`), the summation order that the package's
-column walk must reproduce bit for bit. Tests compare package output
-against these.
+each step, where the package works in place, block by block;
+`hardy_ramanujan_one_array` counts the band over one omega array.
+`ij_monte_carlo_row_sums` is the seeded I/J estimator with P1 and P2 as
+numpy row sums (`simplex_row_power_sums`), the summation order that the
+package's column walk must reproduce bit for bit. Tests compare package
+output against these.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +129,49 @@ def arith_tables_all_primes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     omega[0] = 0
     totient[0] = 0
     return mobius, totient, omega
+
+
+@dataclass(frozen=True)
+class ArithTables:
+    """Dense mu, phi and omega tables for 1..n (index 0 holds 0)."""
+
+    n: int
+    mobius: np.ndarray
+    totient: np.ndarray
+    omega: np.ndarray
+
+
+def arith_tables(n: int) -> ArithTables:
+    """Build mu, phi, omega tables for 1..n from the primes p <= n.
+
+    Each p <= sqrt(n) strikes its multiples by slices. An integer has at
+    most one prime factor q > sqrt(n), so the multiples m*q (m <= n // q)
+    are distinct and are struck by one fancy-index update per m. The
+    package's dense tables until omega was streamed in blocks.
+    """
+    mobius = np.ones(n + 1, dtype=np.int8)
+    totient = np.arange(n + 1, dtype=np.int64)
+    omega = np.zeros(n + 1, dtype=np.int8)
+    primes = np.flatnonzero(simple_sieve_bits(n + 1))
+    root = math.isqrt(n)
+    k = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:k].tolist():
+        mobius[p::p] *= -1
+        omega[p::p] += 1
+        totient[p::p] -= totient[p::p] // p
+        mobius[p * p :: p * p] = 0
+    big = primes[k:]
+    for m in range(1, n // (root + 1) + 1):
+        q = big[: int(np.searchsorted(big, n // m, side="right"))]
+        idx = q * m
+        mobius[idx] *= -1
+        omega[idx] += 1
+        totient[idx] -= totient[idx] // q
+    mobius[0] = 0  # slices start at p, so phi(0) and omega(0) stay 0
+
+    for arr in (mobius, totient, omega):
+        arr.flags.writeable = False
+    return ArithTables(n=n, mobius=mobius, totient=totient, omega=omega)
 
 
 def prime_powers_slow(lo: int, hi: int) -> dict[int, tuple[int, int]]:
@@ -631,3 +679,12 @@ def erdos_kac_fields(omega: np.ndarray, x: int, a: float, b: float) -> tuple[flo
     ecdf = np.searchsorted(np.sort(std), zs, side="right") / std.size
     ncdf = 0.5 * (1.0 + np.array([math.erf(z / math.sqrt(2.0)) for z in zs]))
     return empirical, float(np.max(np.abs(ecdf - ncdf)))
+
+
+def hardy_ramanujan_one_array(omega: np.ndarray, n: int, a: float) -> float:
+    """Hardy-Ramanujan proportion over 2 <= N <= n from one omega array
+    indexed by N, in one pass."""
+    loglog = math.log(math.log(n))
+    band = a * math.sqrt(loglog)
+    om = omega[2 : n + 1].astype(np.float64)
+    return float(np.count_nonzero(np.abs(om - loglog) <= band)) / (n - 1)

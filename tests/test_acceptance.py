@@ -30,7 +30,7 @@ from primelab.maynard import (
     optimize_g_bound,
     rayleigh_quotient,
 )
-from primelab.sieve import arith_tables, prime_count, sieve_range
+from primelab.sieve import prime_count, sieve_range
 from primelab.stats import (
     erdos_kac,
     hardy_ramanujan_proportion,
@@ -59,7 +59,7 @@ def m105():
 
 @pytest.fixture(scope="module")
 def tables_1e7():
-    return arith_tables(10**7)
+    return oracles.arith_tables(10**7)
 
 
 def test_criterion_01_m5_poly_bound(capsys):
@@ -214,7 +214,7 @@ def test_criterion_09_level_of_distribution_trend():
 
 def test_criterion_10a_erdos_kac_ks_magnitude(tables_1e7):
     x = 10**7
-    rep = erdos_kac(x, -1.0, 1.0, tables=tables_1e7)
+    rep = erdos_kac(x, -1.0, 1.0)
     # Agreement. The program samples F - Phi on 1000 grid points of
     # [-5, 5], so its value is a lower bound on the exact supremum, and the
     # gap is at most phi(0) * dz, the normal density's maximum times the
@@ -255,9 +255,9 @@ def test_criterion_10a_erdos_kac_ks_magnitude(tables_1e7):
     )
 
 
-def test_criterion_10b_erdos_kac_ks_trend(tables_1e7):
-    ks_small = erdos_kac(10**5, -1.0, 1.0, tables=tables_1e7).ks_distance
-    ks_large = erdos_kac(10**7, -1.0, 1.0, tables=tables_1e7).ks_distance
+def test_criterion_10b_erdos_kac_ks_trend():
+    ks_small = erdos_kac(10**5, -1.0, 1.0).ks_distance
+    ks_large = erdos_kac(10**7, -1.0, 1.0).ks_distance
     report(
         "10b (Erdos-Kac KS trend)",
         ks_large < ks_small,
@@ -275,11 +275,8 @@ def test_criterion_10c_mertens_band():
     )
 
 
-def test_criterion_10d_hardy_ramanujan_monotone(tables_1e7):
-    props = [
-        hardy_ramanujan_proportion(n, 3.0, tables=tables_1e7)
-        for n in (10**4, 10**5, 10**6)
-    ]
+def test_criterion_10d_hardy_ramanujan_monotone():
+    props = [hardy_ramanujan_proportion(n, 3.0) for n in (10**4, 10**5, 10**6)]
     report(
         "10d (Hardy-Ramanujan proportions)",
         props[0] <= props[1] <= props[2],

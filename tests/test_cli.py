@@ -365,25 +365,45 @@ class TestInputValidation:
         assert message in err
 
 
+def _run_under_1_gb(*argv):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    src = Path(primelab.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "primelab.cli", *argv],
+        # one BLAS thread, so the limit does not depend on the core count
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit, capture_output=True, text=True,
+    )
+
+
 class TestAddressSpaceLimit:
     def test_montecarlo_at_large_k_fits_in_1_gb(self):
         # the whole-chunk estimator asked numpy for 458 MiB per (10^6, 60)
         # array and escaped as a MemoryError traceback (exit 1)
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
-
-        src = Path(primelab.__file__).resolve().parents[1]
-        run = subprocess.run(
-            [sys.executable, "-m", "primelab.cli", "mk", "montecarlo",
-             "--k", "60", "--degree", "0", "--samples", "1000000"],
-            # one BLAS thread, so the limit does not depend on the core count
-            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
-            preexec_fn=limit, capture_output=True, text=True,
-        )
+        run = _run_under_1_gb("mk", "montecarlo", "--k", "60", "--degree", "0",
+                              "--samples", "1000000")
         assert (run.returncode, run.stderr) == (0, "")
         assert json.loads(run.stdout)["result"]["samples"] == 1_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "erdos-kac", "--x", "50000000", "--a", "-1", "--b", "1"),
+            ("stats", "hardy-ramanujan", "--n", "50000000", "--a", "1"),
+        ],
+    )
+    def test_omega_statistics_at_5e7_fit_in_1_gb(self, argv):
+        # the dense mu/phi/omega tables plus full-length float64 arrays
+        # (381 MiB each) escaped as a MemoryError traceback (exit 1)
+        run = _run_under_1_gb(*argv)
+        assert (run.returncode, run.stderr) == (0, "")
+        report = json.loads(run.stdout)
+        assert report["command"] == " ".join(argv[:2])
+        assert report["params"][argv[2][2:]] == 50_000_000
 
 
 class TestImports:

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from primelab import sieve
 from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
     DEFAULT_RANGE_CAP,
+    _omega_blocks,
     _simple_prime_array,
-    arith_tables,
     gap_scan,
     iter_prime_segments,
     mangoldt_range,
@@ -196,7 +197,7 @@ class TestPrimeCount:
 
 class TestArithTables:
     def test_mobius_examples(self):
-        t = arith_tables(30)
+        t = oracles.arith_tables(30)
         assert t.mobius[1] == 1
         assert t.mobius[4] == 0
         assert t.mobius[30] == -1
@@ -211,12 +212,12 @@ class TestArithTables:
         assert support == oracles.prime_powers_slow(2, 11)
 
     def test_omega_phi_examples(self):
-        t = arith_tables(12)
+        t = oracles.arith_tables(12)
         assert t.omega[12] == 2
         assert t.totient[12] == 4
 
     def test_against_slow_oracle(self):
-        t = arith_tables(2000)
+        t = oracles.arith_tables(2000)
         for n in range(1, 2001):
             assert t.mobius[n] == oracles.mobius_slow(n), n
             assert t.omega[n] == oracles.omega_slow(n), n
@@ -224,7 +225,7 @@ class TestArithTables:
 
     def test_squarefree_consistency_with_spf(self):
         # mu(n) != 0 iff the smallest-factor factorization is squarefree
-        t = arith_tables(5000)
+        t = oracles.arith_tables(5000)
         table = sieve_range(0, 5001, with_factors=True)
         for n in range(2, 5001):
             m, squarefree = n, True
@@ -268,11 +269,72 @@ class TestArithTables:
     @example(67 * 67)
     @example(67 * 67 + 1)
     def test_matches_all_primes_oracle(self, n):
-        t = arith_tables(n)
+        t = oracles.arith_tables(n)
         expected = oracles.arith_tables_all_primes(n)
         for got, want in zip((t.mobius, t.totient, t.omega), expected):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), n
+
+
+# prime powers p^k <= 8191 with k >= 2
+_PRIME_POWERS = sorted(p**k for p in _SMALL_PRIMES for k in range(2, 14) if p**k <= 8191)
+
+
+@st.composite
+def _spans(draw):
+    """(lo, hi): anywhere, or with a multiple of a prime power on the
+    first or the last slot of the range (so of its first or last block)."""
+    length = draw(st.integers(1, 9000))
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 20000))
+        return lo, lo + length
+    n = draw(st.sampled_from(_PRIME_POWERS)) * draw(st.integers(1, 4))
+    return (n, n + length) if draw(st.booleans()) else (max(1, n + 1 - length), n + 1)
+
+
+def _omega_stream(lo, hi, block):
+    """(block starts, block sizes, concatenated omega) at a given block size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_OMEGA_BLOCK", block)
+        blocks = list(_omega_blocks(lo, hi))
+    starts = [b for b, _ in blocks]
+    return starts, [om.size for _, om in blocks], np.concatenate([om for _, om in blocks])
+
+
+class TestOmegaBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 64, 4096])
+    @given(_spans())
+    @settings(max_examples=40, deadline=None)
+    # the first multiple of p^k on an inner block's first slot (49 at 7,
+    # 64 at 64, 4096 at 4096) and last slot (27 at 7, 1215 = 81 * 15 at 64)
+    @example((1, 300))
+    @example((1150, 1250))
+    @example((4000, 4300))
+    def test_matches_dense_oracle(self, block, span):
+        lo, hi = span
+        if block == 1:  # every slot is a first and a last one; keep it quick
+            lo = max(lo, hi - 400)
+        starts, sizes, omega = _omega_stream(lo, hi, block)
+        ends = [min(b - b % block + block, hi) for b in starts]
+        assert starts == [lo] + ends[:-1] and ends[-1] == hi
+        assert sizes == [e - b for b, e in zip(starts, ends)]
+        assert omega.dtype == np.int8
+        assert np.array_equal(omega, oracles.arith_tables(hi - 1).omega[lo:hi]), (lo, hi)
+
+    def test_block_edges_at_default_size(self):
+        hi = 4 * sieve._OMEGA_BLOCK + 2
+        starts, sizes, omega = _omega_stream(3, hi, sieve._OMEGA_BLOCK)
+        assert sizes[-1] == 2 and starts[1] == sieve._OMEGA_BLOCK
+        assert np.array_equal(omega, oracles.arith_tables(hi - 1).omega[3:])
+
+    def test_cap(self):
+        # n = 2^30 is the last integer below the cap: 2^30 itself, omega 1
+        ((start, omega),) = _omega_blocks(DEFAULT_RANGE_CAP, DEFAULT_RANGE_CAP + 1)
+        assert (start, omega.tolist()) == (DEFAULT_RANGE_CAP, [1])
+        with pytest.raises(CapacityError, match=f"the cap of {DEFAULT_RANGE_CAP} integers"):
+            next(_omega_blocks(3, DEFAULT_RANGE_CAP + 2))
+        with pytest.raises(ValidationError):
+            next(_omega_blocks(0, 10))
 
 
 class TestPrimorial:

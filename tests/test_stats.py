@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from primelab.errors import ValidationError
-from primelab.sieve import arith_tables
+from primelab import sieve
 from primelab.stats import (
     StatReport,
     _ExactSum,
@@ -166,15 +166,38 @@ class TestExactSum:
             assert _exact_or_overflow(values, chunk) == math.fsum(values)
 
 
+# one past a multiple of the omega block: the last block holds two integers
+_BLOCK_EDGE = 4 * sieve._OMEGA_BLOCK + 1
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHardyRamanujan:
-    def test_huge_band_captures_everything(self, tables_1e6):
-        assert hardy_ramanujan_proportion(10**6, 1e9, tables=tables_1e6) == 1.0
+    def test_huge_band_captures_everything(self):
+        assert hardy_ramanujan_proportion(10**6, 1e9) == 1.0
 
-    def test_wide_band(self, tables_1e6):
-        assert hardy_ramanujan_proportion(10**6, 3.0, tables=tables_1e6) >= 0.95
+    def test_wide_band(self):
+        assert hardy_ramanujan_proportion(10**6, 3.0) >= 0.95
 
-    def test_tiny_band(self, tables_1e6):
-        assert hardy_ramanujan_proportion(10**6, 0.01, tables=tables_1e6) < 0.5
+    def test_tiny_band(self):
+        assert hardy_ramanujan_proportion(10**6, 0.01) < 0.5
+
+    @pytest.mark.parametrize("n", [16, 10**4, 1_000_003, _BLOCK_EDGE])
+    @pytest.mark.parametrize("a", [0.01, 0.5, 1.0, 3.0])
+    def test_blocks_are_bit_identical_to_one_array(self, n, a):
+        want = oracles.hardy_ramanujan_one_array(oracles.arith_tables(n).omega, n, a)
+        assert hardy_ramanujan_proportion(n, a).hex() == want.hex()
+
+    def test_streams_in_bounded_memory(self):
+        # the dense tables and one float64 omega array peaked near 97 MiB
+        assert _traced_peak(hardy_ramanujan_proportion, 3 * 10**6, 1.0) < 32 * 2**20
 
     @given(st.floats(min_value=0.01, max_value=5.0), st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=30, deadline=None)
@@ -196,13 +219,13 @@ class TestNormalInterval:
 
 
 class TestErdosKac:
-    def test_full_line_is_exactly_one(self, tables_1e6):
-        rep = erdos_kac(10**6, -INF, INF, tables=tables_1e6)
+    def test_full_line_is_exactly_one(self):
+        rep = erdos_kac(10**6, -INF, INF)
         assert rep.empirical == 1.0
         assert rep.gaussian == 1.0
 
-    def test_central_interval_frozen_values(self, tables_1e6):
-        rep = erdos_kac(10**6, -1.0, 1.0, tables=tables_1e6)
+    def test_central_interval_frozen_values(self):
+        rep = erdos_kac(10**6, -1.0, 1.0)
         # deterministic count over 3 <= n <= 10^6, frozen from the table
         assert rep.empirical == pytest.approx(0.9330428660857322, abs=1e-12)
         assert rep.gaussian == pytest.approx(0.6826894921370859, abs=1e-10)
@@ -210,24 +233,35 @@ class TestErdosKac:
         # the observed deviation sits near 0.25
         assert abs(rep.empirical - rep.gaussian) < 0.30
 
-    def test_ks_value_at_million(self, tables_1e6):
-        rep = erdos_kac(10**6, -1.0, 1.0, tables=tables_1e6)
+    def test_ks_value_at_million(self):
+        rep = erdos_kac(10**6, -1.0, 1.0)
         assert rep.ks_distance == pytest.approx(0.2675733959687538, abs=1e-9)
 
-    def test_cdf_restriction_properties(self, tables_1e6):
+    def test_cdf_restriction_properties(self):
         bs = [-1.0, 0.0, 0.5, 1.0, 2.0]
-        masses = [erdos_kac(10**6, -INF, b, tables=tables_1e6).empirical for b in bs]
+        masses = [erdos_kac(10**6, -INF, b).empirical for b in bs]
         assert all(0.0 <= m <= 1.0 for m in masses)
         assert masses == sorted(masses)
 
-    @pytest.mark.parametrize("x", [16, 10**4, 3 * 10**6])
+    @pytest.mark.parametrize("x", [16, 10**4, 3 * 10**6, 1_000_003, _BLOCK_EDGE])
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.5, 2.0)])
     def test_in_place_standardization_is_bit_identical(self, x, a, b):
-        tables = arith_tables(x)
-        rep = erdos_kac(x, a, b, tables=tables)
-        empirical, ks = oracles.erdos_kac_fields(tables.omega, x, a, b)
+        rep = erdos_kac(x, a, b)
+        empirical, ks = oracles.erdos_kac_fields(oracles.arith_tables(x).omega, x, a, b)
         assert rep.empirical.hex() == empirical.hex()
         assert rep.ks_distance.hex() == ks.hex()
+
+    @pytest.mark.parametrize("block,x", [(1, 2000), (7, 10**4), (64, 10**4), (4096, 10**5)])
+    def test_block_size_changes_no_bit(self, monkeypatch, block, x):
+        want = erdos_kac(x, -0.5, 1.5), hardy_ramanujan_proportion(x, 0.7)
+        monkeypatch.setattr(sieve, "_OMEGA_BLOCK", block)
+        assert (erdos_kac(x, -0.5, 1.5), hardy_ramanujan_proportion(x, 0.7)) == want
+
+    def test_streams_in_bounded_memory(self):
+        # one block of omega, its float64 standardization and the log log
+        # values: about 7 MiB; the dense tables and the full-length float64
+        # arrays peaked near 80 MiB
+        assert _traced_peak(erdos_kac, 3 * 10**6, -1.0, 1.0) < 32 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValidationError):
