@@ -3,8 +3,7 @@
 
 The segmented sieve keeps memory flat no matter how far the range goes;
 prime counts, gap extremes and the von Mangoldt support all come from
-its primality bits, and the smallest-prime-factor table from slices
-struck by the primes up to the square root of n.
+its primality bits.
 """
 
 import time
@@ -25,11 +24,9 @@ def main():
     scan = gap_scan(2, 10**6)
     print(f"\ngaps in [2, 10^6): min {scan.min_gap}, max {scan.max_gap}")
 
-    spf = sieve_range(0, 31, with_factors=True).smallest_factor
-    print("\nsmallest prime factor on 2..30:", spf[2:].tolist())
     ns, ps, ms = mangoldt_range(2, 31)
     powers = list(zip(ns.tolist(), zip(ps.tolist(), ms.tolist())))
-    print("prime powers up to 30:", powers)
+    print("\nprime powers up to 30:", powers)
 
     print("\nprimorial(97) =", primorial(97))
 

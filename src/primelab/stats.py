@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ValidationError

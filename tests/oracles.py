@@ -146,8 +146,7 @@ def arith_tables(n: int) -> ArithTables:
 
     Each p <= sqrt(n) strikes its multiples by slices. An integer has at
     most one prime factor q > sqrt(n), so the multiples m*q (m <= n // q)
-    are distinct and are struck by one fancy-index update per m. The
-    package's dense tables until omega was streamed in blocks.
+    are distinct and are struck by one fancy-index update per m.
     """
     mobius = np.ones(n + 1, dtype=np.int8)
     totient = np.arange(n + 1, dtype=np.int64)
