@@ -222,8 +222,6 @@ def _omega_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     Raises:
         CapacityError: hi - 1 > DEFAULT_RANGE_CAP, before allocating.
     """
-    if not 1 <= lo < hi:
-        raise ValidationError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > DEFAULT_RANGE_CAP:
         raise CapacityError(f"tables up to {hi - 1} exceed the cap of {DEFAULT_RANGE_CAP} integers")
     primes = _simple_prime_array(math.isqrt(hi - 1)).tolist()

@@ -333,8 +333,6 @@ class TestOmegaBlocks:
         assert (start, omega.tolist()) == (DEFAULT_RANGE_CAP, [1])
         with pytest.raises(CapacityError, match=f"the cap of {DEFAULT_RANGE_CAP} integers"):
             next(_omega_blocks(3, DEFAULT_RANGE_CAP + 2))
-        with pytest.raises(ValidationError):
-            next(_omega_blocks(0, 10))
 
 
 class TestPrimorial:
