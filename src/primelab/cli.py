@@ -36,7 +36,7 @@ from .errors import (
     PrimelabError,
     ValidationError,
 )
-from .sieve import gap_scan, iter_prime_segments
+from .sieve import gap_scan, prime_census
 from .tuples import (
     AdmissibleTuple,
     Refutation,
@@ -174,12 +174,7 @@ def _pick(obj, *names: str) -> dict:
 # --------- command implementations ---------
 
 def _cmd_sieve(args, config: RunConfig):
-    count, first, last = 0, None, None
-    for _, primes in iter_prime_segments(args.lo, args.hi, config.segment_size):
-        if primes.size:
-            count += primes.size
-            first = int(primes[0]) if first is None else first
-            last = int(primes[-1])
+    count, first, last = prime_census(args.lo, args.hi, config.segment_size)
     result = {"prime_count": count, "first_prime": first, "last_prime": last}
     return _pick(args, "lo", "hi"), result
 

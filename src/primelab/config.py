@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
+from .sieve import DEFAULT_SEGMENT_SIZE
 
 ENV_CONFIG_PATH = "PRIMELAB_CONFIG"
 
@@ -27,7 +28,7 @@ _KEYS = {"seed": int, "segment_size": int, "basis_cap": int, "output_format": st
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    segment_size: int = 1 << 20
+    segment_size: int = DEFAULT_SEGMENT_SIZE
     basis_cap: int = 64
     output_format: str = "json"
     tolerances: dict[str, float] = field(

@@ -380,6 +380,12 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
     equidistributed share pi(x)/phi(q) and takes the worst class. With
     weighted=True the count is replaced by the prime-power log sum (the
     same comparison against its total divided by phi(q)).
+
+    q runs down from q_max. Only q > q_max / 2 take a residue pass and a
+    bincount over the primes; the counts mod a smaller q are folded from
+    those mod 2q, as counts[2q].reshape(2, q).sum(0), exactly in integers.
+    The weighted float sums keep one bincount per q: folding would reorder
+    their additions and change their bits.
     """
     if x < 100:
         raise ValidationError(f"x must be >= 100, got {x}")
@@ -398,16 +404,20 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
         total = float(ns.size)
     ns = ns.astype(np.min_scalar_type(x))  # the narrowest unsigned type holding x
     residues = np.empty_like(ns)
-    terms = []
-    for q in range(1, q_max + 1):
+    terms = []  # fsum rounds their exact sum once, so their order is free
+    counts = {}  # class counts mod each even q, until q / 2 folds them
+    for q in range(q_max, 0, -1):
         coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
         phi_q = int(np.count_nonzero(coprime))
         share = total / phi_q
-        _residues(ns, q, residues)
-        if vals is None:
-            per_class = np.bincount(residues, minlength=q).astype(np.float64)
+        if vals is not None:
+            per_class = np.bincount(_residues(ns, q, residues), weights=vals, minlength=q)
+        elif 2 * q <= q_max:
+            per_class = counts.pop(2 * q).reshape(2, q).sum(0)
         else:
-            per_class = np.bincount(residues, weights=vals, minlength=q)
+            per_class = np.bincount(_residues(ns, q, residues), minlength=q)
+        if vals is None and q % 2 == 0:
+            counts[q] = per_class
         errs = np.abs(per_class[coprime] - share)
         terms.append(float(np.max(errs)) if errs.size else 0.0)
     return math.fsum(terms)

@@ -4,23 +4,30 @@ Everything else in the package consumes the primes produced here:
 PrimeTable for range queries, GapRecord scans for consecutive-prime
 gaps, and blocks of omega, the distinct-prime-factor count. The sieve
 kernel, _odd_segments, keeps one byte per odd integer of a segment. Each
-odd base prime p strikes its odd multiples from p^2 on, its next one
-carried from segment to segment. Primes up to a thirty-second of the
-segment (at least sixteen strikes per segment) strike by strided slices,
-their next multiples kept in one array and advanced together. The rest
-sit in a second next-multiple array (the buckets of Oliveira e Silva,
-Herzog and Pardi, Math. Comp. 2014, whose segments are odd-only too): in
-rounds, its entries below the segment's end are struck and advanced by
-2p until none is left. The public view is iter_prime_segments, a stream
-of each segment's primes (2 included where in range); prime_count counts
-the odd bits instead. sieve_range builds the only full-length table.
+segment starts as a tiled copy of one wheel pattern, the odd slots of a
+period of 2 * 3 * 5 * 7 * 11 * 13 * 17 = 510,510 integers with the
+multiples of 3..17 cleared (255 KB): two slices of the pattern fill one
+period, which is then doubled within the segment. The wheel primes are
+set back to prime and 1 is cleared. Each base prime p > 17 then strikes
+its odd multiples from p^2 on, its next one carried from segment to
+segment. Primes up to a thirty-second of the segment (at least sixteen
+strikes per segment) strike by strided slices, their next multiples kept
+in one array and advanced together. The rest sit in a second
+next-multiple array (the buckets of Oliveira e Silva, Herzog and Pardi,
+Math. Comp. 2014, whose segments are odd-only too): in rounds, its
+entries below the segment's end are struck and advanced by 2p until none
+is left. The public view is iter_prime_segments, a stream of each
+segment's primes (2 included where in range). prime_census counts the
+bits of each segment instead, reading the first and last prime by argmax,
+and prime_count and the sieve command go through it. sieve_range builds
+the only full-length table.
 _omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
 integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
 at its multiples by slices and multiplies a per-integer product by p at
-the multiples of p, p^2, ...; an integer whose product falls short of it
-has exactly one more prime factor, above sqrt(hi). mangoldt_range gives
-the von Mangoldt support as (n, prime, exponent) arrays; log(p) floats
-only appear where summed.
+the multiples of p, p^2, ... that fall in the block; an integer whose
+product falls short of it has exactly one more prime factor, above
+sqrt(hi). mangoldt_range gives the von Mangoldt support as (n, prime,
+exponent) arrays; log(p) floats only appear where summed.
 """
 
 from __future__ import annotations
@@ -49,18 +56,60 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     return primes
 
 
+_WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)  # presieved: they strike no segment
+
+
+def _wheel() -> np.ndarray:
+    """One period of odd slots with the multiples of the wheel primes cleared."""
+    pattern = np.ones(math.prod(_WHEEL_PRIMES), dtype=bool)
+    for p in _WHEEL_PRIMES:
+        pattern[p // 2 :: p] = False  # odd n = 2s + 1 is a multiple of p iff s = p // 2 mod p
+    pattern.flags.writeable = False
+    return pattern
+
+
+_WHEEL = _wheel()  # 255,255 slots, one period of 510,510 integers
+
+
+def _presieved(s_lo: int, size: int) -> np.ndarray:
+    """Slots s_lo .. s_lo + size - 1 of the wheel pattern, tiled in place:
+    one period from two slices of _WHEEL, then doubled within itself."""
+    bits = np.empty(size, dtype=bool)
+    r = s_lo % _WHEEL.size
+    head = _WHEEL[r : r + size]
+    bits[: head.size] = head
+    tail = _WHEEL[: min(r, size - head.size)]
+    bits[head.size : head.size + tail.size] = tail
+    filled = head.size + tail.size  # a whole period when it falls short of size
+    while filled < size:
+        n = min(filled, size - filled)
+        bits[filled : filled + n] = bits[:n]
+        filled += n
+    return bits
+
+
 def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield (seg_lo, seg_hi, first, bits) covering [lo, hi) in order.
 
     bits[i] is True iff first + 2i is an odd prime, with first = seg_lo | 1;
     the odd integers of [seg_lo, seg_hi) are the slots. Odd n sits at
     global slot n // 2, so a segment's slots are seg_lo // 2 .. seg_hi // 2.
+
+    Raises:
+        CapacityError: a segment would exceed DEFAULT_RANGE_CAP integers,
+            before anything is allocated.
     """
     if not 0 <= lo < hi:
         raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     if segment_size < 1:
         raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
-    odd = _simple_prime_array(math.isqrt(hi - 1))[1:]
+    if min(segment_size, hi - lo) > DEFAULT_RANGE_CAP:
+        raise CapacityError(
+            f"segment of {min(segment_size, hi - lo)} integers exceeds the cap of "
+            f"{DEFAULT_RANGE_CAP}; use a smaller segment_size"
+        )
+    odd = _simple_prime_array(math.isqrt(hi - 1))
+    odd = odd[odd > _WHEEL_PRIMES[-1]]  # the wheel primes strike no segment
     # global slot of the next odd multiple of each odd base prime at or
     # after max(p^2, lo); one slot step is one step of 2p
     nxt = np.maximum(odd * odd, -(-lo // odd) * odd)
@@ -73,7 +122,10 @@ def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, in
     for seg_lo in range(lo, hi, segment_size):
         seg_hi = min(seg_lo + segment_size, hi)
         s_lo, s_hi = seg_lo // 2, seg_hi // 2
-        bits = np.ones(s_hi - s_lo, dtype=bool)
+        bits = _presieved(s_lo, s_hi - s_lo)
+        for p in _WHEEL_PRIMES:
+            if s_lo <= p // 2 < s_hi:
+                bits[p // 2 - s_lo] = True
         bits[: max(1 - s_lo, 0)] = False  # the slot of 1
         act = small_nxt < s_hi
         s, p = small_nxt[act], small_step[act]
@@ -172,12 +224,36 @@ def sieve_range(
     return PrimeTable(lo=lo, hi=hi, primality=bits, smallest_factor=spf)
 
 
+def prime_census(
+    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> tuple[int, Optional[int], Optional[int]]:
+    """(count, first, last) of the primes in [lo, hi), from the kernel's bits.
+
+    Each segment is counted with count_nonzero; the first and last prime
+    are read with argmax on the first and last segment that holds one, so
+    no prime is listed. first and last are None when there is no prime.
+    """
+    count, first, last, tail = 0, None, None, None
+    for seg_lo, seg_hi, start, bits in _odd_segments(lo, hi, segment_size):
+        if seg_lo <= 2 < seg_hi:  # 2 has no odd slot
+            count, first, last = 1, 2, 2
+        odd = int(np.count_nonzero(bits))
+        if odd:
+            count += odd
+            if first is None:
+                first = start + 2 * int(np.argmax(bits))
+            tail = start, bits
+    if tail is not None:
+        start, bits = tail
+        last = start + 2 * (bits.size - 1 - int(np.argmax(bits[::-1])))
+    return count, first, last
+
+
 def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """Exact count of primes <= x, summed segment by segment."""
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}")
-    segments = _odd_segments(0, x + 1, segment_size)
-    return int(x >= 2) + sum(int(np.count_nonzero(bits)) for *_, bits in segments)
+    return prime_census(0, x + 1, segment_size)[0]
 
 
 def primes_between(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
@@ -233,8 +309,9 @@ def _omega_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         for p in primes:
             omega[-b_lo % p :: p] += 1
             pk = p
-            while pk < b_hi:
-                part[-b_lo % pk :: pk] *= p
+            # a power with no multiple in the block has no higher one with one
+            while (first := -b_lo % pk) < b_hi - b_lo:
+                part[first::pk] *= p
                 pk *= p
         omega += part != np.arange(b_lo, b_hi, dtype=np.int32)
         yield b_lo, omega

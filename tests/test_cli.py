@@ -406,6 +406,24 @@ class TestAddressSpaceLimit:
         assert report["params"][argv[2][2:]] == 50_000_000
 
 
+class TestSegmentCap:
+    @pytest.mark.parametrize("command", [("sieve",), ("gaps", "--lo", "0")])
+    def test_segment_past_cap_exits_2_under_1_gb(self, command):
+        # a 2^32 segment asked numpy for 2 GiB and escaped as a MemoryError
+        # traceback (exit 1); the kernel now refuses it before allocating
+        run = _run_under_1_gb("--segment-size", str(2**32), *command, "--hi", str(2**32))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            f"error: segment of {2**32} integers exceeds the cap of "
+            f"{sieve.DEFAULT_RANGE_CAP}; use a smaller segment_size\n"
+        )
+
+    def test_segment_size_past_cap_on_a_short_range(self, capsys):
+        # the kernel allocates min(segment_size, hi - lo) integers
+        report = run_json(capsys, "--segment-size", str(2**40), "sieve", "--hi", "100")
+        assert report["result"] == {"prime_count": 25, "first_prime": 2, "last_prime": 97}
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         # scipy is imported only where the M_k eigen solve runs

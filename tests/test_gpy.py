@@ -388,6 +388,15 @@ class TestLevelOfDistribution:
         want = oracles.level_of_distribution_sum_int64(x, 0.4, weighted)
         assert got.hex() == want.hex()
 
+    @pytest.mark.parametrize("theta", [0.3, 0.5])  # q_max = 31 and 316
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_folded_counts_equal_int64(self, theta, weighted):
+        # counts mod q <= q_max / 2 are folded from counts mod 2q; the
+        # weighted sums keep one bincount per q
+        got = level_of_distribution_sum(10**5, theta, weighted=weighted)
+        want = oracles.level_of_distribution_sum_int64(10**5, theta, weighted)
+        assert got.hex() == want.hex()
+
     @pytest.mark.parametrize("x", [100, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1])
     def test_residues_equal_mod(self, x):
         # each dtype np.min_scalar_type picks for an x >= 100, up to its maximum
