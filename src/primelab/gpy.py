@@ -373,6 +373,26 @@ def _residues(ns: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(ns, out, out=out)
 
 
+def _class_counts(ns: np.ndarray, q_max: int, weights: Optional[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (q, per-class sums of weights over ns mod q) once for each q <= q_max.
+
+    Without weights (a count per class), each q in (q_max / 2, q_max] takes
+    a residue pass and a bincount, and its even chain q/2, q/4, ... down to
+    the first odd q is folded from it, as counts.reshape(2, q).sum(0),
+    exactly in integers. Every q <= q_max / 2 lies on one such chain, and
+    only one count array is held at a time. Float weights keep one bincount
+    per q: folding would reorder their additions and change their bits.
+    """
+    residues = np.empty_like(ns)
+    for q in range(q_max, 0 if weights is not None else q_max // 2, -1):
+        per_class = np.bincount(_residues(ns, q, residues), weights=weights, minlength=q)
+        yield q, per_class
+        while weights is None and q % 2 == 0:
+            q //= 2
+            per_class = per_class.reshape(2, q).sum(0)
+            yield q, per_class
+
+
 def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -> float:
     """Sum over q <= x^theta of the worst residue-class error E_q.
 
@@ -381,11 +401,8 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
     weighted=True the count is replaced by the prime-power log sum (the
     same comparison against its total divided by phi(q)).
 
-    q runs down from q_max. Only q > q_max / 2 take a residue pass and a
-    bincount over the primes; the counts mod a smaller q are folded from
-    those mod 2q, as counts[2q].reshape(2, q).sum(0), exactly in integers.
-    The weighted float sums keep one bincount per q: folding would reorder
-    their additions and change their bits.
+    Only q > q_max / 2 take a residue pass and a bincount over the primes
+    (see _class_counts); the counts mod a smaller q are folded from them.
     """
     if x < 100:
         raise ValidationError(f"x must be >= 100, got {x}")
@@ -403,21 +420,10 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
         vals = None
         total = float(ns.size)
     ns = ns.astype(np.min_scalar_type(x))  # the narrowest unsigned type holding x
-    residues = np.empty_like(ns)
     terms = []  # fsum rounds their exact sum once, so their order is free
-    counts = {}  # class counts mod each even q, until q / 2 folds them
-    for q in range(q_max, 0, -1):
+    for q, per_class in _class_counts(ns, q_max, vals):
         coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
         phi_q = int(np.count_nonzero(coprime))
-        share = total / phi_q
-        if vals is not None:
-            per_class = np.bincount(_residues(ns, q, residues), weights=vals, minlength=q)
-        elif 2 * q <= q_max:
-            per_class = counts.pop(2 * q).reshape(2, q).sum(0)
-        else:
-            per_class = np.bincount(_residues(ns, q, residues), minlength=q)
-        if vals is None and q % 2 == 0:
-            counts[q] = per_class
-        errs = np.abs(per_class[coprime] - share)
+        errs = np.abs(per_class[coprime] - total / phi_q)
         terms.append(float(np.max(errs)) if errs.size else 0.0)
     return math.fsum(terms)

@@ -5,10 +5,10 @@ PrimeTable for range queries, GapRecord scans for consecutive-prime
 gaps, and blocks of omega, the distinct-prime-factor count. The sieve
 kernel, _odd_segments, keeps one byte per odd integer of a segment. Each
 segment starts as a tiled copy of one wheel pattern, the odd slots of a
-period of 2 * 3 * 5 * 7 * 11 * 13 * 17 = 510,510 integers with the
-multiples of 3..17 cleared (255 KB): two slices of the pattern fill one
-period, which is then doubled within the segment. The wheel primes are
-set back to prime and 1 is cleared. Each base prime p > 17 then strikes
+period of 2 * 3 * 5 * 7 * 11 * 13 = 30,030 integers with the multiples
+of 3..13 cleared (15 KB): two slices of the pattern fill one period,
+which is then doubled within the segment. The wheel primes are set back
+to prime and 1 is cleared. Each base prime p > 13 then strikes
 its odd multiples from p^2 on, its next one carried from segment to
 segment. Primes up to a thirty-second of the segment (at least sixteen
 strikes per segment) strike by strided slices, their next multiples kept
@@ -56,7 +56,7 @@ def _simple_prime_array(limit: int) -> np.ndarray:
     return primes
 
 
-_WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)  # presieved: they strike no segment
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)  # presieved: they strike no segment
 
 
 def _wheel() -> np.ndarray:
@@ -68,7 +68,7 @@ def _wheel() -> np.ndarray:
     return pattern
 
 
-_WHEEL = _wheel()  # 255,255 slots, one period of 510,510 integers
+_WHEEL = _wheel()  # 15,015 slots, one period of 30,030 integers
 
 
 def _presieved(s_lo: int, size: int) -> np.ndarray:

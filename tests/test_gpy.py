@@ -397,6 +397,19 @@ class TestLevelOfDistribution:
         want = oracles.level_of_distribution_sum_int64(10**5, theta, weighted)
         assert got.hex() == want.hex()
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_memory_bounded_by_one_count_array(self, weighted):
+        # q_max = 3162: holding the counts of every even q above q_max / 2
+        # until q / 2 folds them took about 15 MB; one array at a time
+        # stays under 1 MB beside the 9,592 primes
+        tracemalloc.start()
+        try:
+            level_of_distribution_sum(10**5, 0.7, weighted=weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("x", [100, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1])
     def test_residues_equal_mod(self, x):
         # each dtype np.min_scalar_type picks for an x >= 100, up to its maximum

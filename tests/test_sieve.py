@@ -27,8 +27,8 @@ _SMALL_PRIMES = [p for p in range(2, 71) if oracles.trial_division_is_prime(p)]
 _NEAR_1E12 = st.integers(min_value=10**12, max_value=10**12 + 10**6)
 # 3163 is the first prime above sqrt(10**7); 999983 the last below 10**6
 _SQUARES = [p * p + e for p in (3, 1009, 3163, 999983) for e in (-1, 0, 1)]
-# integers in one period of the wheel pattern: 2 * 3 * 5 * 7 * 11 * 13 * 17
-_WHEEL_SPAN = 510510
+# integers in one period of the wheel pattern: 2 * 3 * 5 * 7 * 11 * 13
+_WHEEL_SPAN = 30030
 
 
 class TestSieveRange:
@@ -91,8 +91,8 @@ class TestSegmentKernel:
     """The segments, concatenated, against a one-slice-per-prime oracle.
 
     Each segment starts from the wheel pattern, which clears the odd
-    multiples of 3..17 with a period of 510,510 integers; only base primes
-    above 17 strike. Segment sizes below 608 send all of those through the
+    multiples of 3..13 with a period of 30,030 integers; only base primes
+    above 13 strike. Segment sizes below 544 send all of those through the
     next-multiple array; larger ones split them between the strided slices
     (p <= segment_size // 32) and that array.
     """
@@ -121,11 +121,11 @@ class TestSegmentKernel:
     # [2, 3): the prime 2 has no odd slot
     @example(2, 1, 1)
     @example(2, 1, 7)
-    # 19, the first base prime that strikes, enters the slice tier at segment 608
-    @example(0, 30000, 607)
-    @example(0, 30000, 608)
-    @example(0, 30000, 609)
-    @example(10**6 + 1, 30000, 608)
+    # 17, the first base prime that strikes, enters the slice tier at segment 544
+    @example(0, 30000, 543)
+    @example(0, 30000, 544)
+    @example(0, 30000, 545)
+    @example(10**6 + 1, 30000, 544)
     # at 2^16 the tiers split at 2048: base primes 2039 and 2053 both strike
     @example(2053 * 2053 - 10000, 30000, 1 << 16)
     # slice primes whose p^2 lies beyond the first segments
@@ -147,14 +147,15 @@ class TestSegmentKernel:
         self._check(square, square + 2000, segment_size)
         self._check(max(square - 2000, 0), square, segment_size)
 
-    @pytest.mark.parametrize("segment_size", [_WHEEL_SPAN - 1, _WHEEL_SPAN, _WHEEL_SPAN + 1])
+    @pytest.mark.parametrize("segment_size", [_WHEEL_SPAN - 1, _WHEEL_SPAN, _WHEEL_SPAN + 1, 5 * _WHEEL_SPAN + 1])
     @pytest.mark.parametrize("lo", [0, 3 * _WHEEL_SPAN - 1])
     def test_segments_near_the_wheel_period(self, lo, segment_size):
-        # the pattern is tiled from one period, then doubled, at every offset
-        self._check(lo, lo + 3 * _WHEEL_SPAN + 7, segment_size)
+        # the pattern is tiled from one period, then doubled, at every
+        # offset; a segment of five periods and one integer doubles thrice
+        self._check(lo, lo + 11 * _WHEEL_SPAN + 7, segment_size)
 
     @pytest.mark.parametrize("segment_size", [1, 2, 7, 17, 33, 4096, 1 << 20])
-    @pytest.mark.parametrize("m", [_WHEEL_SPAN, 5 * _WHEEL_SPAN, 1958831 * _WHEEL_SPAN])
+    @pytest.mark.parametrize("m", [_WHEEL_SPAN, 17 * _WHEEL_SPAN, 33300033 * _WHEEL_SPAN])
     @pytest.mark.parametrize("e", [-1, 0, 1])
     def test_lo_at_wheel_multiples(self, m, e, segment_size):
         # the range starts just before, at and just after a period's start
@@ -163,7 +164,7 @@ class TestSegmentKernel:
     @pytest.mark.parametrize("segment_size", [1, 2, 3, 9, 33, 34, 1 << 20])
     @pytest.mark.parametrize("lo,hi", [(0, 19), (0, 2), (2, 3), (0, 3), (3, 18)])
     def test_wheel_primes_and_one(self, lo, hi, segment_size):
-        # the wheel primes 3..17 are set back to prime, the slot of 1 cleared
+        # the wheel primes 3..13 are set back to prime, the slot of 1 cleared
         self._check(lo, hi, segment_size)
 
     @staticmethod
