@@ -8,9 +8,9 @@ segment starts as a tiled copy of one wheel pattern, the odd slots of a
 period of 2 * 3 * 5 * 7 * 11 * 13 = 30,030 integers with the multiples
 of 3..13 cleared (15 KB): two slices of the pattern fill one period,
 which is then doubled within the segment. The wheel primes are set back
-to prime and 1 is cleared. Each base prime p > 13 then strikes
-its odd multiples from p^2 on, its next one carried from segment to
-segment. Primes up to a thirty-second of the segment (at least sixteen
+to prime and 1 is cleared. Each base prime p > 13 then strikes its odd
+multiples from p^2 on, its next one carried from segment to segment.
+Primes up to a thirty-second of the segment (at least sixteen
 strikes per segment) strike by strided slices, their next multiples kept
 in one array and advanced together. The rest sit in a second
 next-multiple array (the buckets of Oliveira e Silva, Herzog and Pardi,
