@@ -23,13 +23,13 @@ from primelab.gpy import GpyParams
 def main():
     tup = is_admissible([0, 2, 6])
     params = GpyParams(k=3, l=1, b=0.25, x=10**4, tuple=tup)
-    rep = weighted_sums(params, with_error_sum=True)
+    rep = weighted_sums(params)
     print(f"x=10^4, offsets (0,2,6), l=1, b=0.25 (divisors up to {rep.D_limit}):")
     print(f"  S1 = {rep.S1:.4f}")
     print(f"  S2 = {rep.S2:.4f}   (indicator count)")
     print(f"  S2 = {rep.S2_theta:.4f}   (log-weighted variant, side by side)")
     print(f"  objective S2 - S1 = {rep.objective:.4f}")
-    print(f"  error sum E = {rep.E:.4f}")
+    print(f"  error sum E = {error_sum_E(params):.4f}")
     print("  direct and rearranged pipelines agreed to 1e-9 (enforced)")
 
     print("\nresidue sets feeding E (anchor offset 1):")

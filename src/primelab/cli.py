@@ -135,7 +135,7 @@ def _emit(
     """Write one report to stdout and return the command's exit code."""
     report = {
         "command": command,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "elapsed_seconds": time.time() - started,
         "params": _stringify_big(params),
         "result": _stringify_big(result),
@@ -270,13 +270,11 @@ def _gpy_params(args) -> GpyParams:
 
 def _cmd_gpy_sums(args, config: RunConfig):
     params = _gpy_params(args)
-    report = weighted_sums(
-        params,
-        rel_tol=config.tolerance("gpy_agreement"),
-        with_error_sum=args.error_sum,
-        error_index=args.index,
-    )
-    result = _pick(report, "S1", "S2", "objective", "S2_theta", "D_limit", "E")
+    report = weighted_sums(params, rel_tol=config.tolerances["gpy_agreement"])
+    result = {
+        **_pick(report, "S1", "S2", "objective", "S2_theta", "D_limit"),
+        "E": error_sum_E(params, i=args.index) if args.error_sum else None,
+    }
     echo = _pick(args, "x", "l", "b", "error_sum", "index")
     return {**echo, "k": params.k, "offsets": params.tuple.offsets}, result
 
@@ -298,14 +296,12 @@ def _cmd_mk_poly(args, config: RunConfig):
         args.k,
         args.degree,
         basis_cap=config.basis_cap,
-        residual_tol=config.tolerance("eigen_residual"),
+        residual_tol=config.tolerances["eigen_residual"],
     )
     return _pick(args, "k", "degree"), asdict(cert)
 
 
 def _cmd_mk_gbound(args, config: RunConfig):
-    if args.k < 2:
-        raise ValidationError(f"k must be >= 2, got {args.k}")
     if args.A is None and args.T is None:
         A, T, _ = optimize_g_bound(args.k, args.variant)
     elif args.A is None or args.T is None:
@@ -339,7 +335,7 @@ def _cmd_mk_chain(args, config: RunConfig):
         args.m,
         tup,
         basis_cap=config.basis_cap,
-        residual_tol=config.tolerance("eigen_residual"),
+        residual_tol=config.tolerances["eigen_residual"],
     )
     return _pick(args, "k", "degree", "theta", "m"), report.to_dict()
 
@@ -416,17 +412,10 @@ def _switch(flag: str) -> Flag:
 GLOBAL_FLAGS: tuple[Flag, ...] = (
     _opt("--config", str),
     _opt("--seed"),
-    _opt("--format", str, choices=["json", "csv"]),
+    _opt("--format", str, choices=["json", "csv"], dest="output_format"),
     _opt("--segment-size"),
     _opt("--basis-cap"),
 )
-# global flag attribute -> the RunConfig field it overrides
-_OVERRIDES = {
-    "seed": "seed",
-    "format": "output_format",
-    "segment_size": "segment_size",
-    "basis_cap": "basis_cap",
-}
 
 _GPY_FLAGS = (_req("--x"), _req("--offsets", str), _opt("--l", default=1), _req("--b", float))
 
@@ -551,13 +540,9 @@ def dispatch(argv: list[str]) -> int:
         name, tail = f"{name} {tail[0]}", tail[1:]
 
     try:
-        config = load_config(gopts.config)
-        overrides = {
-            field: getattr(gopts, attr)
-            for attr, field in _OVERRIDES.items()
-            if getattr(gopts, attr) is not None
-        }
-        config = replace(config, **overrides)
+        # every global flag but --config names the RunConfig field it overrides
+        overrides = {k: v for k, v in vars(gopts).items() if k != "config" and v is not None}
+        config = replace(load_config(gopts.config), **overrides)
         handler, flags = COMMANDS[name]
         args = _parser(f"primelab {name}", flags).parse_args(tail)
         return _emit(name, config, started, *handler(args, config))

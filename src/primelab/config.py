@@ -27,6 +27,10 @@ _KEYS = {"seed": int, "segment_size": int, "basis_cap": int, "output_format": st
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The one declaration of the run settings: reports echo them as
+    dataclasses.asdict, and each global CLI flag but --config sets the
+    field of its argparse dest."""
+
     seed: int = 0
     segment_size: int = DEFAULT_SEGMENT_SIZE
     basis_cap: int = 64
@@ -47,18 +51,6 @@ class RunConfig:
                 raise ValidationError(f"unknown tolerance name {name!r}")
             if not 0 <= tol < math.inf:  # NaN fails too
                 raise ValidationError(f"tolerance {name} must be finite and >= 0, got {tol}")
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances[name]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "segment_size": self.segment_size,
-            "basis_cap": self.basis_cap,
-            "output_format": self.output_format,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -114,7 +114,6 @@ class GpyReport:
     objective: float
     S2_theta: float
     D_limit: int
-    E: Optional[float] = None
 
 
 def lambda_d(d: int, params: GpyParams) -> float:
@@ -200,13 +199,7 @@ def _valid_residues(m: int, offsets: tuple[int, ...]) -> list[int]:
     return sorted(residues)
 
 
-def weighted_sums(
-    params: GpyParams,
-    *,
-    rel_tol: float = 1e-9,
-    with_error_sum: bool = False,
-    error_index: int = 1,
-) -> GpyReport:
+def weighted_sums(params: GpyParams, *, rel_tol: float = 1e-9) -> GpyReport:
     """Compute S1 and S2 two independent ways and insist they agree.
 
     The direct pipeline scans every n in [x, 2x), evaluating the weight by
@@ -221,7 +214,8 @@ def weighted_sums(
     Each pair with that modulus contributes lambda_d1 * lambda_d2 times
     each total, so memory is bounded by the largest modulus. Both
     pipelines read one table of the nonzero lambda_d. Disagreement beyond
-    rel_tol raises ConsistencyError.
+    rel_tol raises ConsistencyError. The error sum E is not part of the
+    report; error_sum_E computes it on its own.
     """
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
@@ -288,7 +282,6 @@ def weighted_sums(
                 f"direct and rearranged {name} disagree: {a!r} vs {b!r}"
             )
 
-    E = error_sum_E(params, i=error_index) if with_error_sum else None
     return GpyReport(
         params=params,
         S1=S1_direct,
@@ -296,7 +289,6 @@ def weighted_sums(
         objective=S2_direct - S1_direct,
         S2_theta=S2_theta_direct,
         D_limit=D,
-        E=E,
     )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .sieve import GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
+from .errors import CapacityError, ValidationError
+from .sieve import DEFAULT_RANGE_CAP, GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,16 @@ def greedy_cover(n: int, y_len: int) -> CoveringSystem:
     Primes are processed in ascending order; for each, the class covering
     the most currently uncovered elements of [1, y_len] wins, ties to the
     smallest class.
+
+    Raises:
+        CapacityError: y_len > DEFAULT_RANGE_CAP, before allocating.
     """
     if n < 5:
         raise ValidationError(f"n must be >= 5, got {n}")
     if y_len < n:
         raise ValidationError(f"y_len must be >= n, got y_len={y_len} n={n}")
+    if y_len > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"y_len of {y_len} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
     uncovered = np.arange(1, y_len + 1, dtype=np.int64)
     residues: dict[int, int] = {}
     for p in _simple_prime_array(n).tolist():

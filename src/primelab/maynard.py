@@ -23,6 +23,7 @@ and J validates the exact pipeline from outside.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -582,6 +583,8 @@ class GBoundParams:
             raise ValidationError(f"A and T must be finite and > 0, got A={self.A} T={self.T}")
         if self.k < 2:
             raise ValidationError(f"k must be >= 2, got {self.k}")
+        if self.k > sys.float_info.max:
+            raise ValidationError(f"k must be at most {sys.float_info.max!r}, the largest double")
         if self.variant not in _VARIANTS:
             raise ValidationError(f"variant must be one of {_VARIANTS}")
 
@@ -596,7 +599,7 @@ def _g_integrals(A: float, T: float) -> tuple[float, float, float]:
     """Closed forms of int g^2, int t g^2, int g on [0, T], g = 1/(1+At)."""
     u = A * T
     gg = T / (1.0 + u)
-    tg = (math.log1p(u) - u / (1.0 + u)) / (A * A)
+    tg = (math.log1p(u) - u / (1.0 + u)) / (A * A) if A * A else math.nan  # A * A underflowed
     g1 = math.log1p(u) / A
     return gg, tg, g1
 
@@ -605,10 +608,16 @@ def mk_lower_bound_g(params: GBoundParams) -> float:
     """Evaluate the analytic bound; may be <= 0 (then useless but reported).
 
     Raises:
-        ValidationError: mu >= 1, or T >= k (1 - mu), naming the violated
+        ValidationError: a closed-form integral is zero or not finite in
+            doubles, mu >= 1, or T >= k (1 - mu), naming the violated
             precondition.
     """
     gg, tg, g1 = _g_integrals(params.A, params.T)
+    if not all(0 < v < math.inf for v in (gg, tg, g1)):
+        raise ValidationError(
+            f"integrals of g are zero or not finite in doubles at A={params.A} T={params.T}: "
+            f"int g^2 = {gg}, int t g^2 = {tg}, int g = {g1}"
+        )
     mu = tg / gg
     if not mu < 1:
         raise ValidationError(f"precondition mu < 1 violated: mu = {mu}")
@@ -637,8 +646,7 @@ def optimize_g_bound(k: int, variant: str = VARIANT_RATIO_SQUARED) -> tuple[floa
     Raises:
         InfeasibleError: no grid point satisfies the preconditions.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    GBoundParams(A=1.0, T=1.0, k=k, variant=variant)  # checks k and variant
 
     def value(A: float, T: float) -> Optional[float]:
         try:
@@ -830,13 +838,20 @@ def ij_monte_carlo(
 
 # --------- inference chain ---------
 
-def dhl_inference(mk_lower: float, theta: float, m: int) -> bool:
-    """Strict test mk_lower > 2m/theta; theta = 1 is the conditional path."""
+def _dhl_threshold(theta: float, m: int) -> float:
+    """2m/theta, for theta in (0, 1] and m >= 1 where it is a finite double."""
     if not 0 < theta <= 1:
         raise ValidationError(f"theta must lie in (0, 1], got {theta}")
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    return mk_lower > 2.0 * m / theta
+    if m > sys.float_info.max or not math.isfinite(threshold := 2.0 * m / theta):
+        raise ValidationError(f"2m/theta overflows a double at theta={theta}")
+    return threshold
+
+
+def dhl_inference(mk_lower: float, theta: float, m: int) -> bool:
+    """Strict test mk_lower > 2m/theta; theta = 1 is the conditional path."""
+    return mk_lower > _dhl_threshold(theta, m)
 
 
 @dataclass(frozen=True)
@@ -894,9 +909,9 @@ def gap_bound_chain(
         raise ValidationError(
             f"tuple is not admissible (all classes mod {verdict.prime} covered)"
         )
+    threshold = _dhl_threshold(theta, m)  # checked before the solve
     cert = mk_lower_bound_poly(k, degree, basis_cap=basis_cap, residual_tol=residual_tol)
-    threshold = 2.0 * m / theta
-    holds = dhl_inference(cert.lower_bound, theta, m)
+    holds = cert.lower_bound > threshold
     failing = None
     if not holds:
         failing = (

@@ -1,8 +1,9 @@
 """Segmented sieve of Eratosthenes plus a streamed omega kernel.
 
 Everything else in the package consumes the primes produced here:
-PrimeTable for range queries, GapRecord scans for consecutive-prime
-gaps, and blocks of omega, the distinct-prime-factor count. The sieve
+PrimeTable (the primality bits of a range) for range queries, GapRecord
+scans for consecutive-prime gaps, and blocks of omega, the
+distinct-prime-factor count. The sieve
 kernel, _odd_segments, keeps one byte per odd integer of a segment. Each
 segment starts as a tiled copy of one wheel pattern, the odd slots of a
 period of 2 * 3 * 5 * 7 * 11 * 13 = 30,030 integers with the multiples
@@ -20,7 +21,8 @@ is left. The public view is iter_prime_segments, a stream of each
 segment's primes (2 included where in range). prime_census counts the
 bits of each segment instead, reading the first and last prime by argmax,
 and prime_count and the sieve command go through it. sieve_range builds
-the only full-length table.
+the only full-length table, one primality byte per integer; no
+smallest-factor table is built.
 _omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
 integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
 at its multiples by slices and multiplies a per-integer product by p at
@@ -155,41 +157,34 @@ def iter_prime_segments(
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sieved range [lo, hi) with primality bits and optional factor table.
+    """Sieved range [lo, hi) with its primality bits.
 
     Attributes:
         lo: inclusive range start.
         hi: exclusive range end.
         primality: bool array of length hi - lo; primality[n - lo] is True
             iff n has no divisor d with 1 < d <= sqrt(n).
-        smallest_factor: optional int64 array; for composite n the smallest
-            prime factor, for prime n the value n itself, and 1 for n <= 1.
+        smallest_factor: always None. No factor table is built; the field
+            stays only because the sieve_range hook in perfbench/spans.py
+            reads it, and goes with the next change to the benchmark.
     """
 
     lo: int
     hi: int
     primality: np.ndarray
-    smallest_factor: Optional[np.ndarray] = None
+    smallest_factor: None = None
 
     def primes(self) -> np.ndarray:
         """All primes in [lo, hi) as an int64 array."""
         return np.flatnonzero(self.primality) + self.lo
 
 
-def sieve_range(
-    lo: int,
-    hi: int,
-    *,
-    with_factors: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> PrimeTable:
+def sieve_range(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
     """Sieve [lo, hi) into a PrimeTable, segmenting internally.
 
     Args:
         lo: inclusive start, >= 0.
         hi: exclusive end, > lo.
-        with_factors: also build the smallest-prime-factor table (one int64
-            per integer in range; skip for very large ranges).
         segment_size: integers per internal segment.
 
     Raises:
@@ -207,21 +202,8 @@ def sieve_range(
         bits[first - lo : seg_hi - lo : 2] = seg_bits
     if lo <= 2 < hi:
         bits[2 - lo] = True
-
-    spf = None
-    if with_factors:
-        spf = np.zeros(hi - lo, dtype=np.int64)
-        for p in _simple_prime_array(math.isqrt(hi - 1)).tolist():
-            view = spf[max(p, -(-lo // p) * p) - lo :: p]
-            view[view == 0] = p
-        ns = np.arange(lo, hi, dtype=np.int64)
-        unset = spf == 0
-        spf[unset] = ns[unset]  # untouched entries are primes (or 0/1)
-        spf[ns <= 1] = 1
-        spf.flags.writeable = False
-
     bits.flags.writeable = False
-    return PrimeTable(lo=lo, hi=hi, primality=bits, smallest_factor=spf)
+    return PrimeTable(lo=lo, hi=hi, primality=bits)
 
 
 def prime_census(

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import TupleSearchError, ValidationError
-from .sieve import _simple_prime_array
+import numpy as np
+
+from .errors import CapacityError, TupleSearchError, ValidationError
+from .sieve import DEFAULT_RANGE_CAP, _simple_prime_array
 
 
 @dataclass(frozen=True)
@@ -112,24 +114,26 @@ def greedy_narrow_tuple(k: int, window: int) -> AdmissibleTuple:
     Raises:
         TupleSearchError: fewer than k survivors remain; carries the count
             so the caller can widen the window.
+        CapacityError: window > DEFAULT_RANGE_CAP, before allocating.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if window < k:
         raise ValidationError(f"window must be >= k, got window={window} k={k}")
-    survivors = list(range(window + 1))
+    if window > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"window of {window} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
+    survivors = np.arange(window + 1)
     for p in _simple_prime_array(k).tolist():
-        counts = [0] * p
-        for s in survivors:
-            counts[s % p] += 1
-        doomed = min(range(p), key=lambda c: (counts[c], c))
-        survivors = [s for s in survivors if s % p != doomed]
-    if len(survivors) < k:
+        classes = survivors % p
+        # argmin returns the first minimum: ties go to the smallest class
+        doomed = int(np.argmin(np.bincount(classes, minlength=p)))
+        survivors = survivors[classes != doomed]
+    if survivors.size < k:
         raise TupleSearchError(
-            f"only {len(survivors)} survivors in [0, {window}] for k={k}",
-            survivors=len(survivors),
+            f"only {survivors.size} survivors in [0, {window}] for k={k}",
+            survivors=int(survivors.size),
         )
-    first = survivors[:k]
+    first = survivors[:k].tolist()
     return require_admissible([h - first[0] for h in first])
 
 

@@ -18,7 +18,8 @@ power, `_conv_power`), `complement_moments` (their binomial expansion to
 Fractions). Scalar loops that the package now runs as numpy passes:
 `f_weight` (the GPY weight at one n, d | product tested by gcd
 accumulation in `_divides_shifted_product`), `greedy_cover_sets` (the
-greedy covering system over a Python set), `mertens_sums_materialised`
+greedy covering system over a Python set), `greedy_tuple_survivors` (the
+greedy tuple search over Python lists), `mertens_sums_materialised`
 (math.fsum over every prime <= n at once) and
 `level_of_distribution_sum_int64` (the residue-class errors with int64
 residues). `erdos_kac_fields` standardizes omega into a fresh array at
@@ -633,6 +634,22 @@ def greedy_cover_sets(n: int, y_len: int) -> tuple[dict[int, int], tuple[int, ..
         residues[p] = best
         uncovered -= {m for m in uncovered if m % p == best}
     return residues, tuple(sorted(uncovered))
+
+
+def greedy_tuple_survivors(k: int, window: int) -> list[int]:
+    """Survivors in [0, window] of the greedy tuple search, over Python lists.
+
+    Each prime p <= k in ascending order strikes the class mod p that
+    keeps the most survivors, ties to the smaller class.
+    """
+    survivors = list(range(window + 1))
+    for p in np.flatnonzero(simple_sieve_bits(k + 1)).tolist():
+        counts = [0] * p
+        for s in survivors:
+            counts[s % p] += 1
+        doomed = min(range(p), key=lambda c: (counts[c], c))
+        survivors = [s for s in survivors if s % p != doomed]
+    return survivors
 
 
 def mertens_sums_materialised(n: int) -> tuple[float, float]:

@@ -265,13 +265,22 @@ class TestInputValidation:
             # numpy's generators refuse negative seeds with a ValueError
             (("--seed", "-1", "stats", "pigeonhole", "--X", "1000", "--H", "10",
               "--samples", "5"), "seed must be >= 0, got -1"),
+            # ZeroDivisionError: A * A underflows, or A * T overflows, in the
+            # closed-form integrals
+            (("mk", "gbound", "--k", "10", "--A", "1e-300", "--T", "5"), "int t g^2 = nan"),
+            (("mk", "gbound", "--k", "10", "--A", "1e308", "--T", "1e308"), "int g^2 = 0.0"),
+            # OverflowError: k or m does not convert to a double
+            (("mk", "gbound", "--k", str(10**309)), "the largest double"),
+            (("mk", "gbound", "--k", str(10**309), "--A", "2", "--T", "3"), "the largest double"),
+            (("mk", "chain", "--k", "5", "--degree", "3", "--theta", "0.5", "--m", str(10**309),
+              "--prime-offset"), "2m/theta overflows a double"),
         ],
     )
     def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, message):
         code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -300,6 +309,12 @@ class TestInputValidation:
              "error: tables up to 3000000000 "),
             (("gpy", "levels", "--x", "3000000000", "--theta", "0.1"),
              "error: x = 3000000000 "),
+            (("tuple", "search", "--k", "2", "--window", str(10**23)),
+             f"error: window of {10**23} "),
+            (("tuple", "search", "--k", "2", "--window", "3000000000"),
+             "error: window of 3000000000 "),
+            (("largegap", "cover", "--n", "5", "--y-len", str(10**20)),
+             f"error: y_len of {10**20} "),
         ],
     )
     def test_tables_past_cap_exits_2(self, capsys, argv, head):

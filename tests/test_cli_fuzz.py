@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from primelab.cli import COMMANDS, GLOBAL_FLAGS, dispatch
 
 PATH_FLAGS = {"--config", "--file", "--out", "--tuple-file"}
-FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.25", "0.5", "1"]
+# 1e-300 squares to zero and 1e308 overflows once doubled or multiplied
+FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.25", "0.5", "1", "1e308"]
 # config files with values the config parser must refuse
 HOSTILE_CONFIGS = {
     "seed.conf": "seed=abc\n",
@@ -30,7 +31,13 @@ HOSTILE_CONFIGS = {
 FUZZED_GLOBALS = [(flag, spec) for flag, spec in GLOBAL_FLAGS if flag != "--basis-cap"]
 # the size flag of each command that refuses a size past the 2^30 cap
 # before allocating; elsewhere a size that large runs for minutes by design
-PAST_CAP = {"stats erdos-kac": "--x", "stats hardy-ramanujan": "--n", "gpy levels": "--x"}
+PAST_CAP = {
+    "stats erdos-kac": "--x",
+    "stats hardy-ramanujan": "--n",
+    "gpy levels": "--x",
+    "tuple search": "--window",
+    "largegap cover": "--y-len",
+}
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +96,7 @@ def test_sizes_past_the_cap_exit_2(data):
     size = data.draw(st.integers(min_value=2**30 + 1, max_value=2**64), label=size_flag)
     argv = name.split() + [size_flag, str(size)]
     for flag, spec in COMMANDS[name][1]:
-        if flag != size_flag and "action" not in spec:
+        if flag != size_flag and "action" not in spec and flag not in PATH_FLAGS:
             argv += [flag, data.draw(_values(flag, spec, []), label=flag)]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):

@@ -208,12 +208,6 @@ class TestWeightedSums:
         assert rep.S1 > 0
         assert rep.S2_theta > rep.S2  # log n > 1 weighting dominates counting
 
-    def test_report_carries_error_sum(self):
-        rep = weighted_sums(params_026(b=0.2), with_error_sum=True)
-        assert rep.E == pytest.approx(
-            error_sum_E(params_026(b=0.2)), rel=0, abs=0
-        )
-
     @pytest.mark.parametrize("offsets", [(-2, 0), (-6, -4, 0), (-8, -6, -2)])
     def test_negative_offsets_match_brute_force(self, offsets):
         # n + h with h < 0 once read bits from before the sieved window

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from primelab.errors import ValidationError
+from primelab.errors import CapacityError, ValidationError
 from primelab.largegap import (
     CoveringSystem,
     composite_run_from_cover,
@@ -17,7 +17,7 @@ from primelab.largegap import (
     verify_composite_run,
     widest_covered_length,
 )
-from primelab.sieve import _crt_combine, primorial
+from primelab.sieve import DEFAULT_RANGE_CAP, _crt_combine, primorial
 
 
 class TestPrimorialRun:
@@ -82,6 +82,11 @@ class TestGreedyCover:
             greedy_cover(4, 10)
         with pytest.raises(ValidationError):
             greedy_cover(7, 6)
+
+    def test_y_len_past_cap(self):
+        # raised before the uncovered array is allocated
+        with pytest.raises(CapacityError, match=f"exceeds the cap of {DEFAULT_RANGE_CAP}"):
+            greedy_cover(5, DEFAULT_RANGE_CAP + 1)
 
 
 class TestCrtShift:

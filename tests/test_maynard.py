@@ -577,6 +577,10 @@ class TestInference:
             dhl_inference(3.0, 1.5, 1)
         with pytest.raises(ValidationError):
             dhl_inference(3.0, 0.5, 0)
+        with pytest.raises(ValidationError, match="overflows a double"):
+            dhl_inference(3.0, 0.5, 10**309)
+        with pytest.raises(ValidationError, match="overflows a double"):
+            dhl_inference(3.0, 1e-308, 1)
 
     def test_chain_k5_conditional(self):
         tup = greedy_narrow_tuple(5, 16)
@@ -591,6 +595,15 @@ class TestInference:
         assert report.dhl_holds is False
         assert report.claimed_gap_bound is None
         assert "does not strictly exceed" in report.failing_inequality
+
+    def test_chain_checks_threshold_before_solve(self, monkeypatch):
+        # an m past the doubles once raised OverflowError after the solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the M_k solve ran")
+
+        monkeypatch.setattr("primelab.maynard.mk_lower_bound_poly", no_solve)
+        with pytest.raises(ValidationError, match="overflows a double"):
+            gap_bound_chain(5, 3, 0.5, 10**309, greedy_narrow_tuple(5, 16))
 
     def test_chain_rejects_inadmissible_tuple(self):
         fake = AdmissibleTuple(offsets=(0, 2, 4), certificate={})

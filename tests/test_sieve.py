@@ -67,24 +67,6 @@ class TestSieveRange:
         with pytest.raises(ValidationError):
             sieve_range(-1, 10)
 
-    def test_smallest_factor_invariants(self):
-        table = sieve_range(0, 10**4, with_factors=True)
-        spf = table.smallest_factor
-        for n in range(2, 10**4):
-            w = int(spf[n])
-            assert n % w == 0
-            assert oracles.trial_division_is_prime(w)
-            if table.primality[n]:
-                assert w == n
-            else:
-                assert w < n
-
-    def test_smallest_factor_offset_range(self):
-        lo, hi = 10**6 - 50, 10**6 + 50
-        table = sieve_range(lo, hi, with_factors=True)
-        for n in range(lo, hi):
-            w = int(table.smallest_factor[n - lo])
-            assert n % w == 0 and oracles.trial_division_is_prime(w)
 
 
 class TestSegmentKernel:
@@ -262,17 +244,10 @@ class TestArithTables:
             assert t.totient[n] == oracles.totient_slow(n), n
 
     def test_squarefree_consistency_with_spf(self):
-        # mu(n) != 0 iff the smallest-factor factorization is squarefree
+        # mu(n) != 0 iff the trial-division factorization is squarefree
         t = oracles.arith_tables(5000)
-        table = sieve_range(0, 5001, with_factors=True)
         for n in range(2, 5001):
-            m, squarefree = n, True
-            while m > 1:
-                p = int(table.smallest_factor[m])
-                m //= p
-                if m % p == 0:
-                    squarefree = False
-                    break
+            squarefree = all(e == 1 for e in oracles.factorize(n).values())
             assert (t.mobius[n] != 0) == squarefree, n
 
     def test_mangoldt_range_matches_factorization(self):

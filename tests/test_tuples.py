@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from primelab.errors import TupleSearchError, ValidationError
+from primelab.errors import CapacityError, TupleSearchError, ValidationError
+from primelab.sieve import DEFAULT_RANGE_CAP
 from primelab.tuples import (
     AdmissibleTuple,
     Refutation,
@@ -133,6 +134,25 @@ class TestGreedyNarrowTuple:
     def test_validation(self):
         with pytest.raises(ValidationError):
             greedy_narrow_tuple(5, 4)
+
+    def test_window_past_cap(self):
+        # raised before the survivors are allocated
+        with pytest.raises(CapacityError, match=f"exceeds the cap of {DEFAULT_RANGE_CAP}"):
+            greedy_narrow_tuple(2, DEFAULT_RANGE_CAP + 1)
+
+    @pytest.mark.parametrize("k", range(1, 121))
+    def test_matches_list_oracle(self, k):
+        # same offsets, or the same survivor count in the TupleSearchError
+        for window in (k, 2 * k, 5 * k, 10 * k):
+            survivors = oracles.greedy_tuple_survivors(k, window)
+            if len(survivors) < k:
+                with pytest.raises(TupleSearchError) as exc_info:
+                    greedy_narrow_tuple(k, window)
+                assert exc_info.value.survivors == len(survivors), window
+            else:
+                first = survivors[:k]
+                expected = tuple(h - first[0] for h in first)
+                assert greedy_narrow_tuple(k, window).offsets == expected, window
 
 
 class TestFileInterface:
