@@ -133,8 +133,7 @@ def greedy_narrow_tuple(k: int, window: int) -> AdmissibleTuple:
             f"only {survivors.size} survivors in [0, {window}] for k={k}",
             survivors=int(survivors.size),
         )
-    first = survivors[:k].tolist()
-    return require_admissible([h - first[0] for h in first])
+    return require_admissible((survivors[:k] - survivors[0]).tolist())
 
 
 def write_offsets(path: str, tup: AdmissibleTuple) -> None:
