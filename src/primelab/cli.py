@@ -220,7 +220,7 @@ def _cmd_tuple_prime_offset(args, config: RunConfig):
 
 
 def _cmd_stats_pnt(args, config: RunConfig):
-    value = stats_mod.pnt_ratio(args.x)
+    value = stats_mod.pnt_ratio(args.x, segment_size=config.segment_size)
     row = StatReport(x=args.x, statistic="pnt_ratio", value=value, reference=1.0)
     result = {"value": value, "reference": 1.0, "deviation": row.deviation}
     return _pick(args, "x"), result, [row]

@@ -83,6 +83,14 @@ class GpyParams:
         return _power_floor(self.x, self.b)
 
 
+def _check_scale(x: int) -> None:
+    """Refuse a scale past DEFAULT_RANGE_CAP before any float power or
+    table: x**b overflows a double at 10**309, and the sums sieve or list
+    the primes up to x or 2x."""
+    if x > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"x = {x} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
+
+
 def _power_floor(x: int, b: float, *, strict: bool = False) -> int:
     """The largest D with D <= x^b (D < x^b when strict). When b is the
     double nearest p/q with q <= 12 (1/4, 1/3, 1/5, 2/7, ...) it is exact:
@@ -215,8 +223,10 @@ def weighted_sums(params: GpyParams, *, rel_tol: float = 1e-9) -> GpyReport:
     each total, so memory is bounded by the largest modulus. Both
     pipelines read one table of the nonzero lambda_d. Disagreement beyond
     rel_tol raises ConsistencyError. The error sum E is not part of the
-    report; error_sum_E computes it on its own.
+    report; error_sum_E computes it on its own. An x past
+    DEFAULT_RANGE_CAP raises CapacityError first.
     """
+    _check_scale(params.x)
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
     lam = _lambda_table(params)
@@ -342,8 +352,10 @@ def error_sum_E(params: GpyParams, i: int = 1) -> float:
 
     The index i selects which tuple offset anchors the residue sets; it is
     a free choice and defaults to 1. The bound d < x^(2b) is exact where
-    _power_floor is.
+    _power_floor is. An x past DEFAULT_RANGE_CAP raises CapacityError
+    before the von Mangoldt support over [x, 2x) is listed.
     """
+    _check_scale(params.x)
     x = params.x
     d_max = _power_floor(x, 2 * params.b, strict=True)
     support = mangoldt_range(x, 2 * x)
@@ -398,8 +410,7 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
     """
     if x < 100:
         raise ValidationError(f"x must be >= 100, got {x}")
-    if x > DEFAULT_RANGE_CAP:
-        raise CapacityError(f"x = {x} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
+    _check_scale(x)
     if not 0 < theta < 1:
         raise ValidationError(f"theta must lie in (0, 1), got {theta}")
     q_max = int(x**theta + 1e-9)

@@ -148,10 +148,14 @@ def composite_run_from_cover(system: CoveringSystem) -> CompositeRun:
 
 
 def widest_covered_length(n: int) -> CoveringSystem:
-    """Largest y_len <= 8n the greedy fully covers: doubling then bisection.
+    """A y_len <= 8n that the greedy fully covers, found by doubling from
+    n and then bisecting between the last covered and the first uncovered
+    width.
 
-    Greedy coverage is not guaranteed monotone in y_len, so the result is
-    the widest length at which this particular greedy succeeded.
+    Greedy coverage is not monotone in y_len, so the bisection can stop
+    short of the widest length the greedy covers: for n = 29 it returns 35,
+    while the greedy covers 39. The result is a covered length, not the
+    widest one.
     """
     cap = 8 * n
     best = greedy_cover(n, n)

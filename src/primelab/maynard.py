@@ -102,16 +102,22 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if degree < 0:
+        raise ValidationError(f"degree must be >= 0, got {degree}")
+    # the basis size, checked before the basis is listed: (a, b) with
+    # a + 2b <= degree number (h + 1)(degree - h + 1), h = degree // 2, and
+    # degree + 1 with b = 0
+    half = degree // 2
+    n = degree + 1 if k == 1 else (half + 1) * (degree - half + 1)
+    if n > basis_cap:
+        raise CapacityError(
+            f"basis size {n} exceeds cap {basis_cap}; lower the degree or raise the cap"
+        )
     basis = enumerate_basis(degree)
     if k == 1:
         # one variable collapses P2 to P1^2; mixed elements duplicate pure
         # powers and would make the Gram matrix singular
         basis = [idx for idx in basis if idx.b == 0]
-    n = len(basis)
-    if n > basis_cap:
-        raise CapacityError(
-            f"basis size {n} exceeds cap {basis_cap}; lower the degree or raise the cap"
-        )
 
     fact = [math.factorial(i) for i in range(k + 2 * degree + 2)]
     u_k = _weight_power(k, degree)

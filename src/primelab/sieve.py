@@ -20,7 +20,14 @@ entries below the segment's end are struck and advanced by 2p until none
 is left. The public view is iter_prime_segments, a stream of each
 segment's primes (2 included where in range). prime_census counts the
 bits of each segment instead, reading the first and last prime by argmax,
-and prime_count and the sieve command go through it. sieve_range builds
+and prime_count, the sieve command and stats pnt go through it. A range
+wider than 16 * e * hi^(3/4) integers, e being 1 for lo <= 2 and 2 above
+(the lattice evaluations), with sqrt(hi) <= 2^22, is not sieved: its count
+is pi(hi - 1) - pi(lo - 1) from Legendre's identity evaluated on the
+values floor(x / i) (_lattice_pi, Lucy's dynamic program, O(x^(3/4))
+work in O(sqrt(x)) memory), and its first and last prime come from short
+kernel windows at its ends. The kernel's refusals come first either way.
+sieve_range builds
 the only full-length table, one primality byte per integer; no
 smallest-factor table is built.
 _omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
@@ -90,6 +97,19 @@ def _presieved(s_lo: int, size: int) -> np.ndarray:
     return bits
 
 
+def _check_segments(lo: int, hi: int, segment_size: int) -> None:
+    """The kernel's refusals, in order: the range, the segment size, the cap."""
+    if not 0 <= lo < hi:
+        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    if segment_size < 1:
+        raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
+    if min(segment_size, hi - lo) > DEFAULT_RANGE_CAP:
+        raise CapacityError(
+            f"segment of {min(segment_size, hi - lo)} integers exceeds the cap of "
+            f"{DEFAULT_RANGE_CAP}; use a smaller segment_size"
+        )
+
+
 def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield (seg_lo, seg_hi, first, bits) covering [lo, hi) in order.
 
@@ -101,15 +121,7 @@ def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, in
         CapacityError: a segment would exceed DEFAULT_RANGE_CAP integers,
             before anything is allocated.
     """
-    if not 0 <= lo < hi:
-        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
-    if segment_size < 1:
-        raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
-    if min(segment_size, hi - lo) > DEFAULT_RANGE_CAP:
-        raise CapacityError(
-            f"segment of {min(segment_size, hi - lo)} integers exceeds the cap of "
-            f"{DEFAULT_RANGE_CAP}; use a smaller segment_size"
-        )
+    _check_segments(lo, hi, segment_size)
     odd = _simple_prime_array(math.isqrt(hi - 1))
     odd = odd[odd > _WHEEL_PRIMES[-1]]  # the wheel primes strike no segment
     # global slot of the next odd multiple of each odd base prime at or
@@ -206,14 +218,104 @@ def sieve_range(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -
     return PrimeTable(lo=lo, hi=hi, primality=bits)
 
 
+_LATTICE_ROOT_CAP = 1 << 22  # isqrt(n) bound of _lattice_pi: four int64 arrays, 128 MiB at most
+_LATTICE_RATIO = 16  # the lattice counts [lo, hi) when hi - lo > 16 * evaluations * hi^(3/4)
+_END_WINDOW = 1 << 10  # integers in the first kernel window at each end of a lattice count
+
+
+def _lattice_pi(n: int) -> int:
+    """pi(n) by Legendre's sieve on the lattice of values floor(n / i).
+
+    Lucy's dynamic program: S(v) starts as the count of 2..v, and each
+    prime p <= sqrt(n) in turn removes from every v >= p^2 the integers
+    whose least prime factor is p, S(v) -= S(v // p) - S(p - 1). Only
+    v = floor(n / i) is ever read, so S lives in two int64 arrays of
+    isqrt(n) + 1 entries: small[v] for v <= sqrt(n), large[i] for n // i.
+    Each prime is one vectorised update of each array; the right-hand
+    sides gather the values from before the update. About n^(3/4) / log n
+    element operations, exact in int64 for n < 2^63.
+    """
+    if n < 2:
+        return 0
+    r = math.isqrt(n)
+    i = np.arange(r + 1, dtype=np.int64)
+    small = i - 1
+    large = np.empty(r + 1, dtype=np.int64)
+    np.floor_divide(n, i[1:], out=large[1:])
+    large -= 1
+    quot = np.empty(r + 1, dtype=np.int64)  # scratch for the gather indices
+    for p in _simple_prime_array(r).tolist():
+        below = int(small[p - 1])  # pi(p - 1)
+        top = min(r, n // (p * p))  # large[i] with n // i >= p^2
+        mid = min(top, r // p)  # n // i // p = n // (i * p) is large[i * p] up to here
+        large[1 : mid + 1] -= large[p : mid * p + 1 : p]
+        large[1 : mid + 1] += below
+        if top > mid:  # past it, n // (i * p) <= sqrt(n) is in small
+            q = quot[: top - mid]
+            np.multiply(i[mid + 1 : top + 1], p, out=q)
+            np.floor_divide(n, q, out=q)
+            large[mid + 1 : top + 1] -= small[q]
+            large[mid + 1 : top + 1] += below
+        if p * p <= r:
+            q = quot[: r + 1 - p * p]
+            np.floor_divide(i[p * p :], p, out=q)
+            small[p * p :] -= small[q]
+            small[p * p :] += below
+    return int(large[1])
+
+
+def _uses_lattice(lo: int, hi: int) -> bool:
+    """Whether prime_census counts [lo, hi) on the lattice: sqrt(hi) is at
+    most _LATTICE_ROOT_CAP and hi - lo > _LATTICE_RATIO * e * hi^(3/4),
+    with e the lattice evaluations (pi(lo - 1) needs none for lo <= 2).
+    The comparison is in integers, raised to the fourth power."""
+    evaluations = 1 if lo <= 2 else 2
+    return math.isqrt(hi - 1) <= _LATTICE_ROOT_CAP and (hi - lo) ** 4 > (
+        _LATTICE_RATIO * evaluations
+    ) ** 4 * hi**3
+
+
+def _end_prime(lo: int, hi: int, segment_size: int, *, last: bool) -> Optional[int]:
+    """The first (or last) prime of [lo, hi), from a kernel window at that
+    end of _END_WINDOW integers, doubled until it holds a prime."""
+    width = _END_WINDOW
+    while True:
+        w_lo, w_hi = (max(lo, hi - width), hi) if last else (lo, min(hi, lo + width))
+        _, first_p, last_p = _kernel_census(w_lo, w_hi, segment_size)
+        found = last_p if last else first_p
+        if found is not None or w_hi - w_lo == hi - lo:
+            return found
+        width *= 2
+
+
 def prime_census(
     lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> tuple[int, Optional[int], Optional[int]]:
-    """(count, first, last) of the primes in [lo, hi), from the kernel's bits.
+    """(count, first, last) of the primes in [lo, hi); first and last are
+    None when there is no prime.
+
+    The kernel's refusals come first, in its order. A range wider than
+    _LATTICE_RATIO * e * hi^(3/4) integers, e the lattice evaluations, with
+    sqrt(hi) <= _LATTICE_ROOT_CAP, is counted as pi(hi - 1) - pi(lo - 1) by
+    _lattice_pi, and its first and last prime are read from kernel windows
+    at its two ends. Any other range is sieved and counted by the kernel.
+    """
+    _check_segments(lo, hi, segment_size)
+    if not _uses_lattice(lo, hi):
+        return _kernel_census(lo, hi, segment_size)
+    count = _lattice_pi(hi - 1) - _lattice_pi(lo - 1)
+    if not count:
+        return 0, None, None
+    first = _end_prime(lo, hi, segment_size, last=False)
+    return count, first, _end_prime(lo, hi, segment_size, last=True)
+
+
+def _kernel_census(lo: int, hi: int, segment_size: int) -> tuple[int, Optional[int], Optional[int]]:
+    """prime_census from the kernel's bits.
 
     Each segment is counted with count_nonzero; the first and last prime
     are read with argmax on the first and last segment that holds one, so
-    no prime is listed. first and last are None when there is no prime.
+    no prime is listed.
     """
     count, first, last, tail = 0, None, None, None
     for seg_lo, seg_hi, start, bits in _odd_segments(lo, hi, segment_size):
@@ -232,7 +334,9 @@ def prime_census(
 
 
 def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
-    """Exact count of primes <= x, summed segment by segment."""
+    """Exact count of primes <= x: prime_census over [0, x + 1), so on the
+    lattice once x + 1 > _LATTICE_RATIO * (x + 1)^(3/4) (x >= 65,536) and
+    sqrt(x) <= _LATTICE_ROOT_CAP, else segment by segment."""
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}")
     return prime_census(0, x + 1, segment_size)[0]

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sieve import _omega_blocks, gap_scan, iter_prime_segments, prime_count, sieve_range
+from .sieve import (
+    DEFAULT_SEGMENT_SIZE,
+    _omega_blocks,
+    gap_scan,
+    iter_prime_segments,
+    prime_count,
+    sieve_range,
+)
 
 # Limit constants for the Mertens-type sums (reference targets only).
 MERTENS_RECIPROCAL_CONSTANT = 0.2614972128476428  # lim sum 1/p - log log n
@@ -51,11 +58,13 @@ def reports_to_csv(reports: list[StatReport]) -> str:
     return buf.getvalue()
 
 
-def pnt_ratio(x: int) -> float:
-    """pi(x) * log(x) / x; approaches 1 slowly from above."""
+def pnt_ratio(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
+    """pi(x) * log(x) / x; approaches 1 slowly from above. pi(x) is
+    prime_count's, which sieves in segments of segment_size integers where
+    it does not count on the lattice."""
     if x < 10:
         raise ValidationError(f"x must be >= 10, got {x}")
-    return prime_count(x) * math.log(x) / x
+    return prime_count(x, segment_size=segment_size) * math.log(x) / x
 
 
 @dataclass(frozen=True)

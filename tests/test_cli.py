@@ -220,7 +220,8 @@ class TestSieveStream:
 
     def test_no_range_cap(self, capsys, monkeypatch):
         # the stream holds one segment at a time, so a range past
-        # DEFAULT_RANGE_CAP reaches the kernel whole
+        # DEFAULT_RANGE_CAP reaches the kernel whole; past 2^44 the range
+        # is not counted on the lattice, whose root cap is 2^22
         calls = []
 
         def empty(*args):
@@ -228,10 +229,29 @@ class TestSieveStream:
             return iter(())
 
         monkeypatch.setattr(sieve, "_odd_segments", empty)
-        hi = sieve.DEFAULT_RANGE_CAP + 1
-        report = run_json(capsys, "sieve", "--hi", str(hi))
-        assert calls == [(0, hi, sieve.DEFAULT_SEGMENT_SIZE)]
+        lo = 2**50
+        hi = lo + sieve.DEFAULT_RANGE_CAP + 1
+        report = run_json(capsys, "sieve", "--lo", str(lo), "--hi", str(hi))
+        assert calls == [(lo, hi, sieve.DEFAULT_SEGMENT_SIZE)]
         assert report["result"] == {"prime_count": 0, "first_prime": None, "last_prime": None}
+
+    def test_range_past_cap_on_the_lattice(self, capsys):
+        # [0, 2^30 + 1) is counted on the lattice, its ends read by the kernel
+        report = run_json(capsys, "sieve", "--hi", str(sieve.DEFAULT_RANGE_CAP + 1))
+        # pi(2^30), OEIS A007053
+        assert report["result"] == {
+            "prime_count": 54400028, "first_prime": 2, "last_prime": 1073741789,
+        }
+
+
+class TestStatsPnt:
+    @pytest.mark.parametrize("x", [30000, 10**6])  # below and above the lattice switch
+    def test_result_independent_of_segment_size(self, capsys, x):
+        results = [
+            json.dumps(run_json(capsys, "--segment-size", str(size), "stats", "pnt", "--x", str(x))["result"])
+            for size in (1, 7, sieve.DEFAULT_SEGMENT_SIZE)
+        ]
+        assert results[0] == results[1] == results[2]
 
 
 class TestInputValidation:
@@ -274,6 +294,9 @@ class TestInputValidation:
             (("mk", "gbound", "--k", str(10**309), "--A", "2", "--T", "3"), "the largest double"),
             (("mk", "chain", "--k", "5", "--degree", "3", "--theta", "0.5", "--m", str(10**309),
               "--prime-offset"), "2m/theta overflows a double"),
+            # stats pnt once ignored the segment size its report echoes
+            (("--segment-size", "0", "stats", "pnt", "--x", "1000"), "segment_size must be >= 1"),
+            (("--segment-size", "-5", "stats", "pnt", "--x", "1000000"), "segment_size must be >= 1"),
         ],
     )
     def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, message):
@@ -315,6 +338,14 @@ class TestInputValidation:
              "error: window of 3000000000 "),
             (("largegap", "cover", "--n", "5", "--y-len", str(10**20)),
              f"error: y_len of {10**20} "),
+            # x**b once escaped as an OverflowError traceback
+            (("gpy", "sums", "--x", str(10**309), "--offsets", "0,2,6", "--b", "0.25"),
+             f"error: x = {10**309} "),
+            (("gpy", "error", "--x", str(10**309), "--offsets", "0,2,6", "--b", "0.25"),
+             f"error: x = {10**309} "),
+            # mangoldt_range once listed 98M primes (749 MiB)
+            (("gpy", "error", "--x", "2147483648", "--offsets", "0,2,6", "--b", "0.25"),
+             "error: x = 2147483648 "),
         ],
     )
     def test_tables_past_cap_exits_2(self, capsys, argv, head):
@@ -419,6 +450,25 @@ class TestAddressSpaceLimit:
         report = json.loads(run.stdout)
         assert report["command"] == " ".join(argv[:2])
         assert report["params"][argv[2][2:]] == 50_000_000
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (("mk", "poly", "--k", "3", "--degree", str(2**31)), (2**30 + 1) ** 2),
+            (("mk", "poly", "--k", "1", "--degree", str(2**31)), 2**31 + 1),
+            (("mk", "poly", "--k", "3", "--degree", str(10**19)), (5 * 10**18 + 1) ** 2),
+            (("mk", "chain", "--k", "105", "--degree", str(2**31), "--theta", "0.5"),
+             (2**30 + 1) ** 2),
+        ],
+    )
+    def test_basis_past_cap_exits_2_under_1_gb(self, argv, size):
+        # listing the basis before checking its size ended in a MemoryError
+        # traceback (exit 1)
+        run = _run_under_1_gb(*argv)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            f"error: basis size {size} exceeds cap 64; lower the degree or raise the cap\n"
+        )
 
 
 class TestSegmentCap:

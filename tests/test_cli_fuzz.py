@@ -32,6 +32,8 @@ FUZZED_GLOBALS = [(flag, spec) for flag, spec in GLOBAL_FLAGS if flag != "--basi
 # the size flag of each command that refuses a size past the 2^30 cap
 # before allocating; elsewhere a size that large runs for minutes by design
 PAST_CAP = {
+    "gpy error": "--x",
+    "gpy sums": "--x",
     "stats erdos-kac": "--x",
     "stats hardy-ramanujan": "--n",
     "gpy levels": "--x",

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from primelab.errors import ConsistencyError, ValidationError
+from primelab import gpy
+from primelab.errors import CapacityError, ConsistencyError, ValidationError
 from primelab.gpy import (
     GpyParams,
     ZHANG_LEVEL_EXPONENT,
@@ -23,7 +24,7 @@ from primelab.gpy import (
     residue_set_C,
     weighted_sums,
 )
-from primelab.sieve import _simple_prime_array, mangoldt_range
+from primelab.sieve import DEFAULT_RANGE_CAP, _simple_prime_array, mangoldt_range
 from primelab.tuples import is_admissible
 
 TUPLE_026 = is_admissible([0, 2, 6])
@@ -76,6 +77,20 @@ class TestParams:
             GpyParams(k=3, l=0, b=0.25, x=10**4, tuple=TUPLE_026)
         with pytest.raises(ValidationError):
             GpyParams(k=2, l=1, b=0.25, x=10**4, tuple=TUPLE_026)
+
+    @pytest.mark.parametrize("x", [DEFAULT_RANGE_CAP + 1, 10**309])
+    def test_x_past_cap(self, monkeypatch, x):
+        # x**b in D_limit overflowed a double at 10**309, and error_sum_E
+        # listed the von Mangoldt support of [x, 2x) first
+        def unreachable(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(gpy, "mangoldt_range", unreachable)
+        monkeypatch.setattr(gpy, "sieve_range", unreachable)
+        params = GpyParams(k=3, l=1, b=0.25, x=x, tuple=TUPLE_026)
+        for run in (weighted_sums, error_sum_E):
+            with pytest.raises(CapacityError, match=f"^x = {x} exceeds the cap of {DEFAULT_RANGE_CAP} integers$"):
+                run(params)
 
 
 class TestLambdaD:

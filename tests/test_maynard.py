@@ -133,6 +133,23 @@ class TestBuildQuadraticForms:
         with pytest.raises(CapacityError):
             build_quadratic_forms(5, 12, basis_cap=10)
 
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("degree", range(13))
+    def test_basis_size_checked_before_listing(self, monkeypatch, k, degree):
+        # the size is counted, not listed: a degree of 2^31 once listed the
+        # basis and ended in a MemoryError
+        n = len([idx for idx in enumerate_basis(degree) if k > 1 or idx.b == 0])
+        assert len(build_quadratic_forms(k, degree, basis_cap=n).basis) == n
+
+        def unreachable(degree):
+            raise AssertionError("basis listed")
+
+        monkeypatch.setattr(maynard, "enumerate_basis", unreachable)
+        with pytest.raises(CapacityError, match=f"^basis size {n} exceeds cap {n - 1};"):
+            build_quadratic_forms(k, degree, basis_cap=n - 1)
+        with pytest.raises(CapacityError, match=f"^basis size {(2**30 + 1) ** 2} exceeds"):
+            build_quadratic_forms(k + 1, 2**31)
+
 
 def rounded_oracle(matrix):
     """(prec, rows of L^T, pivots) from the exact factor, rounded as the

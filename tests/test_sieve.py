@@ -9,12 +9,17 @@ import oracles
 from primelab import sieve
 from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
+    _LATTICE_RATIO,
     DEFAULT_RANGE_CAP,
     _omega_blocks,
     _simple_prime_array,
     gap_scan,
     iter_prime_segments,
     mangoldt_range,
+    _kernel_census,
+    _lattice_pi,
+    _uses_lattice,
+    prime_census,
     prime_count,
     primes_between,
     primorial,
@@ -175,6 +180,9 @@ class TestSegmentKernel:
         monkeypatch.setattr(sieve, "_simple_prime_array", unreachable)
         with pytest.raises(CapacityError, match=f"integers exceeds the cap of {DEFAULT_RANGE_CAP}"):
             next(sieve._odd_segments(lo, hi, segment_size))
+        # the first two ranges are wide enough for the lattice count
+        with pytest.raises(CapacityError, match=f"integers exceeds the cap of {DEFAULT_RANGE_CAP}"):
+            prime_census(lo, hi, segment_size)
 
     def test_simple_prime_array(self):
         for n in range(5001):
@@ -213,6 +221,92 @@ class TestPrimeCount:
         lo = x // 2
         table = sieve_range(lo, x)
         assert table.primes().size == prime_count(x - 1) - prime_count(lo - 1)
+
+
+# pi(10^k), OEIS A006880
+_PI_POWERS_OF_TEN = [
+    0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511,
+    4118054813, 37607912018,
+]
+
+
+def _on_lattice(lo, hi):
+    """The switch rule, hi - lo > _LATTICE_RATIO * e * hi^(3/4), in integers."""
+    e = 1 if lo <= 2 else 2
+    return (hi - lo) ** 4 > (_LATTICE_RATIO * e) ** 4 * hi**3
+
+
+def _switch_hi(lo):
+    """The least hi with [lo, hi) on the lattice (the rule is monotone in hi)."""
+    below, above = lo + 1, 1 << 40
+    while below + 1 < above:
+        mid = (below + above) // 2
+        below, above = (below, mid) if _on_lattice(lo, mid) else (mid, above)
+    return above
+
+
+class TestLatticeCount:
+    def test_matches_simple_count(self):
+        for x in range(10**4 + 1):
+            assert _lattice_pi(x) == oracles.simple_prime_count(x), x
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_powers_of_ten(self, k):
+        assert _lattice_pi(10**k) == _PI_POWERS_OF_TEN[k]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [11, 12])
+    def test_large_powers_of_ten(self, k):
+        assert prime_count(10**k) == _PI_POWERS_OF_TEN[k]
+
+    @given(
+        st.integers(min_value=4, max_value=3 * 10**7),
+        st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(min_value=0)),
+        st.sampled_from([1, 2, 1 << 20]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(2 * 10**8, 0, 1 << 20)
+    @example(65537, 0, 1)  # the narrowest [0, hi) on the lattice
+    @example(65536, 0, 1)
+    def test_census_matches_kernel(self, hi, lo, window):
+        # lo is drawn as 0..3 or as a fraction of hi; end windows as narrow
+        # as one integer double many times before they reach a prime
+        lo = lo if lo <= 3 else lo % hi
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_END_WINDOW", window)
+            assert prime_census(lo, hi) == _kernel_census(lo, hi, 1 << 20), (lo, hi)
+
+    @given(
+        st.integers(min_value=2 * 10**6, max_value=3 * 10**7),
+        st.sampled_from([0, 1, 2, 3, None]),
+        st.integers(min_value=-2, max_value=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_census_either_side_of_the_switch(self, hi, lo, side):
+        # [lo, hi) at the switch, moved by side: on the lattice for side >= 0.
+        # lo in 0..3 fixes lo and moves hi; otherwise hi is fixed and lo
+        # sits one past the floor of _LATTICE_RATIO * 2 * hi^(3/4) below it
+        if lo is None:
+            lo = hi - math.isqrt(math.isqrt((_LATTICE_RATIO * 2) ** 4 * hi**3)) - 1 - side
+        else:
+            hi = _switch_hi(lo) + side
+        assert _on_lattice(lo, hi) == (side >= 0)
+        assert _uses_lattice(lo, hi) == (side >= 0)
+        assert prime_census(lo, hi, 7919) == _kernel_census(lo, hi, 1 << 20), (lo, hi)
+
+    def test_refusals_come_first(self, monkeypatch):
+        def unreachable(n):
+            raise AssertionError("lattice evaluated")
+
+        monkeypatch.setattr(sieve, "_lattice_pi", unreachable)
+        with pytest.raises(ValidationError, match="need 0 <= lo < hi"):
+            prime_census(10**9, 10**8)
+        with pytest.raises(ValidationError, match="segment_size must be >= 1"):
+            prime_census(0, 10**9, 0)
+        # sqrt(10^30) is past the lattice's root cap, so the kernel's
+        # base-prime table refuses it
+        with pytest.raises(CapacityError, match="prime table up to 999999999999999 "):
+            prime_census(0, 10**30)
 
 
 class TestArithTables:
