@@ -27,9 +27,8 @@ is pi(hi - 1) - pi(lo - 1) from Legendre's identity evaluated on the
 values floor(x / i) (_lattice_pi, Lucy's dynamic program, O(x^(3/4))
 work in O(sqrt(x)) memory), and its first and last prime come from short
 kernel windows at its ends. The kernel's refusals come first either way.
-sieve_range builds
-the only full-length table, one primality byte per integer; no
-smallest-factor table is built.
+sieve_range builds the only full-length table, one primality byte per
+integer; no smallest-factor table is built.
 _omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
 integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
 at its multiples by slices and multiplies a per-integer product by p at
@@ -230,10 +229,11 @@ def _lattice_pi(n: int) -> int:
     prime p <= sqrt(n) in turn removes from every v >= p^2 the integers
     whose least prime factor is p, S(v) -= S(v // p) - S(p - 1). Only
     v = floor(n / i) is ever read, so S lives in two int64 arrays of
-    isqrt(n) + 1 entries: small[v] for v <= sqrt(n), large[i] for n // i.
-    Each prime is one vectorised update of each array; the right-hand
-    sides gather the values from before the update. About n^(3/4) / log n
-    element operations, exact in int64 for n < 2^63.
+    isqrt(n) + 1 entries: small[v] for v <= sqrt(n), large[i] for n // i
+    (plus an index array and a scratch array of that length). Each prime
+    is one vectorised update of each array; the right-hand sides gather
+    the values from before the update. About n^(3/4) / log n element
+    operations, exact in int64 for n < 2^63.
     """
     if n < 2:
         return 0
@@ -304,8 +304,6 @@ def prime_census(
     if not _uses_lattice(lo, hi):
         return _kernel_census(lo, hi, segment_size)
     count = _lattice_pi(hi - 1) - _lattice_pi(lo - 1)
-    if not count:
-        return 0, None, None
     first = _end_prime(lo, hi, segment_size, last=False)
     return count, first, _end_prime(lo, hi, segment_size, last=True)
 

@@ -9,16 +9,16 @@ import oracles
 from primelab import sieve
 from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
-    _LATTICE_RATIO,
     DEFAULT_RANGE_CAP,
+    _LATTICE_RATIO,
+    _kernel_census,
+    _lattice_pi,
     _omega_blocks,
     _simple_prime_array,
+    _uses_lattice,
     gap_scan,
     iter_prime_segments,
     mangoldt_range,
-    _kernel_census,
-    _lattice_pi,
-    _uses_lattice,
     prime_census,
     prime_count,
     primes_between,
