@@ -57,7 +57,8 @@ from .gpy import (
 )
 from .maynard import (
     GBoundParams,
-    enumerate_basis,
+    basis_size,
+    check_basis_cap,
     gap_bound_chain,
     ij_monte_carlo,
     mk_lower_bound_g,
@@ -344,7 +345,9 @@ def _cmd_mk_montecarlo(args, config: RunConfig):
     if args.coeffs:
         coeffs = _parse_numbers("coeffs", args.coeffs, float)
     else:
-        coeffs = [1.0] + [0.0] * (len(enumerate_basis(args.degree)) - 1)
+        n = basis_size(args.degree)
+        check_basis_cap(n, config.basis_cap)
+        coeffs = [1.0] + [0.0] * (n - 1)
     est = ij_monte_carlo(args.k, coeffs, args.degree, args.samples, config.seed)
     result = {
         "I": est.i_value,

@@ -39,14 +39,18 @@ class CoveringSystem:
 class CompositeRun:
     """Shift y and witnesses: for each offset j, a prime divisor of y + j.
 
-    Offsets are consecutive; length counts them. Witness validity means
+    Offsets are consecutive, one per witness; length counts them, so a run
+    cannot claim an offset it has no witness for. Witness validity means
     witness | y + j with 1 < witness < y + j.
     """
 
     y: int
     first_offset: int
-    length: int
     witnesses: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.witnesses)
 
     def offsets(self) -> range:
         return range(self.first_offset, self.first_offset + self.length)
@@ -77,7 +81,7 @@ def primorial_run(n: int) -> CompositeRun:
     witnesses = []
     for j in range(2, n + 1):
         witnesses.append(next(p for p in primes if j % p == 0))
-    return CompositeRun(y=y, first_offset=2, length=n - 1, witnesses=tuple(witnesses))
+    return CompositeRun(y=y, first_offset=2, witnesses=tuple(witnesses))
 
 
 def greedy_cover(n: int, y_len: int) -> CoveringSystem:
@@ -144,7 +148,7 @@ def composite_run_from_cover(system: CoveringSystem) -> CompositeRun:
     y = crt_shift(system)
     ordered = sorted(system.residues.items())
     witnesses = [next(p for p, c in ordered if m % p == c) for m in range(1, system.y_len + 1)]
-    return CompositeRun(y=y, first_offset=1, length=system.y_len, witnesses=tuple(witnesses))
+    return CompositeRun(y=y, first_offset=1, witnesses=tuple(witnesses))
 
 
 def widest_covered_length(n: int) -> CoveringSystem:

@@ -51,15 +51,27 @@ class BasisIndex(NamedTuple):
     b: int
 
 
-def enumerate_basis(degree: int) -> list[BasisIndex]:
-    """All (a, b) with a + 2b <= degree, sorted lexicographically."""
+def basis_size(degree: int) -> int:
+    """len(enumerate_basis(degree)), counted without listing the basis: the
+    pairs with a + 2b <= degree number (h + 1)(degree - h + 1), h = degree // 2."""
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
-    return sorted(
-        BasisIndex(a, b)
-        for a in range(degree + 1)
-        for b in range((degree - a) // 2 + 1)
-    )
+    return (degree // 2 + 1) * (degree - degree // 2 + 1)
+
+
+def check_basis_cap(size: int, basis_cap: int) -> None:
+    """Refuse a basis of `size` elements past basis_cap, before it is listed."""
+    if size > basis_cap:
+        raise CapacityError(
+            f"basis size {size} exceeds cap {basis_cap}; lower the degree or raise the cap"
+        )
+
+
+def enumerate_basis(degree: int) -> list[BasisIndex]:
+    """All (a, b) with a + 2b <= degree, in lexicographic order."""
+    if degree < 0:
+        raise ValidationError(f"degree must be >= 0, got {degree}")
+    return [BasisIndex(a, b) for a in range(degree + 1) for b in range((degree - a) // 2 + 1)]
 
 
 @dataclass(frozen=True)
@@ -99,27 +111,21 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
 
         A2[q][r] = k * sum_{m1, m2} c_q(m1) c_r(m2) C(e1+e2, e1)
                    (f1+f2)! U_(k-1)(f1+f2) / (k + 1 + w_q + w_r)!.
+
+    The basis is counted and checked against basis_cap before it is listed.
+    The entries read only i! for i <= 2 degree and (k + j)! for j <= 2 degree + 1.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
-    # the basis size, checked before the basis is listed: (a, b) with
-    # a + 2b <= degree number (h + 1)(degree - h + 1), h = degree // 2, and
-    # degree + 1 with b = 0
-    half = degree // 2
-    n = degree + 1 if k == 1 else (half + 1) * (degree - half + 1)
-    if n > basis_cap:
-        raise CapacityError(
-            f"basis size {n} exceeds cap {basis_cap}; lower the degree or raise the cap"
-        )
-    basis = enumerate_basis(degree)
-    if k == 1:
-        # one variable collapses P2 to P1^2; mixed elements duplicate pure
-        # powers and would make the Gram matrix singular
-        basis = [idx for idx in basis if idx.b == 0]
+    n = basis_size(degree)
+    if k == 1:  # P2 = P1^2 in one variable: mixed elements would make A1 singular
+        n = degree + 1
+    check_basis_cap(n, basis_cap)
+    basis = enumerate_basis(degree) if k > 1 else [BasisIndex(a, 0) for a in range(degree + 1)]
 
-    fact = [math.factorial(i) for i in range(k + 2 * degree + 2)]
+    fact = [math.factorial(i) for i in range(2 * degree + 1)]
+    k_fact = math.factorial(k)
+    high = [k_fact * math.prod(range(k + 1, k + j + 1)) for j in range(2 * degree + 2)]
     u_k = _weight_power(k, degree)
     u_k1 = _weight_power(k - 1, degree)
     # per basis element: terms (c, sigma exponent e, P2 exponent f) of G
@@ -134,15 +140,13 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
             ar, br = basis[ri]
             w = aq + 2 * bq + ar + 2 * br
             B = bq + br
-            A1[qi][ri] = A1[ri][qi] = Fraction(
-                fact[aq + ar] * fact[B] * u_k[B], fact[k + w]
-            )
+            A1[qi][ri] = A1[ri][qi] = Fraction(fact[aq + ar] * fact[B] * u_k[B], high[w])
             total = 0
             for c1, e1, f1 in gterms[qi]:
                 for c2, e2, f2 in gterms[ri]:
                     f = f1 + f2
                     total += c1 * c2 * math.comb(e1 + e2, e1) * fact[f] * u_k1[f]
-            A2[qi][ri] = A2[ri][qi] = Fraction(k * total, fact[k + 1 + w])
+            A2[qi][ri] = A2[ri][qi] = Fraction(k * total, high[w + 1])
     return QuadraticFormPair(k=k, degree=degree, basis=tuple(basis), A1=A1, A2=A2)
 
 
@@ -674,15 +678,14 @@ def optimize_g_bound(k: int, variant: str = VARIANT_RATIO_SQUARED) -> tuple[floa
             f"no feasible (A, T) for k={k} on the {_G_GRID}x{_G_GRID} seed grid"
         )
     for _ in range(_G_REFINE_ROUNDS):
-        v0, A0, T0 = best
-        for factor in (0.9, 0.97, 1.03, 1.1):
-            v = value(A0 * factor, T0)
-            if v is not None and v > best[0]:
-                best = (v, A0 * factor, T0)
-        for factor in (0.9, 0.97, 1.03, 1.1):
-            v = value(best[1], T0 * factor)
-            if v is not None and v > best[0]:
-                best = (v, best[1], T0 * factor)
+        v0 = best[0]
+        for axis in (1, 2):  # A, then T, each scaled from its value at its sweep's start
+            start = best[axis]
+            for factor in (0.9, 0.97, 1.03, 1.1):
+                point = (start * factor, best[2]) if axis == 1 else (best[1], start * factor)
+                v = value(*point)
+                if v is not None and v > best[0]:
+                    best = (v, *point)
         if best[0] == v0:
             break
     return best[1], best[2], best[0]
@@ -702,16 +705,12 @@ class IJEstimate:
 def _eval_combo(
     coeffs: Sequence[float], basis: Sequence[BasisIndex], p1: np.ndarray, p2: np.ndarray
 ) -> np.ndarray:
+    """sum c (1-P1)^a P2^b, multiplied left to right; a zero power is the scalar 1.0."""
+    sigma = 1.0 - p1
     acc = np.zeros_like(p1)
     for c, (a, b) in zip(coeffs, basis):
-        if c == 0.0:
-            continue
-        term = np.full_like(p1, float(c))
-        if a:
-            term = term * (1.0 - p1) ** a
-        if b:
-            term = term * p2**b
-        acc += term
+        if c != 0.0:
+            acc += float(c) * (sigma**a if a else 1.0) * (p2**b if b else 1.0)
     return acc
 
 
@@ -785,9 +784,9 @@ def ij_monte_carlo(
     if not 1 <= k <= 170:
         # the simplex volumes 1/k! and 1/(k-1)! are taken in doubles
         raise ValidationError(f"k must lie in [1, 170], got {k}")
+    if len(coeffs) != (n := basis_size(degree)):
+        raise ValidationError(f"need {n} coefficients, got {len(coeffs)}")
     basis = enumerate_basis(degree)
-    if len(coeffs) != len(basis):
-        raise ValidationError(f"need {len(basis)} coefficients, got {len(coeffs)}")
     if not all(math.isfinite(c) for c in coeffs):
         raise ValidationError(f"coefficients must be finite, got {list(coeffs)}")
     rng = np.random.default_rng(seed)

@@ -406,10 +406,9 @@ def mangoldt_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Von Mangoldt support on [lo, hi): arrays (n, p, m) sorted by n.
 
     n = p**m runs over the prime powers in range; log values are left to
-    the caller so sums can control their own rounding.
+    the caller so sums can control their own rounding. primes_between
+    refuses a range without 0 <= lo < hi.
     """
-    if not 0 <= lo < hi:
-        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
     primes = primes_between(lo, hi)
     powers = []
     for p in _simple_prime_array(math.isqrt(hi - 1)).tolist():

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .sieve import (
+    DEFAULT_RANGE_CAP,
     DEFAULT_SEGMENT_SIZE,
     _omega_blocks,
     gap_scan,
@@ -67,6 +68,12 @@ def pnt_ratio(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
     return prime_count(x, segment_size=segment_size) * math.log(x) / x
 
 
+# pigeonhole_experiment draws its samples in chunks of this many. The chunk
+# is not part of the seeded output: consecutive draws read the generator
+# exactly as one draw of their total size does.
+_DRAW_CHUNK = 1 << 20
+
+
 @dataclass(frozen=True)
 class PigeonholeReport:
     """Window-sum of prime probabilities plus the true minimum gap.
@@ -95,6 +102,9 @@ def pigeonhole_experiment(
     every n in [X, 2X) is counted once, making prob_sum an exact rational
     count divided by X, and the pigeonhole implication testable with zero
     tolerance.
+
+    Raises:
+        CapacityError: more than DEFAULT_RANGE_CAP samples, before any draw.
     """
     if X < 100:
         raise ValidationError(f"X must be >= 100, got {X}")
@@ -102,6 +112,8 @@ def pigeonhole_experiment(
         raise ValidationError(f"H must be >= 0, got {H}")
     if not exact and samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    if not exact and samples > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"samples = {samples} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
     table = sieve_range(X, 2 * X + H + 1)
     bits = table.primality
     if exact:
@@ -111,12 +123,11 @@ def pigeonhole_experiment(
         n_used = X
     else:
         rng = np.random.default_rng(seed)
-        draws = rng.integers(X, 2 * X, size=samples)
-        freqs = [
-            float(np.count_nonzero(bits[draws - X + h])) / samples
-            for h in range(1, H + 1)
-        ]
-        prob_sum = math.fsum(freqs)
+        hits = [0] * H  # draws with n + h prime, h = 1..H
+        for done in range(0, samples, _DRAW_CHUNK):
+            offsets = rng.integers(X, 2 * X, size=min(_DRAW_CHUNK, samples - done)) - X
+            hits = [c + int(np.count_nonzero(bits[offsets + h])) for h, c in enumerate(hits, 1)]
+        prob_sum = math.fsum(c / samples for c in hits)
         n_used = samples
     scan = gap_scan(X, 2 * X + H + 1)
     return PigeonholeReport(

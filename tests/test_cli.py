@@ -459,6 +459,12 @@ class TestAddressSpaceLimit:
             (("mk", "poly", "--k", "3", "--degree", str(10**19)), (5 * 10**18 + 1) ** 2),
             (("mk", "chain", "--k", "105", "--degree", str(2**31), "--theta", "0.5"),
              (2**30 + 1) ** 2),
+            (("mk", "montecarlo", "--k", "3", "--degree", str(2**31), "--samples", "1000"),
+             (2**30 + 1) ** 2),
+            (("mk", "montecarlo", "--k", "3", "--degree", str(2**53 + 1), "--samples", "1000"),
+             (2**52 + 1) * (2**52 + 2)),
+            (("mk", "montecarlo", "--k", "3", "--degree", str(2**63), "--samples", "1000"),
+             (2**62 + 1) ** 2),
         ],
     )
     def test_basis_past_cap_exits_2_under_1_gb(self, argv, size):
@@ -469,6 +475,26 @@ class TestAddressSpaceLimit:
         assert run.stderr == (
             f"error: basis size {size} exceeds cap 64; lower the degree or raise the cap\n"
         )
+
+
+    @pytest.mark.parametrize("samples", [2**31, 2**53 + 1, 2**63, 10**19, 10**309])
+    def test_pigeonhole_samples_past_cap_exit_2_under_1_gb(self, samples):
+        # the whole draw once asked numpy for 16 GiB or more (a MemoryError)
+        # or past its largest dimension (a ValueError), exit 1 either way
+        run = _run_under_1_gb("stats", "pigeonhole", "--X", "1000", "--H", "10",
+                              "--samples", str(samples))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            f"error: samples = {samples} exceeds the cap of {sieve.DEFAULT_RANGE_CAP} integers\n"
+        )
+
+    def test_montecarlo_default_coefficients_respect_the_basis_cap(self, capsys):
+        argv = ("mk", "montecarlo", "--k", "3", "--degree", "15", "--samples", "1000")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: basis size 72 exceeds cap 64; lower the degree or raise the cap\n"
+        report = run_json(capsys, "--basis-cap", "72", *argv)
+        assert len(report["params"]["coeffs"]) == 72
 
 
 class TestSegmentCap:

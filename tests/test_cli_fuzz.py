@@ -39,6 +39,7 @@ PAST_CAP = {
     "gpy levels": "--x",
     "tuple search": "--window",
     "largegap cover": "--y-len",
+    "stats pigeonhole": "--samples",
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from primelab.errors import CapacityError, ValidationError
 from primelab.largegap import (
+    CompositeRun,
     CoveringSystem,
     composite_run_from_cover,
     crt_shift,
@@ -43,6 +44,33 @@ class TestPrimorialRun:
     def test_validation(self):
         with pytest.raises(ValidationError):
             primorial_run(2)
+
+
+class TestVerifyCompositeRun:
+    def test_length_is_the_witness_count(self):
+        # a declared length of 9 once let the run claim 30 + 7 = 37, a
+        # prime, while zip checked only the two witnessed offsets
+        run = CompositeRun(y=30, first_offset=2, witnesses=(2, 3))
+        assert run.length == 2 and list(run.offsets()) == [2, 3]
+        assert verify_composite_run(run)
+        with pytest.raises(TypeError):
+            CompositeRun(y=30, first_offset=2, length=9, witnesses=(2, 3))
+
+    @pytest.mark.parametrize(
+        "witnesses",
+        [
+            (),  # claims nothing
+            (2, 3, 2, 5, 2, 37),  # 30 + 7 = 37 is prime: its only prime divisor is itself
+            (4, 3),  # 4 divides 32 but is not prime
+            (2, 5),  # 5 does not divide 33
+        ],
+    )
+    def test_rejects_unwitnessed_offsets(self, witnesses):
+        assert not verify_composite_run(CompositeRun(y=30, first_offset=2, witnesses=witnesses))
+
+    def test_rejects_improper_witness(self):
+        # 2 divides 0 + 2 but is not a proper divisor
+        assert not verify_composite_run(CompositeRun(y=0, first_offset=2, witnesses=(2,)))
 
 
 class TestGreedyCover:

@@ -25,6 +25,7 @@ from primelab.maynard import (
     BasisIndex,
     GBoundParams,
     QuadraticFormPair,
+    basis_size,
     build_quadratic_forms,
     dhl_inference,
     enumerate_basis,
@@ -86,6 +87,12 @@ class TestBasis:
     def test_sizes(self, degree, size):
         assert len(enumerate_basis(degree)) == size
 
+    @pytest.mark.parametrize("degree", range(41))
+    def test_counted_size_and_order(self, degree):
+        basis = enumerate_basis(degree)
+        assert basis_size(degree) == len(basis)
+        assert basis == sorted(basis)
+
 
 class TestBuildQuadraticForms:
     def test_k1_constant(self):
@@ -121,7 +128,7 @@ class TestBuildQuadraticForms:
     @pytest.mark.parametrize(
         "k,degree,cap",
         [(k, d, 64) for k in (*range(1, 9), 20, 50, 105, 400) for d in range(9)]
-        + [(105, 16, 81), (50, 14, 64)],
+        + [(105, 16, 81), (50, 14, 64), (8000, 3, 64)],
     )
     def test_equals_fraction_oracle(self, k, degree, cap):
         pair = build_quadratic_forms(k, degree, basis_cap=cap)
@@ -570,6 +577,32 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_combo_multiplies_each_term_left_to_right(self):
+        # every seeded report depends on the product order, c (1-P1)^a P2^b
+        rng = np.random.default_rng(3)
+        p1, p2 = rng.random(4096), rng.random(4096) / 3
+        basis = enumerate_basis(6)
+        coeffs = [0.0 if i % 5 == 0 else rng.normal() for i in range(len(basis))]
+        want = np.zeros_like(p1)
+        for c, (a, b) in zip(coeffs, basis):
+            if c != 0.0:
+                term = np.full_like(p1, c)
+                if a:
+                    term = term * (1.0 - p1) ** a
+                if b:
+                    term = term * p2**b
+                want += term
+        assert np.array_equal(maynard._eval_combo(coeffs, basis, p1, p2), want)
+
+    @pytest.mark.parametrize("degree", [2, 2**31, 2**63])
+    def test_coefficients_counted_before_listing(self, monkeypatch, degree):
+        def unreachable(degree):
+            raise AssertionError("basis listed")
+
+        monkeypatch.setattr(maynard, "enumerate_basis", unreachable)
+        with pytest.raises(ValidationError, match=f"^need {basis_size(degree)} coefficients, got 1$"):
+            ij_monte_carlo(3, [1.0], degree, 1000, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from primelab.errors import ValidationError
-from primelab import sieve
+from primelab.errors import CapacityError, ValidationError
+from primelab import sieve, stats
 from primelab.stats import (
     StatReport,
     _ExactSum,
@@ -74,6 +74,25 @@ class TestPigeonhole:
         rep = pigeonhole_experiment(X, H, 0, exact=True)
         if rep.prob_sum > 1.0:
             assert rep.min_gap_found <= H
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 4096])
+    def test_chunked_draws_keep_the_report(self, monkeypatch, chunk):
+        whole = pigeonhole_experiment(10**4, 15, 4096, seed=5)
+        monkeypatch.setattr(stats, "_DRAW_CHUNK", chunk)
+        assert pigeonhole_experiment(10**4, 15, 4096, seed=5) == whole
+
+    @pytest.mark.parametrize("a,b", [(3, 5), (1, 1), (1_000_001, 999_999)])
+    def test_split_draws_read_one_stream(self, a, b):
+        # the sampled mode draws in chunks on the strength of this
+        one, two = np.random.default_rng(a), np.random.default_rng(a)
+        whole = one.integers(1000, 2000, size=a + b)
+        parts = two.integers(1000, 2000, size=a), two.integers(1000, 2000, size=b)
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_samples_past_cap_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(stats, "sieve_range", None)  # no table either
+        with pytest.raises(CapacityError, match="^samples = 1073741825 exceeds the cap"):
+            pigeonhole_experiment(1000, 5, sieve.DEFAULT_RANGE_CAP + 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
