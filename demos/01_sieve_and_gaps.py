@@ -8,13 +8,12 @@ its primality bits.
 
 import time
 
-from primelab import gap_scan, prime_count, primorial, sieve_range
+from primelab import gap_scan, prime_count, primes_between, primorial
 from primelab.sieve import mangoldt_range
 
 
 def main():
-    table = sieve_range(0, 100)
-    print("primes below 100:", table.primes().tolist())
+    print("primes below 100:", primes_between(0, 100).tolist())
 
     t0 = time.perf_counter()
     count = prime_count(10**8)

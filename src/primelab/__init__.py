@@ -13,12 +13,10 @@ from .errors import (
 from .sieve import (
     GapRecord,
     GapScan,
-    PrimeTable,
     gap_scan,
     prime_count,
     primes_between,
     primorial,
-    sieve_range,
 )
 from .tuples import (
     AdmissibleTuple,

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, ValidationError
-from .sieve import DEFAULT_RANGE_CAP, _crt_combine, _simple_prime_array, mangoldt_range, primes_between, sieve_range
+from .sieve import DEFAULT_RANGE_CAP, _crt_combine, _range_bits, _simple_prime_array, mangoldt_range, primes_between
 from .tuples import AdmissibleTuple
 
 # Level exponent sufficient for the remainder sum to stay negligible in
@@ -114,9 +114,10 @@ class GpyReport:
 
     S2_theta is the log-weighted variant of S2 (each prime counted with
     weight log(n + h_i)); reported side by side, never asserted equal.
+    The GpyParams stay with the caller; D_limit is the divisor bound
+    derived from them.
     """
 
-    params: GpyParams
     S1: float
     S2: float
     objective: float
@@ -234,7 +235,7 @@ def weighted_sums(params: GpyParams, *, rel_tol: float = 1e-9) -> GpyReport:
     lo = x + min(offsets[0], 0)
     if lo < 0:
         raise ValidationError(f"need x + h_1 >= 0, got x={x} h_1={offsets[0]}")
-    bits = sieve_range(lo, 2 * x + offsets[-1] + 1).primality
+    bits = _range_bits(lo, 2 * x + offsets[-1] + 1)
 
     # direct scan
     f_terms, s2_terms, s2_theta_terms = [], [], []
@@ -293,7 +294,6 @@ def weighted_sums(params: GpyParams, *, rel_tol: float = 1e-9) -> GpyReport:
             )
 
     return GpyReport(
-        params=params,
         S1=S1_direct,
         S2=S2_direct,
         objective=S2_direct - S1_direct,

@@ -1,9 +1,8 @@
 """Segmented sieve of Eratosthenes plus a streamed omega kernel.
 
 Everything else in the package consumes the primes produced here:
-PrimeTable (the primality bits of a range) for range queries, GapRecord
-scans for consecutive-prime gaps, and blocks of omega, the
-distinct-prime-factor count. The sieve
+prime streams and counts, GapRecord scans for consecutive-prime gaps,
+and blocks of omega, the distinct-prime-factor count. The sieve
 kernel, _odd_segments, keeps one byte per odd integer of a segment. Each
 segment starts as a tiled copy of one wheel pattern, the odd slots of a
 period of 2 * 3 * 5 * 7 * 11 * 13 = 30,030 integers with the multiples
@@ -27,8 +26,8 @@ is pi(hi - 1) - pi(lo - 1) from Legendre's identity evaluated on the
 values floor(x / i) (_lattice_pi, Lucy's dynamic program, O(x^(3/4))
 work in O(sqrt(x)) memory), and its first and last prime come from short
 kernel windows at its ends. The kernel's refusals come first either way.
-sieve_range builds the only full-length table, one primality byte per
-integer; no smallest-factor table is built.
+_range_bits builds the only full-length table, one read-only primality
+byte per integer, for the GPY direct scan and the pigeonhole experiment.
 _omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
 integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
 at its multiples by slices and multiplies a per-integer product by p at
@@ -166,55 +165,26 @@ def iter_prime_segments(
         yield seg_lo, primes
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Sieved range [lo, hi) with its primality bits.
-
-    Attributes:
-        lo: inclusive range start.
-        hi: exclusive range end.
-        primality: bool array of length hi - lo; primality[n - lo] is True
-            iff n has no divisor d with 1 < d <= sqrt(n).
-        smallest_factor: always None. No factor table is built; the field
-            stays only because the sieve_range hook in perfbench/spans.py
-            reads it, and goes with the next change to the benchmark.
-    """
-
-    lo: int
-    hi: int
-    primality: np.ndarray
-    smallest_factor: None = None
-
-    def primes(self) -> np.ndarray:
-        """All primes in [lo, hi) as an int64 array."""
-        return np.flatnonzero(self.primality) + self.lo
-
-
-def sieve_range(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
-    """Sieve [lo, hi) into a PrimeTable, segmenting internally.
-
-    Args:
-        lo: inclusive start, >= 0.
-        hi: exclusive end, > lo.
-        segment_size: integers per internal segment.
+def _range_bits(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+    """Read-only primality bits of [lo, hi): bits[n - lo] is True iff n is prime.
 
     Raises:
-        CapacityError: hi - lo exceeds DEFAULT_RANGE_CAP.
+        CapacityError: hi - lo exceeds DEFAULT_RANGE_CAP, after the kernel's
+            refusals and before the table is allocated.
     """
-    if not 0 <= lo < hi:
-        raise ValidationError(f"need 0 <= lo < hi, got [{lo}, {hi})")
+    _check_segments(lo, hi, segment_size)
     if hi - lo > DEFAULT_RANGE_CAP:
         raise CapacityError(
             f"range of {hi - lo} integers exceeds the cap of {DEFAULT_RANGE_CAP}; "
             "scan it in pieces"
         )
     bits = np.zeros(hi - lo, dtype=bool)
-    for seg_lo, seg_hi, first, seg_bits in _odd_segments(lo, hi, segment_size):
+    for _, seg_hi, first, seg_bits in _odd_segments(lo, hi, segment_size):
         bits[first - lo : seg_hi - lo : 2] = seg_bits
     if lo <= 2 < hi:
         bits[2 - lo] = True
     bits.flags.writeable = False
-    return PrimeTable(lo=lo, hi=hi, primality=bits)
+    return bits
 
 
 _LATTICE_ROOT_CAP = 1 << 22  # isqrt(n) bound of _lattice_pi: four int64 arrays, 128 MiB at most
@@ -441,8 +411,6 @@ class GapRecord:
 
 @dataclass(frozen=True)
 class GapScan:
-    lo: int
-    hi: int
     min_gap: GapRecord
     max_gap: GapRecord
     records: Optional[tuple[GapRecord, ...]] = None
@@ -463,7 +431,6 @@ def gap_scan(
     Raises:
         EmptyRangeError: fewer than two primes in [lo, hi).
     """
-    lo = max(lo, 0)
     best_min: Optional[GapRecord] = None
     best_max: Optional[GapRecord] = None
     all_records: list[GapRecord] = []
@@ -485,10 +452,4 @@ def gap_scan(
         prev = ps[-1:]
     if best_min is None:
         raise EmptyRangeError(f"fewer than two primes in [{lo}, {hi})")
-    return GapScan(
-        lo=lo,
-        hi=hi,
-        min_gap=best_min,
-        max_gap=best_max,
-        records=tuple(all_records) if keep_all else None,
-    )
+    return GapScan(best_min, best_max, tuple(all_records) if keep_all else None)

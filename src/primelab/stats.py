@@ -24,10 +24,10 @@ from .sieve import (
     DEFAULT_RANGE_CAP,
     DEFAULT_SEGMENT_SIZE,
     _omega_blocks,
+    _range_bits,
     gap_scan,
     iter_prime_segments,
     prime_count,
-    sieve_range,
 )
 
 # Limit constants for the Mertens-type sums (reference targets only).
@@ -76,16 +76,16 @@ _DRAW_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class PigeonholeReport:
-    """Window-sum of prime probabilities plus the true minimum gap.
+    """Window-sum of prime probabilities plus the true minimum gap; X and
+    H stay with the caller.
 
     prob_sum estimates sum over 1 <= h <= H of P(n + h prime) for n drawn
     from [X, 2X). min_gap_found is the exact minimum consecutive-prime gap
     with both primes in [X, 2X + H); the window is widened by H so that
     prob_sum > 1 in exact mode forces min_gap_found <= H with no slack.
+    samples is the number of n counted: X in exact mode.
     """
 
-    X: int
-    H: int
     samples: int
     prob_sum: float
     min_gap_found: int
@@ -114,8 +114,7 @@ def pigeonhole_experiment(
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if not exact and samples > DEFAULT_RANGE_CAP:
         raise CapacityError(f"samples = {samples} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
-    table = sieve_range(X, 2 * X + H + 1)
-    bits = table.primality
+    bits = _range_bits(X, 2 * X + H + 1)
     if exact:
         # frequency of n + h prime over all n in [X, 2X): a popcount per h
         counts = [int(np.count_nonzero(bits[h : h + X])) for h in range(1, H + 1)]
@@ -131,12 +130,7 @@ def pigeonhole_experiment(
         n_used = samples
     scan = gap_scan(X, 2 * X + H + 1)
     return PigeonholeReport(
-        X=X,
-        H=H,
-        samples=n_used,
-        prob_sum=prob_sum,
-        min_gap_found=scan.min_gap.gap,
-        exact=exact,
+        samples=n_used, prob_sum=prob_sum, min_gap_found=scan.min_gap.gap, exact=exact
     )
 
 
@@ -230,9 +224,6 @@ _KS_GRID_POINTS = 1000  # erdos_kac's grid in [-5, 5]
 
 @dataclass(frozen=True)
 class ErdosKacReport:
-    x: int
-    a: float
-    b: float
     empirical: float
     gaussian: float
     ks_distance: float
@@ -274,4 +265,4 @@ def erdos_kac(x: int, a: float, b: float) -> ErdosKacReport:
     ecdf = below / total
     ncdf = 0.5 * (1.0 + np.array([math.erf(z / math.sqrt(2.0)) for z in zs]))
     ks = float(np.max(np.abs(ecdf - ncdf)))
-    return ErdosKacReport(x=x, a=a, b=b, empirical=empirical, gaussian=gaussian, ks_distance=ks)
+    return ErdosKacReport(empirical=empirical, gaussian=gaussian, ks_distance=ks)

@@ -211,7 +211,7 @@ class TestSieveStream:
             code = dispatch(["--segment-size", str(segment_size), "sieve",
                              "--lo", str(lo), "--hi", str(lo + span)])
         assert code == 0
-        primes = sieve.sieve_range(lo, lo + span).primes().tolist()
+        primes = sieve.primes_between(lo, lo + span).tolist()
         assert json.loads(out.getvalue())["result"] == {
             "prime_count": len(primes),
             "first_prime": primes[0] if primes else None,
@@ -297,6 +297,10 @@ class TestInputValidation:
             # stats pnt once ignored the segment size its report echoes
             (("--segment-size", "0", "stats", "pnt", "--x", "1000"), "segment_size must be >= 1"),
             (("--segment-size", "-5", "stats", "pnt", "--x", "1000000"), "segment_size must be >= 1"),
+            # a negative --lo was once clamped to 0: the first exited 0
+            # having scanned [0, 30), the second blamed [0, 3)
+            (("gaps", "--lo", "-5", "--hi", "30"), "need 0 <= lo < hi, got [-5, 30)"),
+            (("gaps", "--lo", "-5", "--hi", "3"), "need 0 <= lo < hi, got [-5, 3)"),
         ],
     )
     def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, message):
@@ -411,7 +415,7 @@ class TestInputValidation:
         assert message in err
 
 
-def _run_under_1_gb(*argv):
+def _python_under_1_gb(*args):
     import resource
 
     def limit():
@@ -419,14 +423,28 @@ def _run_under_1_gb(*argv):
 
     src = Path(primelab.__file__).resolve().parents[1]
     return subprocess.run(
-        [sys.executable, "-m", "primelab.cli", *argv],
+        [sys.executable, *args],
         # one BLAS thread, so the limit does not depend on the core count
         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=limit, capture_output=True, text=True,
     )
 
 
+def _run_under_1_gb(*argv):
+    return _python_under_1_gb("-m", "primelab.cli", *argv)
+
+
 class TestAddressSpaceLimit:
+    def test_range_table_past_cap_refused_under_1_gb(self):
+        # a table of 2^40 integers would ask numpy for 1 TiB; the cap
+        # refuses it before anything is allocated
+        run = _python_under_1_gb("-c", "from primelab import sieve; sieve._range_bits(0, 2**40)")
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr.splitlines()[-1] == (
+            f"primelab.errors.CapacityError: range of {2**40} integers exceeds the cap of "
+            f"{sieve.DEFAULT_RANGE_CAP}; scan it in pieces"
+        )
+
     def test_montecarlo_at_large_k_fits_in_1_gb(self):
         # the whole-chunk estimator asked numpy for 458 MiB per (10^6, 60)
         # array and escaped as a MemoryError traceback (exit 1)

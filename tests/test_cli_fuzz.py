@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelab.cli import COMMANDS, GLOBAL_FLAGS, dispatch
+from primelab.cli import COMMANDS, GLOBAL_FLAGS, _Parser, dispatch
 
 PATH_FLAGS = {"--config", "--file", "--out", "--tuple-file"}
 # 1e-300 squares to zero and 1e308 overflows once doubled or multiplied
@@ -41,6 +41,16 @@ PAST_CAP = {
     "largegap cover": "--y-len",
     "stats pigeonhole": "--samples",
 }
+
+
+# argparse reads a token that starts with "-" as a flag unless it is a
+# number in the parser's own sense; "-x", "--" or "--x" would end the
+# command line in a usage message before its size is checked
+_NUMBER = _Parser()._negative_number_matcher
+
+
+def _reads_as_value(token: str) -> bool:
+    return not token.startswith("-") or bool(_NUMBER.match(token))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +110,7 @@ def test_sizes_past_the_cap_exit_2(data):
     argv = name.split() + [size_flag, str(size)]
     for flag, spec in COMMANDS[name][1]:
         if flag != size_flag and "action" not in spec and flag not in PATH_FLAGS:
-            argv += [flag, data.draw(_values(flag, spec, []), label=flag)]
+            argv += [flag, data.draw(_values(flag, spec, []).filter(_reads_as_value), label=flag)]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = dispatch(argv)

@@ -14,6 +14,7 @@ from primelab.sieve import (
     _kernel_census,
     _lattice_pi,
     _omega_blocks,
+    _range_bits,
     _simple_prime_array,
     _uses_lattice,
     gap_scan,
@@ -23,7 +24,6 @@ from primelab.sieve import (
     prime_count,
     primes_between,
     primorial,
-    sieve_range,
 )
 
 # primes p with p**2 - 1 <= 5000
@@ -37,40 +37,45 @@ _WHEEL_SPAN = 30030
 
 
 class TestSieveRange:
+    """_range_bits, the one full-length primality table."""
+
     def test_small_range(self):
-        table = sieve_range(0, 11)
-        assert table.primes().tolist() == [2, 3, 5, 7]
+        assert np.flatnonzero(_range_bits(0, 11)).tolist() == [2, 3, 5, 7]
 
     def test_empty_prefix(self):
-        table = sieve_range(0, 2)
-        assert table.primes().tolist() == []
+        assert not _range_bits(0, 2).any()
 
     def test_high_window_against_trial_division(self):
         lo, hi = 10**8 - 100, 10**8
-        table = sieve_range(lo, hi)
+        bits = _range_bits(lo, hi)
         for n in range(lo, hi):
-            assert table.primality[n - lo] == oracles.trial_division_is_prime(n), n
+            assert bits[n - lo] == oracles.trial_division_is_prime(n), n
 
     def test_segmentation_is_invisible(self):
         # same range, very different segment sizes, identical bits
-        a = sieve_range(0, 10**5, segment_size=257)
-        b = sieve_range(0, 10**5, segment_size=1 << 20)
-        assert np.array_equal(a.primality, b.primality)
+        a = _range_bits(0, 10**5, segment_size=257)
+        b = _range_bits(0, 10**5, segment_size=1 << 20)
+        assert np.array_equal(a, b)
 
     def test_matches_unsegmented_oracle(self):
-        table = sieve_range(0, 10**5, segment_size=4096)
-        assert np.array_equal(table.primality, oracles.simple_sieve_bits(10**5))
+        bits = _range_bits(0, 10**5, segment_size=4096)
+        assert np.array_equal(bits, oracles.simple_sieve_bits(10**5))
+
+    def test_read_only(self):
+        bits = _range_bits(0, 100)
+        with pytest.raises(ValueError, match="read-only"):
+            bits[4] = True
 
     def test_capacity_error(self):
         # raised before the table is allocated
         with pytest.raises(CapacityError, match=f"exceeds the cap of {DEFAULT_RANGE_CAP}"):
-            sieve_range(0, DEFAULT_RANGE_CAP + 1)
+            _range_bits(0, DEFAULT_RANGE_CAP + 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            sieve_range(5, 5)
+            _range_bits(5, 5)
         with pytest.raises(ValidationError):
-            sieve_range(-1, 10)
+            _range_bits(-1, 10)
 
 
 
@@ -212,15 +217,14 @@ class TestPrimeCount:
         with pytest.raises(ValidationError, match="segment_size must be >= 1"):
             next(iter_prime_segments(0, 100, segment_size))
         with pytest.raises(ValidationError, match="segment_size must be >= 1"):
-            sieve_range(0, 10**6, segment_size=segment_size)
+            _range_bits(0, 10**6, segment_size=segment_size)
 
     @given(st.integers(min_value=2, max_value=3000))
     @settings(max_examples=30, deadline=None)
     def test_nondecreasing_and_popcount(self, x):
         assert prime_count(x) >= prime_count(x - 1)
         lo = x // 2
-        table = sieve_range(lo, x)
-        assert table.primes().size == prime_count(x - 1) - prime_count(lo - 1)
+        assert np.count_nonzero(_range_bits(lo, x)) == prime_count(x - 1) - prime_count(lo - 1)
 
 
 # pi(10^k), OEIS A006880

@@ -90,7 +90,7 @@ class TestPigeonhole:
         assert np.array_equal(whole, np.concatenate(parts))
 
     def test_samples_past_cap_refused_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(stats, "sieve_range", None)  # no table either
+        monkeypatch.setattr(stats, "_range_bits", None)  # no table either
         with pytest.raises(CapacityError, match="^samples = 1073741825 exceeds the cap"):
             pigeonhole_experiment(1000, 5, sieve.DEFAULT_RANGE_CAP + 1)
 
