@@ -228,7 +228,7 @@ def _cmd_stats_pnt(args, config: RunConfig):
 
 
 def _cmd_stats_mertens(args, config: RunConfig):
-    d1, d2 = stats_mod.mertens_sums(args.n)
+    d1, d2 = stats_mod.mertens_sums(args.n, segment_size=config.segment_size)
     rows = [
         StatReport(args.n, "mertens_logp_deviation", d1, stats_mod.MERTENS_LOGP_CONSTANT),
         StatReport(args.n, "mertens_reciprocal_deviation", d2, stats_mod.MERTENS_RECIPROCAL_CONSTANT),
@@ -255,7 +255,7 @@ def _cmd_stats_erdos_kac(args, config: RunConfig):
 def _cmd_stats_pigeonhole(args, config: RunConfig):
     samples = args.samples if args.samples is not None else 0
     rep = stats_mod.pigeonhole_experiment(
-        args.X, args.H, samples, config.seed, exact=args.exact
+        args.X, args.H, samples, config.seed, exact=args.exact, segment_size=config.segment_size
     )
     result = {
         **_pick(rep, "prob_sum", "min_gap_found", "samples", "exact"),
@@ -270,11 +270,11 @@ def _gpy_params(args) -> GpyParams:
 
 
 def _cmd_gpy_sums(args, config: RunConfig):
-    params = _gpy_params(args)
-    report = weighted_sums(params, rel_tol=config.tolerances["gpy_agreement"])
+    params, seg = _gpy_params(args), config.segment_size
+    report = weighted_sums(params, rel_tol=config.tolerances["gpy_agreement"], segment_size=seg)
     result = {
         **_pick(report, "S1", "S2", "objective", "S2_theta", "D_limit"),
-        "E": error_sum_E(params, i=args.index) if args.error_sum else None,
+        "E": error_sum_E(params, i=args.index, segment_size=seg) if args.error_sum else None,
     }
     echo = _pick(args, "x", "l", "b", "error_sum", "index")
     return {**echo, "k": params.k, "offsets": params.tuple.offsets}, result
@@ -282,13 +282,15 @@ def _cmd_gpy_sums(args, config: RunConfig):
 
 def _cmd_gpy_error(args, config: RunConfig):
     params = _gpy_params(args)
-    value = error_sum_E(params, i=args.index)
+    value = error_sum_E(params, i=args.index, segment_size=config.segment_size)
     echo = _pick(args, "x", "l", "b", "index")
     return {**echo, "offsets": params.tuple.offsets}, {"E": value, "normalized": value / args.x}
 
 
 def _cmd_gpy_levels(args, config: RunConfig):
-    value = level_of_distribution_sum(args.x, args.theta, weighted=args.weighted)
+    value = level_of_distribution_sum(
+        args.x, args.theta, weighted=args.weighted, segment_size=config.segment_size
+    )
     return _pick(args, "x", "theta", "weighted"), {"sum": value, "normalized": value / args.x}
 
 
@@ -390,7 +392,7 @@ def _cmd_largegap_cover(args, config: RunConfig):
 
 
 def _cmd_largegap_scan(args, config: RunConfig):
-    return _pick(args, "X"), asdict(max_gap_G(args.X))
+    return _pick(args, "X"), asdict(max_gap_G(args.X, segment_size=config.segment_size))
 
 
 # --------- the command table ---------

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, ValidationError
-from .sieve import DEFAULT_RANGE_CAP, _crt_combine, _range_bits, _simple_prime_array, mangoldt_range, primes_between
+from .sieve import DEFAULT_RANGE_CAP, DEFAULT_SEGMENT_SIZE, _crt_combine, _range_bits, _simple_prime_array, mangoldt_range, primes_between
 from .tuples import AdmissibleTuple
 
 # Level exponent sufficient for the remainder sum to stay negligible in
@@ -208,7 +208,9 @@ def _valid_residues(m: int, offsets: tuple[int, ...]) -> list[int]:
     return sorted(residues)
 
 
-def weighted_sums(params: GpyParams, *, rel_tol: float = 1e-9) -> GpyReport:
+def weighted_sums(
+    params: GpyParams, *, rel_tol: float = 1e-9, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> GpyReport:
     """Compute S1 and S2 two independent ways and insist they agree.
 
     The direct pipeline scans every n in [x, 2x), evaluating the weight by
@@ -235,7 +237,7 @@ def weighted_sums(params: GpyParams, *, rel_tol: float = 1e-9) -> GpyReport:
     lo = x + min(offsets[0], 0)
     if lo < 0:
         raise ValidationError(f"need x + h_1 >= 0, got x={x} h_1={offsets[0]}")
-    bits = _range_bits(lo, 2 * x + offsets[-1] + 1)
+    bits = _range_bits(lo, 2 * x + offsets[-1] + 1, segment_size)
 
     # direct scan
     f_terms, s2_terms, s2_theta_terms = [], [], []
@@ -347,7 +349,7 @@ def remainder_R(
     return lam_sum - x / totient
 
 
-def error_sum_E(params: GpyParams, i: int = 1) -> float:
+def error_sum_E(params: GpyParams, i: int = 1, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
     """Sum of |remainder_R| over squarefree d < x^(2b) and c in the residue set.
 
     The index i selects which tuple offset anchors the residue sets; it is
@@ -358,7 +360,7 @@ def error_sum_E(params: GpyParams, i: int = 1) -> float:
     _check_scale(params.x)
     x = params.x
     d_max = _power_floor(x, 2 * params.b, strict=True)
-    support = mangoldt_range(x, 2 * x)
+    support = mangoldt_range(x, 2 * x, segment_size=segment_size)
     terms = []
     for d in range(1, d_max + 1):
         if _mobius(d) == 0:
@@ -397,7 +399,9 @@ def _class_counts(ns: np.ndarray, q_max: int, weights: Optional[np.ndarray]) -> 
             yield q, per_class
 
 
-def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -> float:
+def level_of_distribution_sum(
+    x: int, theta: float, *, weighted: bool = False, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> float:
     """Sum over q <= x^theta of the worst residue-class error E_q.
 
     E_q compares the prime count in each invertible class a mod q with the
@@ -415,11 +419,11 @@ def level_of_distribution_sum(x: int, theta: float, *, weighted: bool = False) -
         raise ValidationError(f"theta must lie in (0, 1), got {theta}")
     q_max = int(x**theta + 1e-9)
     if weighted:
-        ns, ps, _ = mangoldt_range(2, x + 1)
+        ns, ps, _ = mangoldt_range(2, x + 1, segment_size=segment_size)
         vals = np.log(ps.astype(np.float64))
         total = math.fsum(vals.tolist())
     else:
-        ns = primes_between(2, x + 1)
+        ns = primes_between(2, x + 1, segment_size)
         vals = None
         total = float(ns.size)
     ns = ns.astype(np.min_scalar_type(x))  # the narrowest unsigned type holding x

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .sieve import DEFAULT_RANGE_CAP, GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
+from .sieve import DEFAULT_RANGE_CAP, DEFAULT_SEGMENT_SIZE, GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def run_length_ratio(run: CompositeRun) -> float:
     return run.length / math.log(run.y)
 
 
-def max_gap_G(X: int) -> GapRecord:
+def max_gap_G(X: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> GapRecord:
     """Largest consecutive-prime gap with both primes <= X."""
     if X < 5:
         raise ValidationError(f"X must be >= 5, got {X}")
-    return gap_scan(2, X + 1).max_gap
+    return gap_scan(2, X + 1, segment_size=segment_size).max_gap

@@ -22,6 +22,7 @@ and J validates the exact pipeline from outside.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -719,13 +720,36 @@ def _eval_combo(
 # every report.
 _MC_CHUNK = 1_000_000
 # Entries per row block: a chunk is drawn and evaluated in blocks of at most
-# _MC_BLOCK_ENTRIES // (k + 1) rows, about 1 MiB of draws at every k. The
+# max(_MC_BLOCK_ENTRIES // (k + 1), 128) rows, about 1 MiB of draws at every
+# k, which are the leaves of numpy's pairwise-sum tree over the chunk. The
 # block size is not part of the stream: consecutive draws read the generator
-# exactly as one large draw does, and all block arithmetic is per row.
+# exactly as one large draw does, all block arithmetic is per row, and
+# _pairwise_sum adds the blocks' sums in numpy's own order.
 _MC_BLOCK_ENTRIES = 1 << 17
 # numpy sums rows of 8 or more entries pairwise and shorter rows left to
 # right, so bit-exactness, not speed, makes the row width pick the path.
 _PAIRWISE_MIN = 8
+
+
+def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], n: int, rows: int) -> np.ndarray:
+    """leaf(lo, hi) over [0, n), added up numpy's pairwise-sum tree.
+
+    numpy sums a contiguous float64 array of more than 128 entries as the
+    sum of its halves, split at n // 2 rounded down to a multiple of 8, and
+    a shorter one in a single pass. Leaves are the tree's nodes of at most
+    max(rows, 128) entries, visited left to right, so if leaf(lo, hi) is
+    x[lo:hi].sum() the result is x.sum() bit for bit, without x.
+    """
+    cap = max(rows, 128)
+
+    def node(lo: int, hi: int) -> np.ndarray:
+        if hi - lo <= cap:
+            return leaf(lo, hi)
+        half = (hi - lo) // 2
+        mid = lo + half - half % 8
+        return node(lo, mid) + node(mid, hi)
+
+    return node(0, n)
 
 
 def _simplex_power_sums(
@@ -769,11 +793,17 @@ def ij_monte_carlo(
     seeded output: the same seed gives the same four floats bit for bit.
 
     Each chunk takes its four draws (I's simplex points, J's first k - 1
-    coordinates, then the two uniforms of the last one) in that order, each
-    as a run of row blocks into chunk-length buffers, and sums the weights
-    over the whole chunk. The block size is not part of the output: a run
-    of draws reads the same stream as one draw of their total size, and
-    every value in a block depends on its own row alone.
+    coordinates, then the two uniforms U1 and U2 of the last one) in that
+    order, each as a run of row blocks. The weights live one block at a
+    time: the blocks are leaves of numpy's pairwise-sum tree over the chunk
+    (_pairwise_sum), so the chunk sums keep their bits. Only J's P1 and P2
+    are held for the whole chunk, since U1 starts wherever the exponential
+    draws end. U1 and U2 take one generator output per double, so U2 is
+    drawn block by block beside U1 from a copy advanced by the chunk
+    length, and the next chunk continues from that copy. The block size is
+    not part of the output: a run of draws reads the same stream as one
+    draw of their total size, and every value in a block depends on its
+    own row alone.
 
     Raises:
         ValidationError: bad sizes, non-finite coefficients, or estimates
@@ -792,43 +822,42 @@ def ij_monte_carlo(
     rng = np.random.default_rng(seed)
     vol_k = 1.0 / math.factorial(k)
     vol_k1 = 1.0 / math.factorial(k - 1)
-    rows = _MC_BLOCK_ENTRIES // (k + 1)
-    # the weights (I's, then J's), J's P1 and P2 of the first k - 1
-    # coordinates, and F at J's first point
-    w, s, q2, f1 = (np.empty(min(_MC_CHUNK, samples)) for _ in range(4))
+    rows = max(_MC_BLOCK_ENTRIES // (k + 1), 128)
+    # J's P1 and P2 of the first k - 1 coordinates
+    s, q2 = np.empty(min(_MC_CHUNK, samples)), np.empty(min(_MC_CHUNK, samples))
 
-    sums = np.zeros(2)
-    sqsums = np.zeros(2)
+    def weight_sums(w: np.ndarray) -> np.ndarray:
+        return np.array([w.sum(), np.multiply(w, w, out=w).sum()])
+
+    def i_leaf(lo: int, hi: int) -> np.ndarray:
+        fi = _eval_combo(coeffs, basis, *_simplex_power_sums(rng, hi - lo, k))
+        return weight_sums(vol_k * fi * fi)
+
+    def j_leaf(lo: int, hi: int) -> np.ndarray:
+        sigma = 1.0 - s[lo:hi]
+        u1 = sigma * rng.random(hi - lo)
+        u2 = sigma * ahead.random(hi - lo)
+        f1 = _eval_combo(coeffs, basis, s[lo:hi] + u1, q2[lo:hi] + u1 * u1)
+        f2 = _eval_combo(coeffs, basis, s[lo:hi] + u2, q2[lo:hi] + u2 * u2)
+        return weight_sums(k * vol_k1 * sigma * sigma * f1 * f2)
+
+    totals = np.zeros((2, 2))  # rows I and J; columns the sum of the weights and of their squares
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < samples:
             n = min(_MC_CHUNK, samples - done)
-            edges = [*range(0, n, rows), n]
-            blocks = [(slice(lo, hi), hi - lo) for lo, hi in zip(edges, edges[1:])]
-            for b, m in blocks:
-                fi = _eval_combo(coeffs, basis, *_simplex_power_sums(rng, m, k))
-                w[b] = vol_k * fi * fi
-            wi = w[:n]
-            sums[0] += wi.sum()
-            sqsums[0] += np.multiply(wi, wi, out=wi).sum()
-
-            for b, m in blocks:
-                s[b], q2[b] = _simplex_power_sums(rng, m, k - 1)
-            for b, m in blocks:
-                u1 = (1.0 - s[b]) * rng.random(m)
-                f1[b] = _eval_combo(coeffs, basis, s[b] + u1, q2[b] + u1 * u1)
-            for b, m in blocks:
-                sigma = 1.0 - s[b]
-                u2 = sigma * rng.random(m)
-                f2 = _eval_combo(coeffs, basis, s[b] + u2, q2[b] + u2 * u2)
-                w[b] = k * vol_k1 * sigma * sigma * f1[b] * f2
-            wj = w[:n]
-            sums[1] += wj.sum()
-            sqsums[1] += np.multiply(wj, wj, out=wj).sum()
+            totals[0] += _pairwise_sum(i_leaf, n, rows)
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                s[lo:hi], q2[lo:hi] = _simplex_power_sums(rng, hi - lo, k - 1)
+            ahead = copy.deepcopy(rng)
+            ahead.bit_generator.advance(n)
+            totals[1] += _pairwise_sum(j_leaf, n, rows)
+            rng = ahead  # the leaves read rng and ahead at call time
             done += n
 
-        means = sums / samples
-        variances = np.maximum(sqsums / samples - means * means, 0.0)
+        means = totals[:, 0] / samples
+        variances = np.maximum(totals[:, 1] / samples - means * means, 0.0)
         stderrs = np.sqrt(variances / samples)
     if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
         raise ValidationError("I, J or their standard errors overflow double precision")

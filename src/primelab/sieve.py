@@ -372,14 +372,16 @@ def _omega_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         b_lo = b_hi
 
 
-def mangoldt_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mangoldt_range(
+    lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Von Mangoldt support on [lo, hi): arrays (n, p, m) sorted by n.
 
     n = p**m runs over the prime powers in range; log values are left to
     the caller so sums can control their own rounding. primes_between
     refuses a range without 0 <= lo < hi.
     """
-    primes = primes_between(lo, hi)
+    primes = primes_between(lo, hi, segment_size)
     powers = []
     for p in _simple_prime_array(math.isqrt(hi - 1)).tolist():
         pe, m = p * p, 2

@@ -93,7 +93,13 @@ class PigeonholeReport:
 
 
 def pigeonhole_experiment(
-    X: int, H: int, samples: int, seed: int = 0, *, exact: bool = False
+    X: int,
+    H: int,
+    samples: int,
+    seed: int = 0,
+    *,
+    exact: bool = False,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> PigeonholeReport:
     """Estimate the window-sum of prime probabilities over [X, 2X).
 
@@ -114,7 +120,7 @@ def pigeonhole_experiment(
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if not exact and samples > DEFAULT_RANGE_CAP:
         raise CapacityError(f"samples = {samples} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
-    bits = _range_bits(X, 2 * X + H + 1)
+    bits = _range_bits(X, 2 * X + H + 1, segment_size)
     if exact:
         # frequency of n + h prime over all n in [X, 2X): a popcount per h
         counts = [int(np.count_nonzero(bits[h : h + X])) for h in range(1, H + 1)]
@@ -128,7 +134,7 @@ def pigeonhole_experiment(
             hits = [c + int(np.count_nonzero(bits[offsets + h])) for h, c in enumerate(hits, 1)]
         prob_sum = math.fsum(c / samples for c in hits)
         n_used = samples
-    scan = gap_scan(X, 2 * X + H + 1)
+    scan = gap_scan(X, 2 * X + H + 1, segment_size=segment_size)
     return PigeonholeReport(
         samples=n_used, prob_sum=prob_sum, min_gap_found=scan.min_gap.gap, exact=exact
     )
@@ -167,7 +173,7 @@ class _ExactSum:
         return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-def mertens_sums(n: int) -> tuple[float, float]:
+def mertens_sums(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> tuple[float, float]:
     """Deviations of the two Mertens-type prime sums from their leading terms.
 
     Returns (d1, d2) with
@@ -179,7 +185,7 @@ def mertens_sums(n: int) -> tuple[float, float]:
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
     log_sum, reciprocal_sum = _ExactSum(), _ExactSum()
-    for _, primes in iter_prime_segments(2, n + 1):
+    for _, primes in iter_prime_segments(2, n + 1, segment_size):
         ps = primes.astype(np.float64)
         log_sum.add(np.log(ps) / ps)
         reciprocal_sum.add(1.0 / ps)

@@ -254,6 +254,45 @@ class TestStatsPnt:
         assert results[0] == results[1] == results[2]
 
 
+# the golden corpus's sieve-backed command lines, on ranges of about 10^4
+SIEVE_BACKED = [
+    ("sieve", "--hi", "10000"),
+    ("sieve", "--lo", "1000", "--hi", "11000"),
+    ("gaps", "--lo", "1", "--hi", "10000"),
+    ("gaps", "--lo", "0", "--hi", "10000", "--all"),
+    ("stats", "pnt", "--x", "10000"),
+    ("stats", "mertens", "--n", "10000"),
+    ("stats", "pigeonhole", "--X", "5000", "--H", "15", "--exact"),
+    ("--seed", "7", "stats", "pigeonhole", "--X", "5000", "--H", "10", "--samples", "500"),
+    ("gpy", "sums", "--x", "5000", "--offsets", "0,2,6", "--l", "2", "--b", "0.3", "--error-sum", "--index", "2"),
+    ("gpy", "error", "--x", "5000", "--offsets", "0,2,6", "--b", "0.25"),
+    ("gpy", "levels", "--x", "10000", "--theta", "0.4"),
+    ("gpy", "levels", "--x", "10000", "--theta", "0.3", "--weighted"),
+    ("largegap", "scan", "--X", "10000"),
+]
+
+
+class TestSegmentSize:
+    @pytest.mark.parametrize("argv", SIEVE_BACKED, ids=" ".join)
+    def test_result_independent_of_segment_size(self, capsys, monkeypatch, argv):
+        # segmented against one-shot, through the whole CLI: every kernel pass
+        # but the base primes' one-segment tables over [0, hi) reads the flag,
+        # and no result byte depends on it
+        kernel, seen, results = sieve._odd_segments, [], set()
+
+        def spy(lo, hi, segment_size):
+            if (lo, segment_size) != (0, hi):
+                seen.append(segment_size)
+            return kernel(lo, hi, segment_size)
+
+        monkeypatch.setattr(sieve, "_odd_segments", spy)
+        for size in (1, 7, 30031, sieve.DEFAULT_SEGMENT_SIZE):
+            seen.clear()
+            results.add(json.dumps(run_json(capsys, "--segment-size", str(size), *argv)["result"]))
+            assert set(seen) == {size}
+        assert len(results) == 1
+
+
 class TestInputValidation:
     """Inputs that once escaped as a traceback (exit 1) or ran on a wrong value."""
 
@@ -301,6 +340,20 @@ class TestInputValidation:
             # having scanned [0, 30), the second blamed [0, 3)
             (("gaps", "--lo", "-5", "--hi", "30"), "need 0 <= lo < hi, got [-5, 30)"),
             (("gaps", "--lo", "-5", "--hi", "3"), "need 0 <= lo < hi, got [-5, 3)"),
+            # each once exited 0, sieving with the default its report did not echo
+            *(
+                (("--segment-size", "0", *argv), "segment_size must be >= 1")
+                for argv in (
+                    ("largegap", "scan", "--X", "100"),
+                    ("stats", "mertens", "--n", "1000"),
+                    ("stats", "pigeonhole", "--X", "1000", "--H", "10", "--exact"),
+                    ("stats", "pigeonhole", "--X", "1000", "--H", "10", "--samples", "5"),
+                    ("gpy", "sums", "--x", "1000", "--offsets", "0,2,6", "--b", "0.25"),
+                    ("gpy", "error", "--x", "1000", "--offsets", "0,2,6", "--b", "0.25"),
+                    ("gpy", "levels", "--x", "10000", "--theta", "0.4"),
+                    ("gpy", "levels", "--x", "10000", "--theta", "0.3", "--weighted"),
+                )
+            ),
         ],
     )
     def test_exits_2_with_an_error_line(self, capsys, tmp_path, argv, message):

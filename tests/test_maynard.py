@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -565,18 +566,45 @@ class TestMonteCarlo:
         parts = two.standard_exponential((a, width)), two.standard_exponential((b, width))
         assert np.array_equal(whole, np.concatenate(parts))
         assert np.array_equal(one.random(a + b), np.concatenate([two.random(a), two.random(b)]))
+        # and draws J's U2 beside U1 from a copy advanced past U1's draws
+        three = np.random.default_rng(a + b)
+        ahead = copy.deepcopy(three)
+        ahead.bit_generator.advance(a)
+        assert np.array_equal(ahead.random(b), three.random(a + b)[a:])
 
-    @pytest.mark.parametrize("k", [3, 40])
+    @pytest.mark.parametrize("rows", [1, 8, 127, 128, 129, 766, 2**17])
+    def test_pairwise_sum_is_numpy_sum(self, rows):
+        # guards the assumption that the weight sums rest on: numpy sums a
+        # contiguous float64 array pairwise, as the sum of its halves split at
+        # n // 2 rounded down to a multiple of 8 above 128 entries
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal(10**6) * 10.0 ** rng.integers(-8, 9, 10**6)
+        reordered = 0
+        for n in [*range(1, 1001), 10**6 - 1, 10**6]:
+            v, leaves = x[:n], []
+
+            def leaf(lo, hi):
+                leaves.append((lo, hi))
+                return v[lo:hi].sum()
+
+            assert maynard._pairwise_sum(leaf, n, rows) == v.sum()
+            assert [lo for lo, _ in leaves] == [0, *(hi for _, hi in leaves[:-1])]
+            assert leaves[-1][1] == n and max(hi - lo for lo, hi in leaves) <= max(rows, 128)
+            reordered += np.cumsum(v)[-1] != v.sum()
+        assert reordered  # a left-to-right sum differs somewhere, so the test has teeth
+
+    @pytest.mark.parametrize("k", [3, 40, 170])
     def test_memory_does_not_grow_with_k(self, k):
-        # four chunk-length buffers (30.5 MiB) and blocks of about 1 MiB; the
-        # whole-chunk estimator peaked at 108 MiB at k = 3 and 938 MiB at k = 40
+        # two chunk-length buffers (15.3 MiB) and blocks of about 1 MiB; four
+        # such buffers peaked at 33.5 MiB, and the whole-chunk estimator at
+        # 108 MiB at k = 3 and 938 MiB at k = 40
         tracemalloc.start()
         try:
             ij_monte_carlo(k, [1.0, -0.5, 0.25, 0.75], 2, 1_000_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 24 * 2**20
 
     def test_combo_multiplies_each_term_left_to_right(self):
         # every seeded report depends on the product order, c (1-P1)^a P2^b
