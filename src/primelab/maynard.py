@@ -731,8 +731,8 @@ _MC_BLOCK_ENTRIES = 1 << 17
 _PAIRWISE_MIN = 8
 
 
-def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], n: int, rows: int) -> np.ndarray:
-    """leaf(lo, hi) over [0, n), added up numpy's pairwise-sum tree.
+def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], n: int, rows: int, lo: int = 0) -> np.ndarray:
+    """leaf(lo, hi) over [lo, lo + n), added up numpy's pairwise-sum tree.
 
     numpy sums a contiguous float64 array of more than 128 entries as the
     sum of its halves, split at n // 2 rounded down to a multiple of 8, and
@@ -740,16 +740,10 @@ def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], n: int, rows: int) -> 
     max(rows, 128) entries, visited left to right, so if leaf(lo, hi) is
     x[lo:hi].sum() the result is x.sum() bit for bit, without x.
     """
-    cap = max(rows, 128)
-
-    def node(lo: int, hi: int) -> np.ndarray:
-        if hi - lo <= cap:
-            return leaf(lo, hi)
-        half = (hi - lo) // 2
-        mid = lo + half - half % 8
-        return node(lo, mid) + node(mid, hi)
-
-    return node(0, n)
+    if n <= max(rows, 128):
+        return leaf(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf, half, rows, lo) + _pairwise_sum(leaf, n - half, rows, lo + half)
 
 
 def _simplex_power_sums(
@@ -841,7 +835,7 @@ def ij_monte_carlo(
         f2 = _eval_combo(coeffs, basis, s[lo:hi] + u2, q2[lo:hi] + u2 * u2)
         return weight_sums(k * vol_k1 * sigma * sigma * f1 * f2)
 
-    totals = np.zeros((2, 2))  # rows I and J; columns the sum of the weights and of their squares
+    totals = np.zeros((2, 2))  # (I, J) by (sum of weights, sum of their squares)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < samples:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import re
@@ -597,14 +598,18 @@ class TestMonteCarlo:
     def test_memory_does_not_grow_with_k(self, k):
         # two chunk-length buffers (15.3 MiB) and blocks of about 1 MiB; four
         # such buffers peaked at 33.5 MiB, and the whole-chunk estimator at
-        # 108 MiB at k = 3 and 938 MiB at k = 40
+        # 108 MiB at k = 3 and 938 MiB at k = 40. With the collector off, a
+        # reference cycle through the leaf closures would keep both buffers
+        # alive after the call.
+        gc.disable()
         tracemalloc.start()
         try:
             ij_monte_carlo(k, [1.0, -0.5, 0.25, 0.75], 2, 1_000_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+            gc.enable()
+        assert peak < 24 * 2**20 and current < 2**20
 
     def test_combo_multiplies_each_term_left_to_right(self):
         # every seeded report depends on the product order, c (1-P1)^a P2^b
