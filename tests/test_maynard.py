@@ -596,11 +596,9 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("k", [3, 40, 170])
     def test_memory_does_not_grow_with_k(self, k):
-        # two chunk-length buffers (15.3 MiB) and blocks of about 1 MiB; four
-        # such buffers peaked at 33.5 MiB, and the whole-chunk estimator at
-        # 108 MiB at k = 3 and 938 MiB at k = 40. With the collector off, a
-        # reference cycle through the leaf closures would keep both buffers
-        # alive after the call.
+        # two chunk-length buffers (15.3 MiB) and blocks of about 1 MiB at
+        # every k. With the collector off, a reference cycle through the leaf
+        # closures would keep both buffers alive after the call.
         gc.disable()
         tracemalloc.start()
         try:
