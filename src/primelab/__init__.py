@@ -55,7 +55,6 @@ from .maynard import (
     MkCertificate,
     QuadraticFormPair,
     build_quadratic_forms,
-    dhl_inference,
     gap_bound_chain,
     ij_monte_carlo,
     mk_lower_bound_g,

@@ -8,13 +8,14 @@ R_k = {t_i >= 0, sum t_i <= 1}, with
 
 Two bound families are implemented. The polynomial method restricts F to
 symmetric polynomials sum c_{a,b} (1-P1)^a P2^b of degree at most d,
-turning J/I into a ratio of quadratic forms assembled in exact rational
-arithmetic. An LDL factorisation of the I-form in decimal arithmetic,
-every entry certified to equal the exact factor's rounded to the working
-digits, shows it positive definite and whitens the J-form; the largest
-eigenvalue of the whitened matrix is solved in floating point and then
-re-certified exactly at the witness, so the reported bound (an
-MkCertificate) is true regardless of floating error. The analytic
+turning J/I into a ratio of quadratic forms, each built once in Python
+ints as one denominator over one integer matrix that every exact stage
+reads. An LDL factorisation of the I-form in decimal arithmetic, every
+entry certified to equal the exact factor's rounded to the working digits,
+shows it positive definite and whitens the J-form; the largest eigenvalue
+of the whitened matrix is solved in floating point and then re-certified
+exactly at the witness, so the reported bound (an MkCertificate) is true
+regardless of floating error. The analytic
 method evaluates, in floats, the closed-form bound for the product shape
 built from g(t) = 1/(1+At) on [0, T]. A seeded Monte Carlo estimator of I
 and J validates the exact pipeline from outside.
@@ -41,8 +42,6 @@ from .errors import (
 )
 from .simplex import _weight_power
 from .tuples import AdmissibleTuple, Refutation, is_admissible
-
-RationalMatrix = list[list[Fraction]]
 
 
 class BasisIndex(NamedTuple):
@@ -77,19 +76,27 @@ def enumerate_basis(degree: int) -> list[BasisIndex]:
 
 @dataclass(frozen=True)
 class QuadraticFormPair:
-    """Exact rational Gram matrices of the I-form (A1) and J-form (A2)."""
+    """The I-form A1 and J-form A2, each stored as its integer image (den, S)
+    in lowest terms, A = S / den; A1 and A2 are Fraction views of them."""
 
     k: int
     degree: int
     basis: tuple[BasisIndex, ...]
-    A1: RationalMatrix
-    A2: RationalMatrix
+    image1: tuple[int, list[list[int]]]
+    image2: tuple[int, list[list[int]]]
 
     def __post_init__(self):
         n = len(self.basis)
-        for mat in (self.A1, self.A2):
+        for _, mat in (self.image1, self.image2):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValidationError("matrix dimensions must equal basis size")
+
+    A1 = property(lambda self: _fractions(*self.image1))
+    A2 = property(lambda self: _fractions(*self.image2))
+
+
+def _fractions(den: int, s: list[list[int]]) -> list[list[Fraction]]:
+    return [[Fraction(x, den) for x in row] for row in s]
 
 
 def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> QuadraticFormPair:
@@ -113,8 +120,8 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
         A2[q][r] = k * sum_{m1, m2} c_q(m1) c_r(m2) C(e1+e2, e1)
                    (f1+f2)! U_(k-1)(f1+f2) / (k + 1 + w_q + w_r)!.
 
-    The basis is counted and checked against basis_cap before it is listed.
-    The entries read only i! for i <= 2 degree and (k + j)! for j <= 2 degree + 1.
+    Both sum over (k + 2 degree + 1)! = k! lift[0], then are reduced by one
+    gcd each. The basis is counted against basis_cap before it is listed.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -125,8 +132,8 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
     basis = enumerate_basis(degree) if k > 1 else [BasisIndex(a, 0) for a in range(degree + 1)]
 
     fact = [math.factorial(i) for i in range(2 * degree + 1)]
-    k_fact = math.factorial(k)
-    high = [k_fact * math.prod(range(k + 1, k + j + 1)) for j in range(2 * degree + 2)]
+    # lift[j] = (k + 2 degree + 1)! / (k + j)!
+    lift = [math.prod(range(k + j + 1, k + 2 * degree + 2)) for j in range(2 * degree + 2)]
     u_k = _weight_power(k, degree)
     u_k1 = _weight_power(k - 1, degree)
     # per basis element: terms (c, sigma exponent e, P2 exponent f) of G
@@ -134,27 +141,27 @@ def build_quadratic_forms(k: int, degree: int, *, basis_cap: int = 64) -> Quadra
         [(math.comb(b, m) * fact[a] * fact[2 * m], a + 2 * m + 1, b - m) for m in range(b + 1)]
         for a, b in basis
     ]
-    A1: RationalMatrix = [[Fraction(0)] * n for _ in range(n)]
-    A2: RationalMatrix = [[Fraction(0)] * n for _ in range(n)]
+    s1 = [[0] * n for _ in range(n)]
+    s2 = [[0] * n for _ in range(n)]
     for qi, (aq, bq) in enumerate(basis):
         for ri in range(qi, n):
             ar, br = basis[ri]
             w = aq + 2 * bq + ar + 2 * br
             B = bq + br
-            A1[qi][ri] = A1[ri][qi] = Fraction(fact[aq + ar] * fact[B] * u_k[B], high[w])
+            s1[qi][ri] = s1[ri][qi] = fact[aq + ar] * fact[B] * u_k[B] * lift[w]
             total = 0
             for c1, e1, f1 in gterms[qi]:
                 for c2, e2, f2 in gterms[ri]:
                     f = f1 + f2
                     total += c1 * c2 * math.comb(e1 + e2, e1) * fact[f] * u_k1[f]
-            A2[qi][ri] = A2[ri][qi] = Fraction(k * total, high[w + 1])
-    return QuadraticFormPair(k=k, degree=degree, basis=tuple(basis), A1=A1, A2=A2)
+            s2[qi][ri] = s2[ri][qi] = k * total * lift[w + 1]
+    den = math.factorial(k) * lift[0]
+    return QuadraticFormPair(k, degree, tuple(basis), _lowest_terms(den, s1), _lowest_terms(den, s2))
 
 
-def _integer_image(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(den, den * matrix) with den the lcm of the entry denominators."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+def _lowest_terms(den: int, s: list[list[int]]) -> tuple[int, list[list[int]]]:
+    g = math.gcd(den, *(x for row in s for x in row))
+    return den // g, [[x // g for x in row] for row in s]
 
 
 # The decimal LDL's first attempt carries _GUARD digits past prec, with
@@ -179,19 +186,20 @@ def _not_positive_definite(i: int, value) -> ConsistencyError:
     )
 
 
-def _ldl_at(b: list[list[tuple[Fraction, int]]], wp: int) -> tuple[np.ndarray, int]:
+def _ldl_at(b: list[list[tuple[int, int]]], den: int, wp: int) -> tuple[np.ndarray, int]:
     """Right-looking LDL^T at wp digits of the upper triangle in b.
 
-    b[i] holds (x, e) for columns i .. n-1: the entry is x * 10^-e, each
-    rounded once to wp digits. On return, entry (i, i) of the array is
+    b[i] holds (x, e) for columns i .. n-1: the entry is x / den * 10^-e,
+    each rounded once to wp digits. On return, entry (i, i) of the array is
     pivot i and (i, j) is L[j][i]. The count m of factored rows comes
     with it: m < n means pivot m - 1 is <= 0 and its row is not divided.
     """
     n = len(b)
     ctx = Context(prec=wp, rounding=ROUND_HALF_EVEN)
     s = np.zeros((n, n), dtype=object)
+    dd = Decimal(den)
     for i, row in enumerate(b):
-        s[i, i:] = [ctx.divide(x.numerator, x.denominator).scaleb(-e, ctx) for x, e in row]
+        s[i, i:] = [ctx.divide(x, dd).scaleb(-e, ctx) for x, e in row]
     with localcontext(ctx):
         for i in range(n):
             d = s[i, i]
@@ -247,14 +255,14 @@ def _pinned(lo: Decimal, hi: Decimal, c: Fraction, scale: int, qmax: int) -> boo
 
 
 def _round_pinned(
-    pc: Context, lo: Decimal, hi: Decimal, scale: int, qmax: Callable[[], int]
+    pc: Context, lo: Decimal, hi: Decimal, scale: int, qmax: int
 ) -> Optional[Decimal]:
     """x in [lo, hi] rounded to pc's digits, or None when that is unknown.
 
     Rounding is monotone, so ends that round alike fix it. Otherwise the
     one point where the rounding changes, 0 or the tie between two
     neighbours, decides it when x is pinned there (`_pinned`, the
-    denominator bound qmax() as there).
+    denominator bound qmax as there).
     """
     x = pc.plus(lo)
     if x == pc.plus(hi):
@@ -267,15 +275,17 @@ def _round_pinned(
             return None
         exact = Context(prec=pc.prec + 2)  # x + up and its half carry prec + 2 digits
         c = exact.divide(exact.add(x, up), 2)
-    return pc.plus(c) if _pinned(lo, hi, Fraction(c), scale, qmax()) else None
+    return pc.plus(c) if _pinned(lo, hi, Fraction(c), scale, qmax) else None
 
 
-def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]]:
+def _decimal_ldl(image: tuple[int, list[list[int]]]) -> tuple[int, np.ndarray, list[Decimal]]:
     """(prec, L^T, pivots) of A = L D L^T, every entry correctly rounded
     to prec digits, with prec = 20 + the digits of max floor(A[i][i] / pivot_i).
 
-    A is scaled by powers of ten to B = P A P with a diagonal near 1 (an
-    exact shift of each entry of L and D) and factored at wp = prec + G
+    A = S / den comes as its integer image in lowest terms, of which the
+    upper triangle is read. It is scaled by powers of ten to B = P A P
+    with a diagonal near 1 (an exact shift of each entry of L and D, read
+    from the reduced diagonal) and factored at wp = prec + G
     digits (`_ldl_at`). The computed L~, D~ are the exact factors of
     B + E with |E| <= tau |L~| |D~| |L~|^T <= tau v v^T, where
     u = 10^(1-wp) / 2 and tau = 2 (n+3) u covers the entries' rounding and
@@ -295,8 +305,8 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
     prec (rounding is monotone), or when it is pinned to the one point
     of the interval where its rounding changes: 0 or the tie between two
     neighbours at prec (`_round_pinned`). With D_m the leading minors of
-    the integer image S = den A, pivot t is D_(t+1) / (D_t den) and L_ji
-    a minor over D_(i+1), and 0 < D_m <= prod_{t<m} S_tt (Hadamard)
+    S, pivot t is D_(t+1) / (D_t den) and L_ji a minor over D_(i+1), and
+    0 < D_m <= prod_{t<m} S_tt (Hadamard)
     while the leading block is definite; so an interval shorter than the
     least gap between such a fraction and the point holds no other value
     (`_pinned`). The same argument pins a pivot at 0 (A is not definite)
@@ -311,29 +321,24 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
         ConvergenceError: nothing certified in _ATTEMPTS attempts, or a
             bound leaves the float range.
     """
-    n = len(matrix)
-    diag = [matrix[i][i] for i in range(n)]
-    # half the difference in digit counts; Decimal(int) is exact and, unlike
-    # str, has no digit limit
+    den, rows = image
+    n = len(rows)
+    diag = [Fraction(rows[i][i], den) for i in range(n)]
+    # half the difference in the reduced diagonal's digit counts; Decimal(int)
+    # is exact and, unlike str, has no digit limit
     ex = [
         (Decimal(a.numerator).adjusted() - Decimal(a.denominator).adjusted()) // 2 if a > 0 else 0
         for a in diag
     ]
-    b = [[(matrix[i][j], ex[i] + ex[j]) for j in range(i, n)] for i in range(n)]
-
-    image = None  # (den, S), made when a value is first to be pinned
-
-    def minor_bound(m: int) -> tuple[int, int]:
-        """(den, prod_{t<m} S_tt), the latter >= D_m (Hadamard)."""
-        nonlocal image
-        image = image or _integer_image(matrix)
-        den, rows = image
-        return den, math.prod(rows[t][t] for t in range(m))
+    b = [[(rows[i][j], ex[i] + ex[j]) for j in range(i, n)] for i in range(n)]
+    hadamard = [1]  # hadamard[m] = prod_{t<m} S_tt >= D_m
+    for i in range(n):
+        hadamard.append(hadamard[-1] * rows[i][i])
 
     guard, prec = _GUARD, _PREC_GUESS
     for _ in range(_ATTEMPTS):
         wp = prec + guard
-        s, m = _ldl_at(b, wp)
+        s, m = _ldl_at(b, den, wp)
         dd = [s[t, t] for t in range(m)]
         lf = np.eye(m)
         upper = np.triu_indices(m, 1)
@@ -356,7 +361,7 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
             if lo <= 0:
                 if hi < 0:
                     raise _not_positive_definite(t, d.scaleb(2 * ex[t], _UP).normalize())
-                if _pinned(lo, hi, Fraction(0), 2 * ex[t], math.prod(minor_bound(t))):
+                if _pinned(lo, hi, Fraction(0), 2 * ex[t], den * hadamard[t]):
                     raise _not_positive_definite(t, 0)
                 break
             ends.append((lo, hi))
@@ -376,7 +381,7 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
         # the count changes where the pivot is A[i][i] / 10^(top-1)
         if max(highs) < top and not any(
             low == top
-            and _pinned(lo, hi, a / Fraction(10) ** (top - 1 + 2 * e), 2 * e, math.prod(minor_bound(t)))
+            and _pinned(lo, hi, a / Fraction(10) ** (top - 1 + 2 * e), 2 * e, den * hadamard[t])
             for t, (a, e, low, (lo, hi)) in enumerate(zip(diag, ex, lows, ends))
         ):
             guard *= 2
@@ -387,8 +392,7 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
 
         pc = Context(prec=prec, rounding=ROUND_HALF_EVEN)
         pivots = [
-            _round_pinned(pc, lo, hi, 2 * ex[t], lambda: math.prod(minor_bound(t)))
-            for t, (lo, hi) in enumerate(ends)
+            _round_pinned(pc, lo, hi, 2 * ex[t], den * hadamard[t]) for t, (lo, hi) in enumerate(ends)
         ]
         if None in pivots:
             guard *= 2
@@ -407,7 +411,7 @@ def _decimal_ldl(matrix: RationalMatrix) -> tuple[int, np.ndarray, list[Decimal]
             for j in range(i + 1, n):
                 err = _UP.multiply(alpha, Decimal(tail[j, i + 1]))
                 lo, hi = lo_ctx.subtract(s[i, j], err), hi_ctx.add(s[i, j], err)
-                x = _round_pinned(pc, lo, hi, ex[j] - ex[i], lambda: minor_bound(i + 1)[1])
+                x = _round_pinned(pc, lo, hi, ex[j] - ex[i], hadamard[i + 1])
                 if x is None:
                     certified = False
                     break
@@ -453,10 +457,12 @@ def _eigen_stage(
     # other command the load
     from scipy.linalg import eigh
 
-    prec, lt, pivots = _decimal_ldl(pair.A1)
+    prec, lt, pivots = _decimal_ldl(pair.image1)
+    den, s2 = pair.image2
     with localcontext() as ctx:
         ctx.prec = prec
-        w = np.array([[Decimal(x.numerator) / x.denominator for x in r] for r in pair.A2])
+        dd = Decimal(den)
+        w = np.array([[Decimal(x) / dd for x in r] for r in s2])
         for upper in (0, 1):
             w = w.T.copy()
             for i in range(1, len(w)):
@@ -503,9 +509,9 @@ def rayleigh_quotient(pair: QuadraticFormPair, coeffs: Sequence[Fraction]) -> Fr
     """Exact a^T A2 a / a^T A1 a at rational coefficients a.
 
     With v = L a over the lcm L of the coefficient denominators and
-    N_i = den_i A_i the integer images, the quotient is
-    (v^T N2 v den1) / (v^T N1 v den2); one walk over the upper triangle of
-    the symmetric forms gives both integer sums.
+    (den_i, N_i) the pair's stored integer images, A_i = N_i / den_i, the
+    quotient is (v^T N2 v den1) / (v^T N1 v den2); one walk over the upper
+    triangle of the symmetric images gives both integer sums.
     """
     n = len(pair.basis)
     if len(coeffs) != n:
@@ -513,8 +519,8 @@ def rayleigh_quotient(pair: QuadraticFormPair, coeffs: Sequence[Fraction]) -> Fr
     fracs = [Fraction(c) for c in coeffs]
     lcm = math.lcm(*(c.denominator for c in fracs))
     v = [c.numerator * (lcm // c.denominator) for c in fracs]
-    den1, n1 = _integer_image(pair.A1)
-    den2, n2 = _integer_image(pair.A2)
+    den1, n1 = pair.image1
+    den2, n2 = pair.image2
     num = den = 0
     for i, vi in enumerate(v):
         if vi == 0:
@@ -875,11 +881,6 @@ def _dhl_threshold(theta: float, m: int) -> float:
     if m > sys.float_info.max or not math.isfinite(threshold := 2.0 * m / theta):
         raise ValidationError(f"2m/theta overflows a double at theta={theta}")
     return threshold
-
-
-def dhl_inference(mk_lower: float, theta: float, m: int) -> bool:
-    """Strict test mk_lower > 2m/theta; theta = 1 is the conditional path."""
-    return mk_lower > _dhl_threshold(theta, m)
 
 
 @dataclass(frozen=True)

@@ -430,23 +430,30 @@ def mc_form_entries(
     Returns (A1_mean, A1_se, A2_mean, A2_se) as n x n float arrays. A1
     entries are simplex integrals of B_i B_j; A2 entries are k times the
     last-coordinate term with the inner square split over two independent
-    uniform draws.
+    uniform draws, symmetrised. Each chunk's sums for every entry at once
+    are matrix products of the (n, samples) basis values, and P1, P2 are
+    products with a ones vector.
     """
     rng = np.random.default_rng(seed)
     n = len(basis)
     vol_k = 1.0 / math.factorial(k)
     vol_k1 = 1.0 / math.factorial(k - 1)
 
+    def power_sums(e):
+        """(P1, P2) of the simplex points t = e[:, :-1] / (row sum of e)."""
+        dim = e.shape[1] - 1
+        t = e[:, :dim] / (e @ np.ones(dim + 1))[:, None]
+        return t @ np.ones(dim), (t * t) @ np.ones(dim)
+
     def basis_values(p1, p2):
-        cols = []
-        for (a, b) in basis:
-            v = np.ones_like(p1)
+        """(n, samples): row q holds (1 - P1)^a P2^b of basis element q."""
+        rows = np.ones((n, len(p1)))
+        for q, (a, b) in enumerate(basis):
             if a:
-                v = v * (1.0 - p1) ** a
+                rows[q] *= (1.0 - p1) ** a
             if b:
-                v = v * p2**b
-            cols.append(v)
-        return cols
+                rows[q] *= p2**b
+        return rows
 
     sums1 = np.zeros((n, n))
     sq1 = np.zeros((n, n))
@@ -455,17 +462,9 @@ def mc_form_entries(
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        e = rng.standard_exponential((m, k + 1))
-        t = e[:, :k] / e.sum(axis=1, keepdims=True)
-        p1 = t.sum(axis=1)
-        p2 = (t * t).sum(axis=1)
-        bv = basis_values(p1, p2)
-
+        bv = basis_values(*power_sums(rng.standard_exponential((m, k + 1))))
         if k - 1 > 0:
-            e2 = rng.standard_exponential((m, k))
-            tp = e2[:, : k - 1] / e2.sum(axis=1, keepdims=True)
-            s = tp.sum(axis=1)
-            q2 = (tp * tp).sum(axis=1)
+            s, q2 = power_sums(rng.standard_exponential((m, k)))
         else:
             s = np.zeros(m)
             q2 = np.zeros(m)
@@ -475,26 +474,24 @@ def mc_form_entries(
         bu1 = basis_values(s + u1, q2 + u1 * u1)
         bu2 = basis_values(s + u2, q2 + u2 * u2)
 
-        for i in range(n):
-            for j in range(i, n):
-                w1 = vol_k * bv[i] * bv[j]
-                sums1[i, j] += w1.sum()
-                sq1[i, j] += (w1 * w1).sum()
-                w2 = k * vol_k1 * sigma * sigma * 0.5 * (
-                    bu1[i] * bu2[j] + bu1[j] * bu2[i]
-                )
-                sums2[i, j] += w2.sum()
-                sq2[i, j] += (w2 * w2).sum()
+        # w1_ij = vol_k B_i B_j, and w2_ij = G1_i U2_j + G1_j U2_i with
+        # G1 = g U1, g = k vol_(k-1) sigma^2 / 2; the squares of w2 expand
+        # into G1^2 against U2^2 and (G1 U2) against itself
+        bsq = bv * bv
+        sums1 += vol_k * (bv @ bv.T)
+        sq1 += vol_k * vol_k * (bsq @ bsq.T)
+        g1 = (k * vol_k1 * 0.5) * sigma * sigma * bu1
+        cross = g1 @ bu2.T
+        sums2 += cross + cross.T
+        squares = (g1 * g1) @ (bu2 * bu2).T
+        both = g1 * bu2
+        sq2 += squares + squares.T + 2.0 * (both @ both.T)
         done += m
 
     mean1 = sums1 / samples
     mean2 = sums2 / samples
     se1 = np.sqrt(np.maximum(sq1 / samples - mean1 * mean1, 0.0) / samples)
     se2 = np.sqrt(np.maximum(sq2 / samples - mean2 * mean2, 0.0) / samples)
-    for mat in (mean1, mean2, se1, se2):
-        for i in range(n):
-            for j in range(i):
-                mat[i, j] = mat[j, i]
     return mean1, se1, mean2, se2
 
 
@@ -572,11 +569,18 @@ def exact_rational_requote(a1, a2, witness) -> Fraction:
     return num / den
 
 
+def integer_image(matrix) -> tuple[int, list[list[int]]]:
+    """(den, den * matrix) with den the lcm of the entry denominators: the
+    integer image in lowest terms that the package stores for its forms."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+
+
 def ldl_bareiss(matrix) -> tuple[list[Fraction], list[list[int]]]:
     """Exact LDL^T pivots of a symmetric matrix and the rows that give L.
 
     Fraction-free (Bareiss) elimination on the upper triangle of the
-    integer image S = den * matrix, den the lcm of the entry denominators.
+    integer image S = den * matrix (`integer_image`).
     Every row of S is first divided by its content g_r: all minors through
     row r are multiples of g_r, so after step i each active entry is its
     bordered minor of S divided by g_0 ... g_(i-1), an integer, and every
@@ -588,9 +592,9 @@ def ldl_bareiss(matrix) -> tuple[list[Fraction], list[list[int]]]:
     with the package's message, at the first pivot <= 0.
     """
     n = len(matrix)
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    den, image = integer_image(matrix)
     # a[i] holds columns i .. n-1 of row i of the integer image
-    a = [[x.numerator * (den // x.denominator) for x in row[i:]] for i, row in enumerate(matrix)]
+    a = [row[i:] for i, row in enumerate(image)]
     content = [math.gcd(*a[i], *(a[r][i - r] for r in range(i))) or 1 for i in range(n)]
     pivots, factor = [], []
     prev = 1

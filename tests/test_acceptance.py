@@ -138,14 +138,15 @@ def test_criterion_04_gbound_growth():
 def test_criterion_05_exact_vs_monte_carlo(k):
     degree = 2
     pair = build_quadratic_forms(k, degree)
+    a1, a2 = pair.A1, pair.A2
     m1, s1, m2, s2 = oracles.mc_form_entries(k, pair.basis, MC_SAMPLES, seed=MC_SEED)
     n = len(pair.basis)
     worst = 0.0
     for i in range(n):
         for j in range(n):
             for exact, mc, se in (
-                (float(pair.A1[i][j]), m1[i, j], s1[i, j]),
-                (float(pair.A2[i][j]), m2[i, j], s2[i, j]),
+                (float(a1[i][j]), m1[i, j], s1[i, j]),
+                (float(a2[i][j]), m2[i, j], s2[i, j]),
             ):
                 sigmas = abs(exact - mc) / se if se > 0 else 0.0
                 worst = max(worst, sigmas)

@@ -29,7 +29,6 @@ from primelab.maynard import (
     QuadraticFormPair,
     basis_size,
     build_quadratic_forms,
-    dhl_inference,
     enumerate_basis,
     gap_bound_chain,
     ij_monte_carlo,
@@ -44,8 +43,8 @@ from primelab.tuples import AdmissibleTuple, greedy_narrow_tuple
 def synthetic_pair(a1, a2):
     n = len(a1)
     basis = tuple(BasisIndex(i, 0) for i in range(n))
-    to_frac = lambda mat: [[Fraction(x) for x in row] for row in mat]
-    return QuadraticFormPair(k=1, degree=n, basis=basis, A1=to_frac(a1), A2=to_frac(a2))
+    image = lambda mat: oracles.integer_image([[Fraction(x) for x in row] for row in mat])
+    return QuadraticFormPair(k=1, degree=n, basis=basis, image1=image(a1), image2=image(a2))
 
 
 _ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -110,22 +109,23 @@ class TestBuildQuadraticForms:
     def test_symmetry_and_definiteness(self):
         pair = build_quadratic_forms(4, 3)
         n = len(pair.basis)
-        for i in range(n):
-            for j in range(n):
-                assert pair.A1[i][j] == pair.A1[j][i]
-                assert pair.A2[i][j] == pair.A2[j][i]
+        for _, s in (pair.image1, pair.image2):
+            for i in range(n):
+                for j in range(n):
+                    assert s[i][j] == s[j][i]
         assert all(p > 0 for p in ldl_pivots(pair.A1))
-        assert all(p > 0 for p in maynard._decimal_ldl(pair.A1)[2])
+        assert all(p > 0 for p in maynard._decimal_ldl(pair.image1)[2])
 
     def test_entries_against_monte_carlo(self):
         pair = build_quadratic_forms(3, 2)
         basis = pair.basis
+        a1, a2 = pair.A1, pair.A2
         m1, s1, m2, s2 = oracles.mc_form_entries(3, basis, 2_000_000, seed=20240811)
         n = len(basis)
         for i in range(n):
             for j in range(n):
-                assert abs(float(pair.A1[i][j]) - m1[i, j]) <= 3 * s1[i, j] + 1e-12
-                assert abs(float(pair.A2[i][j]) - m2[i, j]) <= 3 * s2[i, j] + 1e-12
+                assert abs(float(a1[i][j]) - m1[i, j]) <= 3 * s1[i, j] + 1e-12
+                assert abs(float(a2[i][j]) - m2[i, j]) <= 3 * s2[i, j] + 1e-12
 
     @pytest.mark.parametrize(
         "k,degree,cap",
@@ -137,6 +137,15 @@ class TestBuildQuadraticForms:
         a1, a2 = oracles.quadratic_forms_fraction(k, pair.basis)
         assert pair.A1 == a1
         assert pair.A2 == a2
+
+    @pytest.mark.parametrize("k,degree", [(k, d) for k in (1, 2, 5, 105) for d in range(9)] + [(1600, 0)])
+    def test_image_in_lowest_terms(self, k, degree):
+        # each form is stored once as (den, S): the lcm image of the oracle's
+        # Fractions, so den is least and shares no factor with all of S
+        pair = build_quadratic_forms(k, degree)
+        a1, a2 = oracles.quadratic_forms_fraction(k, pair.basis)
+        assert pair.image1 == oracles.integer_image(a1)
+        assert pair.image2 == oracles.integer_image(a2)
 
     def test_basis_cap(self):
         with pytest.raises(CapacityError):
@@ -172,10 +181,15 @@ def rounded_oracle(matrix):
         return prec, rows, [Decimal(p.numerator) / p.denominator for p in pivots]
 
 
-def decimal_factor(matrix):
-    """`_decimal_ldl` in the oracle's layout."""
-    prec, lt, pivots = maynard._decimal_ldl(matrix)
-    return prec, [list(lt[i, i:]) for i in range(len(matrix))], pivots
+def decimal_factor(image):
+    """`_decimal_ldl` of an integer image, in the oracle's layout."""
+    prec, lt, pivots = maynard._decimal_ldl(image)
+    return prec, [list(lt[i, i:]) for i in range(len(image[1]))], pivots
+
+
+def decimal_ldl(matrix):
+    """`_decimal_ldl` of a Fraction matrix, through the lcm image."""
+    return maynard._decimal_ldl(oracles.integer_image(matrix))
 
 
 def failing_pivot(exc):
@@ -188,9 +202,9 @@ def working_precisions(monkeypatch):
     seen = []
     factor = maynard._ldl_at
 
-    def record(b, wp):
+    def record(b, den, wp):
         seen.append(wp)
-        return factor(b, wp)
+        return factor(b, den, wp)
 
     monkeypatch.setattr(maynard, "_ldl_at", record)
     return seen
@@ -220,11 +234,11 @@ RANK_ONE = [
 class TestLdl:
     def test_rejects_indefinite(self):
         with pytest.raises(ConsistencyError, match="^pivot 1 of the LDL decomposition is -3 <= 0"):
-            maynard._decimal_ldl([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+            decimal_ldl([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
 
     def test_pivots_match_minor_ratios(self):
         mat = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(3)]]
-        prec, rows, pivots = decimal_factor(mat)
+        prec, rows, pivots = decimal_factor(oracles.integer_image(mat))
         assert (prec, pivots) == (21, [4, 2])
         assert rows == [[1, Fraction(1, 2)], [1]]
 
@@ -235,23 +249,23 @@ class TestLdl:
             expected = rounded_oracle(mat)
         except ConsistencyError as exc:
             with pytest.raises(ConsistencyError) as got:
-                maynard._decimal_ldl(mat)
+                decimal_ldl(mat)
             assert failing_pivot(got.value) == failing_pivot(exc)
         else:
-            assert decimal_factor(mat) == expected
+            assert decimal_factor(oracles.integer_image(mat)) == expected
 
     def test_maynard_a1_matches_fraction_oracle(self):
-        a1 = build_quadratic_forms(105, 12).A1
-        assert decimal_factor(a1) == rounded_oracle(a1)
+        pair = build_quadratic_forms(105, 12)
+        assert decimal_factor(pair.image1) == rounded_oracle(pair.A1)
 
     def test_exact_zeros_in_l(self, monkeypatch):
         # some entries of L are exactly 0 at k=2, d=14: no interval around
         # them rounds alike, and Hadamard's bound certifies them at once
-        a1 = build_quadratic_forms(2, 14).A1
-        expected = rounded_oracle(a1)
+        pair = build_quadratic_forms(2, 14)
+        expected = rounded_oracle(pair.A1)
         assert any(x == 0 for row in expected[1] for x in row)
         seen = working_precisions(monkeypatch)
-        assert decimal_factor(a1) == expected
+        assert decimal_factor(pair.image1) == expected
         assert len(seen) == 1
 
     def test_diagonal_past_the_int_str_digit_limit(self):
@@ -259,11 +273,11 @@ class TestLdl:
         # past what str() of an int accepts by default
         mat = [[Fraction(1, 10**5000), Fraction(1, 10**5001)],
                [Fraction(1, 10**5001), Fraction(1, 10**5000)]]
-        assert decimal_factor(mat) == rounded_oracle(mat)
+        assert decimal_factor(oracles.integer_image(mat)) == rounded_oracle(mat)
 
     def test_first_attempt_certifies(self, monkeypatch):
         seen = working_precisions(monkeypatch)
-        prec, _, _ = maynard._decimal_ldl(build_quadratic_forms(105, 12).A1)
+        prec, _, _ = maynard._decimal_ldl(build_quadratic_forms(105, 12).image1)
         assert len(seen) == 1 and seen[0] >= prec + maynard._GUARD
 
     @pytest.mark.parametrize("tie", [_EVEN_TIE, _ODD_TIE])
@@ -272,7 +286,7 @@ class TestLdl:
         x = near_tie(tie, side)
         mat = [[Fraction(1), x], [x, Fraction(1)]]
         seen = working_precisions(monkeypatch)
-        got = decimal_factor(mat)
+        got = decimal_factor(oracles.integer_image(mat))
         assert got[0] == 21 and len(seen) == (1 if side == 0 else 2)
         assert got == rounded_oracle(mat)
 
@@ -283,7 +297,7 @@ class TestLdl:
         x = near_tie(tie, side)
         mat = [[Fraction(1), Fraction(1, 3)], [Fraction(1, 3), x + Fraction(1, 9)]]
         seen = working_precisions(monkeypatch)
-        got = decimal_factor(mat)
+        got = decimal_factor(oracles.integer_image(mat))
         assert got[0] == 21 and len(seen) == (1 if side == 0 else 2)
         assert got == rounded_oracle(mat)
 
@@ -294,7 +308,7 @@ class TestLdl:
         delta = side * Fraction(1, 10**75)
         mat = [[Fraction(1), Fraction(3, 10)], [Fraction(3, 10), Fraction(1, 10) + delta]]
         seen = working_precisions(monkeypatch)
-        got = decimal_factor(mat)
+        got = decimal_factor(oracles.integer_image(mat))
         assert got[0] == (21 if side == 1 else 22) and len(seen) == (1 if side == 0 else 2)
         assert got == rounded_oracle(mat)
 
@@ -316,13 +330,13 @@ class TestLdl:
         mat = [[Fraction(x) for x in row] for row in mat]
         seen = working_precisions(monkeypatch)
         with pytest.raises(ConsistencyError, match=f"^pivot {index} of the LDL decomposition is 0 <= 0"):
-            maynard._decimal_ldl(mat)
+            decimal_ldl(mat)
         assert len(seen) == attempts
 
     def test_gives_up_after_the_last_attempt(self, monkeypatch):
         monkeypatch.setattr(maynard, "_ATTEMPTS", 2)
         with pytest.raises(ConvergenceError, match="in 2 attempts"):
-            maynard._decimal_ldl(RANK_ONE)
+            decimal_ldl(RANK_ONE)
 
 
 class TestEigen:
@@ -363,7 +377,7 @@ class TestEigen:
         tiny = Fraction(1, 10**30)
         pair = synthetic_pair([[1, 1], [1, 1 + tiny]], [[1, 0], [0, 1]])
         assert ldl_pivots(pair.A1) == [1, tiny]
-        assert maynard._decimal_ldl(pair.A1)[2] == [1, Decimal("1E-30")]
+        assert maynard._decimal_ldl(pair.image1)[2] == [1, Decimal("1E-30")]
         lam, vec, _ = maynard._eigen_stage(pair, 1e-9)
         assert lam == pytest.approx(2e30, rel=1e-12)
         exact = rayleigh_quotient(pair, [Fraction(float(v)) for v in vec])
@@ -647,21 +661,22 @@ class TestMonteCarlo:
 
 class TestInference:
     def test_strictness_table(self):
-        assert dhl_inference(4.01, 0.5, 1) is True
-        assert dhl_inference(2.1, 1.0, 1) is True
-        assert dhl_inference(4.0, 0.5, 1) is False
+        # the chain's inference is the strict test M_k bound > 2m/theta
+        assert 4.01 > maynard._dhl_threshold(0.5, 1)
+        assert 2.1 > maynard._dhl_threshold(1.0, 1)
+        assert not 4.0 > maynard._dhl_threshold(0.5, 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            dhl_inference(3.0, 0.0, 1)
+            maynard._dhl_threshold(0.0, 1)
         with pytest.raises(ValidationError):
-            dhl_inference(3.0, 1.5, 1)
+            maynard._dhl_threshold(1.5, 1)
         with pytest.raises(ValidationError):
-            dhl_inference(3.0, 0.5, 0)
+            maynard._dhl_threshold(0.5, 0)
         with pytest.raises(ValidationError, match="overflows a double"):
-            dhl_inference(3.0, 0.5, 10**309)
+            maynard._dhl_threshold(0.5, 10**309)
         with pytest.raises(ValidationError, match="overflows a double"):
-            dhl_inference(3.0, 1e-308, 1)
+            maynard._dhl_threshold(1e-308, 1)
 
     def test_chain_k5_conditional(self):
         tup = greedy_narrow_tuple(5, 16)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import integer_image
 from primelab.errors import ValidationError
 from primelab.gpy import GpyParams, remainder_R, residue_set_C
 from primelab.maynard import (
@@ -38,8 +39,9 @@ REFUSALS = {
     "remainder_c": (lambda: remainder_R(1000, 3, 0), "c must lie in [1, 3], got 0"),
     "enumerate_basis_degree": (lambda: enumerate_basis(-1), "degree must be >= 0, got -1"),
     "form_dimensions": (
-        lambda: QuadraticFormPair(k=2, degree=0, basis=ONE, A1=[[Fraction(1)]],
-                                  A2=[[Fraction(1), Fraction(0)]]),
+        lambda: QuadraticFormPair(k=2, degree=0, basis=ONE,
+                                  image1=integer_image([[Fraction(1)]]),
+                                  image2=integer_image([[Fraction(1), Fraction(0)]])),
         "matrix dimensions must equal basis size",
     ),
     "forms_k": (lambda: build_quadratic_forms(0, 2), "k must be >= 1, got 0"),
