@@ -237,13 +237,13 @@ def _cmd_stats_mertens(args, config: RunConfig):
 
 
 def _cmd_stats_hardy_ramanujan(args, config: RunConfig):
-    value = stats_mod.hardy_ramanujan_proportion(args.n, args.a)
+    value = stats_mod.hardy_ramanujan_proportion(args.n, args.a, segment_size=config.segment_size)
     row = StatReport(args.n, "hardy_ramanujan_proportion", value, 1.0)
     return _pick(args, "n", "a"), {"proportion": value}, [row]
 
 
 def _cmd_stats_erdos_kac(args, config: RunConfig):
-    rep = stats_mod.erdos_kac(args.x, args.a, args.b)
+    rep = stats_mod.erdos_kac(args.x, args.a, args.b, segment_size=config.segment_size)
     rows = [
         StatReport(args.x, "erdos_kac_interval_mass", rep.empirical, rep.gaussian),
         StatReport(args.x, "erdos_kac_ks_distance", rep.ks_distance, 0.0),

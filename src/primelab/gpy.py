@@ -382,21 +382,26 @@ def _residues(ns: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
 def _class_counts(ns: np.ndarray, q_max: int, weights: Optional[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (q, per-class sums of weights over ns mod q) once for each q <= q_max.
 
-    Without weights (a count per class), each q in (q_max / 2, q_max] takes
-    a residue pass and a bincount, and its even chain q/2, q/4, ... down to
-    the first odd q is folded from it, as counts.reshape(2, q).sum(0),
-    exactly in integers. Every q <= q_max / 2 lies on one such chain, and
-    only one count array is held at a time. Float weights keep one bincount
-    per q: folding would reorder their additions and change their bits.
+    Without weights (a count per class), each q in (q_max / 2, q_max] takes a
+    residue pass and a bincount, shared with q - 1 where lcm = q (q - 1) is at
+    most ns.size (q's counts are then shared.reshape(lcm // q, q).sum(0)); its
+    even chain q/2, ... to the first odd q is folded as counts.reshape(2, q).sum(0),
+    exactly. Every q <= q_max / 2 lies on one chain. Float weights keep one
+    bincount per q: folding would reorder their additions and change their bits.
     """
-    residues = np.empty_like(ns)
-    for q in range(q_max, 0 if weights is not None else q_max // 2, -1):
-        per_class = np.bincount(_residues(ns, q, residues), weights=weights, minlength=q)
-        yield q, per_class
-        while weights is None and q % 2 == 0:
-            q //= 2
-            per_class = per_class.reshape(2, q).sum(0)
-            yield q, per_class
+    residues, q = np.empty_like(ns), q_max
+    while q > (0 if weights is not None else q_max // 2):
+        pair = (q, q - 1) if weights is None and q - 1 > q_max // 2 and q * (q - 1) <= ns.size else (q,)
+        lcm = math.prod(pair)  # consecutive integers are coprime
+        shared = np.bincount(_residues(ns, lcm, residues), weights=weights, minlength=lcm)
+        for top in pair:
+            per_class = shared.reshape(lcm // top, top).sum(0) if lcm > top else shared
+            yield top, per_class
+            while weights is None and top % 2 == 0:
+                top //= 2
+                per_class = per_class.reshape(2, top).sum(0)
+                yield top, per_class
+        q -= len(pair)
 
 
 def level_of_distribution_sum(
@@ -409,8 +414,8 @@ def level_of_distribution_sum(
     weighted=True the count is replaced by the prime-power log sum (the
     same comparison against its total divided by phi(q)).
 
-    Only q > q_max / 2 take a residue pass and a bincount over the primes
-    (see _class_counts); the counts mod a smaller q are folded from them.
+    Unweighted, only q > q_max / 2 take a residue pass and a bincount over the
+    primes, two to a pass (see _class_counts); smaller q are folded from them.
     """
     if x < 100:
         raise ValidationError(f"x must be >= 100, got {x}")

@@ -28,7 +28,7 @@ work in O(sqrt(x)) memory), and its first and last prime come from short
 kernel windows at its ends. The kernel's refusals come first either way.
 _range_bits builds the only full-length table, one read-only primality
 byte per integer, for the GPY direct scan and the pigeonhole experiment.
-_omega_blocks yields omega over a range in blocks of _OMEGA_BLOCK
+_omega_blocks yields omega in blocks of min(segment_size, _OMEGA_BLOCK)
 integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
 at its multiples by slices and multiplies a per-integer product by p at
 the multiples of p, p^2, ... that fall in the block; an integer whose
@@ -337,27 +337,31 @@ def primorial(n: int) -> int:
     return math.prod(_simple_prime_array(n).tolist())
 
 
-_OMEGA_BLOCK = 1 << 18  # integers per block of _omega_blocks; no output depends on it
+_OMEGA_BLOCK = 1 << 18  # the largest block of _omega_blocks; no output depends on it
 
 
-def _omega_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+def _omega_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (block_lo, omega) covering [lo, hi) in order, 1 <= lo < hi.
 
     omega[i] is the number of distinct prime factors of n = block_lo + i,
-    as int8. Blocks end at multiples of _OMEGA_BLOCK (and at hi). part[i]
-    is the product of the largest powers of the primes p <= sqrt(hi - 1)
-    that divide n; it fits int32 under the cap, and where n > part, n / part
-    is one more prime factor, above sqrt(hi - 1).
+    as int8. Blocks end at multiples of min(segment_size, _OMEGA_BLOCK)
+    (and at hi). part[i] is the product of the largest powers of the primes
+    p <= sqrt(hi - 1) that divide n; it fits int32 under the cap, and where
+    n > part, n / part is one more prime factor, above sqrt(hi - 1).
 
     Raises:
+        ValidationError: segment_size < 1, with the kernel's message.
         CapacityError: hi - 1 > DEFAULT_RANGE_CAP, before allocating.
     """
+    if segment_size < 1:
+        raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
     if hi - 1 > DEFAULT_RANGE_CAP:
         raise CapacityError(f"tables up to {hi - 1} exceed the cap of {DEFAULT_RANGE_CAP} integers")
     primes = _simple_prime_array(math.isqrt(hi - 1)).tolist()
+    block = min(segment_size, _OMEGA_BLOCK)
     b_lo = lo
     while b_lo < hi:
-        b_hi = min(b_lo - b_lo % _OMEGA_BLOCK + _OMEGA_BLOCK, hi)
+        b_hi = min(b_lo - b_lo % block + block, hi)
         omega = np.zeros(b_hi - b_lo, dtype=np.int8)
         part = np.ones(b_hi - b_lo, dtype=np.int32)
         for p in primes:
@@ -436,22 +440,22 @@ def gap_scan(
     best_min: Optional[GapRecord] = None
     best_max: Optional[GapRecord] = None
     all_records: list[GapRecord] = []
-    prev = np.empty(0, dtype=np.int64)  # the last prime so far, if any
+    prev: Optional[int] = None  # the last prime so far
     for _, ps in iter_prime_segments(lo, hi, segment_size):
-        ps = np.concatenate((prev, ps))
-        if ps.size >= 2:
-            gaps = np.diff(ps)
-            i_min = int(np.argmin(gaps))
-            i_max = int(np.argmax(gaps))
-            cand_min = GapRecord(int(ps[i_min]), int(ps[i_min + 1]), int(gaps[i_min]))
-            cand_max = GapRecord(int(ps[i_max]), int(ps[i_max + 1]), int(gaps[i_max]))
-            if best_min is None or cand_min.gap < best_min.gap:
-                best_min = cand_min
-            if best_max is None or cand_max.gap > best_max.gap:
-                best_max = cand_max
-            if keep_all:
-                all_records.extend(map(GapRecord, ps[:-1].tolist(), ps[1:].tolist(), gaps.tolist()))
-        prev = ps[-1:]
+        if not ps.size:
+            continue
+        joined = [] if prev is None else [GapRecord(prev, int(ps[0]), int(ps[0]) - prev)]
+        gaps = ps[1:] - ps[:-1]
+        ends = (np.argmin(gaps), np.argmax(gaps)) if gaps.size else ()  # the first smallest and largest
+        # the boundary gap first, and strict < and > keep ties with the smaller p
+        for rec in joined + [GapRecord(int(ps[i]), int(ps[i + 1]), int(gaps[i])) for i in ends]:
+            if best_min is None or rec.gap < best_min.gap:
+                best_min = rec
+            if best_max is None or rec.gap > best_max.gap:
+                best_max = rec
+        if keep_all:
+            all_records += [*joined, *map(GapRecord, ps[:-1].tolist(), ps[1:].tolist(), gaps.tolist())]
+        prev = int(ps[-1])
     if best_min is None:
         raise EmptyRangeError(f"fewer than two primes in [{lo}, {hi})")
     return GapScan(best_min, best_max, tuple(all_records) if keep_all else None)

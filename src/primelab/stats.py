@@ -144,9 +144,10 @@ class _ExactSum:
     """Exact running sum of finite float64 values; float() rounds it once.
 
     np.frexp writes each value as m * 2^(e - 53) with an integer |m| < 2^53.
-    The m are added per exponent into Python ints, via int64 halves of 26
-    and 27 bits that cannot overflow. float() divides one integer by a
-    power of two: the correctly rounded sum, as math.fsum returns it.
+    The m of each run of equal e, in input order (few in a decreasing segment),
+    go into a Python int per e via int64 halves of 26 and 27 bits that cannot
+    overflow. float() divides one integer by a power of two: the correctly
+    rounded sum, as math.fsum returns it.
     """
 
     def __init__(self) -> None:
@@ -156,8 +157,7 @@ class _ExactSum:
         if not values.size:
             return
         frac, exp = np.frexp(values)
-        order = np.argsort(exp)
-        exp, mant = exp[order], (frac[order] * 2.0**53).astype(np.int64)
+        mant = np.multiply(frac, 2.0**53, out=frac).astype(np.int64)
         starts = np.flatnonzero(np.r_[True, exp[1:] != exp[:-1]])
         high = np.add.reduceat(mant >> 27, starts).tolist()
         low = np.add.reduceat(mant & (2**27 - 1), starts).tolist()
@@ -194,11 +194,12 @@ def mertens_sums(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> tuple[f
     return d1, d2
 
 
-def hardy_ramanujan_proportion(n: int, a: float) -> float:
+def hardy_ramanujan_proportion(n: int, a: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
     """Fraction of N in {2..n} with |omega(N) - log log n| <= a sqrt(log log n).
 
     The centering uses log log n at the top of the range, so the band is
-    common to every N; the proportion is nondecreasing in a.
+    common to every N; the proportion is nondecreasing in a. omega streams
+    in blocks of at most segment_size integers (see sieve._omega_blocks).
     """
     if n < 16:
         raise ValidationError(f"n must be >= 16, got {n}")
@@ -207,7 +208,7 @@ def hardy_ramanujan_proportion(n: int, a: float) -> float:
     loglog = math.log(math.log(n))
     band = a * math.sqrt(loglog)
     inside = 0
-    for _, omega in _omega_blocks(2, n + 1):
+    for _, omega in _omega_blocks(2, n + 1, segment_size=segment_size):
         inside += int(np.count_nonzero(np.abs(omega.astype(np.float64) - loglog) <= band))
     return float(inside) / (n - 1)
 
@@ -235,7 +236,7 @@ class ErdosKacReport:
     ks_distance: float
 
 
-def erdos_kac(x: int, a: float, b: float) -> ErdosKacReport:
+def erdos_kac(x: int, a: float, b: float, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> ErdosKacReport:
     """Empirical law of the standardized distinct-prime-factor count.
 
     Standardizes omega(n) by log log n per n over 3 <= n <= x (smaller n
@@ -247,7 +248,8 @@ def erdos_kac(x: int, a: float, b: float) -> ErdosKacReport:
     line. Both CDFs are monotone between grid points, so there the gap is
     at most phi(0) * dz = 0.0040, the normal density's maximum times the
     grid step dz = 10 / (_KS_GRID_POINTS - 1); outside [-5, 5] it is at
-    most Phi(-5) < 3e-7.
+    most Phi(-5) < 3e-7. omega streams in blocks of at most segment_size
+    integers; each block adds integer counts, so no bit depends on it.
     """
     if x < 16:
         raise ValidationError(f"x must be >= 16, got {x}")
@@ -255,7 +257,7 @@ def erdos_kac(x: int, a: float, b: float) -> ErdosKacReport:
         raise ValidationError(f"need a < b, got a={a} b={b}")
     zs = np.linspace(-5.0, 5.0, _KS_GRID_POINTS)
     inside, below = 0, np.zeros(zs.size, dtype=np.int64)
-    for n_lo, omega in _omega_blocks(3, x + 1):
+    for n_lo, omega in _omega_blocks(3, x + 1, segment_size=segment_size):
         loglog = np.arange(n_lo, n_lo + omega.size, dtype=np.float64)
         np.log(loglog, out=loglog)
         np.log(loglog, out=loglog)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import primelab
 from primelab import sieve
+from primelab import stats as stats_mod
 from primelab.cli import dispatch
 
 
@@ -269,6 +270,9 @@ SIEVE_BACKED = [
     ("gpy", "levels", "--x", "10000", "--theta", "0.4"),
     ("gpy", "levels", "--x", "10000", "--theta", "0.3", "--weighted"),
     ("largegap", "scan", "--X", "10000"),
+    # the omega stream walks blocks of min(segment_size, _OMEGA_BLOCK)
+    ("stats", "erdos-kac", "--x", "10000", "--a", "-1", "--b", "1"),
+    ("stats", "hardy-ramanujan", "--n", "10000", "--a", "0.5"),
 ]
 
 
@@ -276,16 +280,21 @@ class TestSegmentSize:
     @pytest.mark.parametrize("argv", SIEVE_BACKED, ids=" ".join)
     def test_result_independent_of_segment_size(self, capsys, monkeypatch, argv):
         # segmented against one-shot, through the whole CLI: every kernel pass
-        # but the base primes' one-segment tables over [0, hi) reads the flag,
-        # and no result byte depends on it
-        kernel, seen, results = sieve._odd_segments, [], set()
+        # but the base primes' one-segment tables over [0, hi) and every
+        # omega stream reads the flag, and no result byte depends on it
+        kernel, omega, seen, results = sieve._odd_segments, stats_mod._omega_blocks, [], set()
 
         def spy(lo, hi, segment_size):
             if (lo, segment_size) != (0, hi):
                 seen.append(segment_size)
             return kernel(lo, hi, segment_size)
 
+        def omega_spy(lo, hi, *, segment_size):
+            seen.append(segment_size)
+            return omega(lo, hi, segment_size=segment_size)
+
         monkeypatch.setattr(sieve, "_odd_segments", spy)
+        monkeypatch.setattr(stats_mod, "_omega_blocks", omega_spy)
         for size in (1, 7, 30031, sieve.DEFAULT_SEGMENT_SIZE):
             seen.clear()
             results.add(json.dumps(run_json(capsys, "--segment-size", str(size), *argv)["result"]))
@@ -352,6 +361,9 @@ class TestInputValidation:
                     ("gpy", "error", "--x", "1000", "--offsets", "0,2,6", "--b", "0.25"),
                     ("gpy", "levels", "--x", "10000", "--theta", "0.4"),
                     ("gpy", "levels", "--x", "10000", "--theta", "0.3", "--weighted"),
+                    # each echoed the flag and walked fixed blocks
+                    ("stats", "erdos-kac", "--x", "10000", "--a", "-1", "--b", "1"),
+                    ("stats", "hardy-ramanujan", "--n", "10000", "--a", "0.5"),
                 )
             ),
         ],

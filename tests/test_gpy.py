@@ -12,6 +12,7 @@ from primelab.errors import CapacityError, ConsistencyError, ValidationError
 from primelab.gpy import (
     GpyParams,
     ZHANG_LEVEL_EXPONENT,
+    _class_counts,
     _direct_weight_blocks,
     _lambda_table,
     _power_floor,
@@ -418,6 +419,45 @@ class TestLevelOfDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "size,q_max",
+        [
+            # q_max * (q_max - 1) = size - 1, size, size + 1: the pair (392, 391)
+            # shares one pass on the first two, and the third leaves 392 alone
+            (392 * 391 + 1, 392),
+            (392 * 391, 392),
+            (392 * 391 - 1, 392),
+            # an odd number of moduli above q_max / 2 (3..5, 4..6, 21..41, 1),
+            # past the cap at the top of 21..41 and under it lower down
+            (1000, 5),
+            (1000, 6),
+            (10**4, 41),
+            (5, 1),
+            (6, 3),
+        ],
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_class_counts_equal_a_bincount_per_modulus(self, size, q_max, weighted):
+        ns = np.random.default_rng(size).integers(0, 3 * 10**6, size=size).astype(np.uint32)
+        weights = np.random.default_rng(q_max).random(size) if weighted else None
+        seen = []
+        for q, per_class in _class_counts(ns, q_max, weights):
+            want = np.bincount(ns % q, weights=weights, minlength=q)
+            assert per_class.dtype == want.dtype and np.array_equal(per_class, want), q
+            seen.append(q)
+        assert sorted(seen) == list(range(1, q_max + 1))
+
+    def test_class_counts_on_the_primes_to_3e6(self):
+        # q_max = 392: every pair of moduli above 196 shares a pass over the
+        # 216,816 primes
+        ns = _simple_prime_array(3 * 10**6).astype(np.uint32)
+        q_max = int((3 * 10**6) ** 0.4 + 1e-9)
+        assert q_max * (q_max - 1) <= ns.size
+        seen = {q: per_class for q, per_class in _class_counts(ns, q_max, None)}
+        assert sorted(seen) == list(range(1, q_max + 1))
+        for q, per_class in seen.items():
+            assert np.array_equal(per_class, np.bincount(ns % q, minlength=q)), q
 
     @pytest.mark.parametrize("x", [100, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1])
     def test_residues_equal_mod(self, x):

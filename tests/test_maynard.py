@@ -275,6 +275,29 @@ class TestLdl:
                [Fraction(1, 10**5001), Fraction(1, 10**5000)]]
         assert decimal_factor(oracles.integer_image(mat)) == rounded_oracle(mat)
 
+    @pytest.mark.parametrize("k,degree,cap", [(105, 12, 64), (105, 16, 81), (50, 14, 64), (2, 14, 64)])
+    def test_scaled_diagonal_lies_in_a_tenth_to_a_hundred(self, monkeypatch, k, degree, cap):
+        # the digit shift is read from the reduced diagonal A[i][i] = p / q:
+        # with D the digits of p less those of q, B's diagonal entry lies in
+        # [0.1, 10) for an even D and in [1, 100) for an odd one. Shifts read
+        # from the unreduced S_ii and den stay inside [0.1, 100) on these
+        # forms, but move some entry by a factor of 100, out of its half
+        # of that range
+        seen, factor = [], maynard._ldl_at
+
+        def record(b, den, wp):
+            seen.append((b, den))
+            return factor(b, den, wp)
+
+        monkeypatch.setattr(maynard, "_ldl_at", record)
+        maynard._decimal_ldl(build_quadratic_forms(k, degree, basis_cap=cap).image1)
+        assert seen
+        for b, den in seen:
+            for (x, e), *_ in b:
+                a = Fraction(x, den)
+                low = Fraction(1, 10) if (len(str(a.numerator)) - len(str(a.denominator))) % 2 == 0 else 1
+                assert low <= a / Fraction(10) ** e < 100 * low, (x, den, e)
+
     def test_first_attempt_certifies(self, monkeypatch):
         seen = working_precisions(monkeypatch)
         prec, _, _ = maynard._decimal_ldl(build_quadratic_forms(105, 12).image1)

@@ -10,6 +10,7 @@ from primelab import sieve
 from primelab.errors import CapacityError, EmptyRangeError, ValidationError
 from primelab.sieve import (
     DEFAULT_RANGE_CAP,
+    DEFAULT_SEGMENT_SIZE,
     _LATTICE_RATIO,
     _kernel_census,
     _lattice_pi,
@@ -17,6 +18,7 @@ from primelab.sieve import (
     _range_bits,
     _simple_prime_array,
     _uses_lattice,
+    GapRecord,
     gap_scan,
     iter_prime_segments,
     mangoldt_range,
@@ -438,6 +440,25 @@ class TestOmegaBlocks:
         assert sizes[-1] == 2 and starts[1] == sieve._OMEGA_BLOCK
         assert np.array_equal(omega, oracles.arith_tables(hi - 1).omega[3:])
 
+    @pytest.mark.parametrize("segment_size", [1, 7, 30031, DEFAULT_SEGMENT_SIZE])
+    def test_blocks_follow_the_segment_size(self, segment_size):
+        # blocks of min(segment_size, _OMEGA_BLOCK): a default segment would
+        # hold four times the arrays of the largest block
+        hi = 2000 if segment_size < 30031 else sieve._OMEGA_BLOCK + 5
+        blocks = list(_omega_blocks(3, hi, segment_size=segment_size))
+        block = min(segment_size, sieve._OMEGA_BLOCK)
+        starts = [b for b, _ in blocks]
+        ends = [min(b - b % block + block, hi) for b in starts]
+        assert starts == [3] + ends[:-1] and ends[-1] == hi
+        assert [om.size for _, om in blocks] == [e - b for b, e in zip(starts, ends)]
+        omega = np.concatenate([om for _, om in blocks])
+        assert np.array_equal(omega, oracles.arith_tables(hi - 1).omega[3:hi])
+
+    @pytest.mark.parametrize("segment_size", [0, -5])
+    def test_refuses_a_segment_size_below_one(self, segment_size):
+        with pytest.raises(ValidationError, match=f"^segment_size must be >= 1, got {segment_size}$"):
+            next(_omega_blocks(3, 100, segment_size=segment_size))
+
     def test_cap(self):
         # n = 2^30 is the last integer below the cap: 2^30 itself, omega 1
         ((start, omega),) = _omega_blocks(DEFAULT_RANGE_CAP, DEFAULT_RANGE_CAP + 1)
@@ -493,6 +514,23 @@ class TestGapScan:
         a = gap_scan(1, 5000, segment_size=64)
         b = gap_scan(1, 5000, segment_size=1 << 20)
         assert a.max_gap == b.max_gap and a.min_gap == b.min_gap
+
+    @pytest.mark.parametrize("segment_size", [1, 2, 7, 10, 30031, DEFAULT_SEGMENT_SIZE])
+    @pytest.mark.parametrize("lo,hi", [(1, 20), (0, 3000), (8, 60), (10**6 - 500, 10**6 + 2500)])
+    def test_boundary_joins_equal_one_pass(self, lo, hi, segment_size):
+        # every consecutive pair from one list of the primes; at segment size
+        # 10 over [1, 20) the boundary gap 7 -> 11 ties the later 13 -> 17 and
+        # keeps the max, and at 7 the boundary gap 13 -> 17 ties 7 -> 11
+        ps = np.flatnonzero(oracles.simple_sieve_bits(hi))
+        ps = ps[ps >= lo].tolist()
+        want = [(p, q, q - p) for p, q in zip(ps, ps[1:])]
+        scan = gap_scan(lo, hi, keep_all=True, segment_size=segment_size)
+        assert [(r.p, r.q, r.gap) for r in scan.records] == want
+        gaps = [g for _, _, g in want]
+        assert scan.min_gap == GapRecord(*want[gaps.index(min(gaps))])
+        assert scan.max_gap == GapRecord(*want[gaps.index(max(gaps))])
+        plain = gap_scan(lo, hi, segment_size=segment_size)
+        assert (plain.min_gap, plain.max_gap, plain.records) == (scan.min_gap, scan.max_gap, None)
 
     def test_empty_range_error(self):
         with pytest.raises(EmptyRangeError):

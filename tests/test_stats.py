@@ -184,6 +184,35 @@ class TestExactSum:
         for chunk in range(len(values) + 1):
             assert _exact_or_overflow(values, chunk) == math.fsum(values)
 
+    @pytest.mark.parametrize(
+        "kind", ["monotone", "shuffled", "alternating", "mixed signs", "subnormal", "empty"]
+    )
+    def test_runs_in_input_order_equal_fsum(self, kind):
+        # equal exponents are summed run by run as they come, unsorted: a
+        # decreasing segment has a few runs, an alternating one a run per entry
+        rng = np.random.default_rng(11)
+        ps = np.arange(3, 20001, 2, dtype=np.float64)
+        values = {
+            "monotone": np.log(ps) / ps,
+            "shuffled": rng.permutation(np.log(ps) / ps),
+            "alternating": np.where(np.arange(ps.size) % 2 == 0, ps, 1.0 / ps),
+            "mixed signs": rng.standard_normal(5000) * 2.0 ** rng.integers(-60, 60, 5000),
+            "subnormal": rng.integers(-(2**52), 2**52, 5000) * 2.0**-1074,
+            "empty": np.empty(0),
+        }[kind]
+        total = _ExactSum()
+        total.add(values)
+        assert float(total) == math.fsum(values.tolist())
+
+    def test_one_sum_over_many_adds_equals_fsum(self):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal(20000) * 2.0 ** rng.integers(-40, 40, 20000)
+        cuts = np.sort(rng.integers(0, values.size, 300))
+        total = _ExactSum()
+        for part in np.split(values, cuts):  # empty parts included
+            total.add(part)
+        assert float(total) == math.fsum(values.tolist())
+
 
 # one past a multiple of the omega block: the last block holds two integers
 _BLOCK_EDGE = 4 * sieve._OMEGA_BLOCK + 1
@@ -275,6 +304,16 @@ class TestErdosKac:
         want = erdos_kac(x, -0.5, 1.5), hardy_ramanujan_proportion(x, 0.7)
         monkeypatch.setattr(sieve, "_OMEGA_BLOCK", block)
         assert (erdos_kac(x, -0.5, 1.5), hardy_ramanujan_proportion(x, 0.7)) == want
+
+    @pytest.mark.parametrize("segment_size", [1, 7, 30031])
+    def test_segment_size_changes_no_bit(self, segment_size):
+        x = 2000 if segment_size == 1 else 10**5
+        want = erdos_kac(x, -0.5, 1.5), hardy_ramanujan_proportion(x, 0.7)
+        got = (
+            erdos_kac(x, -0.5, 1.5, segment_size=segment_size),
+            hardy_ramanujan_proportion(x, 0.7, segment_size=segment_size),
+        )
+        assert got == want
 
     def test_streams_in_bounded_memory(self):
         # one block of omega, its float64 standardization and the log log
