@@ -431,8 +431,9 @@ def gap_scan(
 ) -> GapScan:
     """Scan consecutive-prime gaps with both endpoints in [lo, hi).
 
-    Returns the minimum and maximum gap; ties go to the smaller p. With
-    keep_all the full gap list is materialized (small ranges only).
+    Returns the minimum and maximum gap; ties go to the smaller p: each
+    segment's boundary gap is weighed first and only a strictly smaller
+    (larger) gap wins. keep_all materializes the gap list (small ranges).
 
     Raises:
         EmptyRangeError: fewer than two primes in [lo, hi).
@@ -447,7 +448,6 @@ def gap_scan(
         joined = [] if prev is None else [GapRecord(prev, int(ps[0]), int(ps[0]) - prev)]
         gaps = ps[1:] - ps[:-1]
         ends = (np.argmin(gaps), np.argmax(gaps)) if gaps.size else ()  # the first smallest and largest
-        # the boundary gap first, and strict < and > keep ties with the smaller p
         for rec in joined + [GapRecord(int(ps[i]), int(ps[i + 1]), int(gaps[i])) for i in ends]:
             if best_min is None or rec.gap < best_min.gap:
                 best_min = rec
