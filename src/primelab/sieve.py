@@ -35,17 +35,36 @@ the multiples of p, p^2, ... that fall in the block; an integer whose
 product falls short of it has exactly one more prime factor, above
 sqrt(hi). mangoldt_range gives the von Mangoldt support as (n, prime,
 exponent) arrays; log(p) floats only appear where summed.
+
+The large streamed reductions split their range over the cores
+(_fan_out): gap_scan without keep_all, the kernel census, and in stats
+mertens_sums, erdos_kac and hardy_ramanujan_proportion. _plan cuts
+[lo, hi) into one contiguous piece per core in os.sched_getaffinity(0),
+at lo + j * segment_size (omega: on its block grid), so every segment
+or block is the one a single pass walks; a range under _PIECE_MIN
+integers, or a process without os.fork, runs as one piece, in process,
+on the same path. The refusals and the base primes come first, once, in
+the calling process. Every piece but the last runs in a forked child,
+which sends back a small pickled partial over a pipe and is always
+reaped. The partials merge in piece order by the rule each consumer
+already applies between segments: the gap records join at the boundary
+with strict comparisons, counts add, exact float sums add exactly. No
+result depends on the core count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CapacityError, EmptyRangeError, ValidationError
+from .errors import CapacityError, EmptyRangeError, PrimelabError, ValidationError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 DEFAULT_RANGE_CAP = 1 << 30
@@ -108,20 +127,29 @@ def _check_segments(lo: int, hi: int, segment_size: int) -> None:
         )
 
 
-def _odd_segments(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+def _base_primes(hi: int) -> np.ndarray:
+    """The odd base primes that strike segments below hi: 13 < p <= sqrt(hi - 1)."""
+    odd = _simple_prime_array(math.isqrt(hi - 1))
+    return odd[odd > _WHEEL_PRIMES[-1]]  # the wheel primes strike no segment
+
+
+def _odd_segments(
+    lo: int, hi: int, segment_size: int, *, base: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Yield (seg_lo, seg_hi, first, bits) covering [lo, hi) in order.
 
     bits[i] is True iff first + 2i is an odd prime, with first = seg_lo | 1;
     the odd integers of [seg_lo, seg_hi) are the slots. Odd n sits at
     global slot n // 2, so a segment's slots are seg_lo // 2 .. seg_hi // 2.
+    base is _base_primes(h) for some h >= hi (a piece's whole range); by
+    default h = hi. A base prime whose square reaches hi strikes nothing.
 
     Raises:
         CapacityError: a segment would exceed DEFAULT_RANGE_CAP integers,
             before anything is allocated.
     """
     _check_segments(lo, hi, segment_size)
-    odd = _simple_prime_array(math.isqrt(hi - 1))
-    odd = odd[odd > _WHEEL_PRIMES[-1]]  # the wheel primes strike no segment
+    odd = _base_primes(hi) if base is None else base
     # global slot of the next odd multiple of each odd base prime at or
     # after max(p^2, lo); one slot step is one step of 2p
     nxt = np.maximum(odd * odd, -(-lo // odd) * odd)
@@ -156,7 +184,14 @@ def iter_prime_segments(
     lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (segment_lo, int64 primes in the segment) covering [lo, hi) in order."""
-    for seg_lo, seg_hi, first, bits in _odd_segments(lo, hi, segment_size):
+    yield from _prime_segments(lo, hi, segment_size)
+
+
+def _prime_segments(
+    lo: int, hi: int, segment_size: int, base: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """iter_prime_segments, on the base primes of _odd_segments."""
+    for seg_lo, seg_hi, first, bits in _odd_segments(lo, hi, segment_size, base=base):
         primes = np.flatnonzero(bits)
         primes *= 2
         primes += first
@@ -185,6 +220,128 @@ def _range_bits(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> n
         bits[2 - lo] = True
     bits.flags.writeable = False
     return bits
+
+
+# A shorter range runs as one piece. A fork and its pipe cost 2-3 ms; a dense
+# gap_scan over 2^22 integers took 7.5 ms in one piece and 8.2 in two, over
+# 2^23 integers 14.6 and 13.8 ms (the omega stream breaks even nearer 2^19).
+_PIECE_MIN = 1 << 23
+
+
+def _cores() -> int:
+    """The cores this process may run on; 1 without os.fork or os.sched_getaffinity."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _plan(lo: int, hi: int, step: int) -> list[int]:
+    """Cut points lo = c_0 < c_1 < ... < c_n = hi of the pieces of [lo, hi):
+    one piece per core, at most one per step, each inner cut at lo + j * step
+    with the steps shared out evenly; one piece below _PIECE_MIN integers."""
+    steps = -(-(hi - lo) // step)
+    n = min(_cores(), steps) if hi - lo >= _PIECE_MIN else 1
+    return [lo + step * (steps * j // n) for j in range(n)] + [hi]
+
+
+def _segment_plan(lo: int, hi: int, segment_size: int) -> tuple[list[int], np.ndarray]:
+    """The kernel's refusals, then the cut points of [lo, hi) (_plan, one
+    step per segment) and the base primes that every piece shares."""
+    _check_segments(lo, hi, segment_size)
+    return _plan(lo, hi, segment_size), _base_primes(hi)
+
+
+_T = TypeVar("_T")
+
+
+def _attempt(piece: Callable[[int, int], _T], a: int, b: int) -> tuple[bool, object]:
+    """(True, piece(a, b)), or (False, the exception it raised)."""
+    try:
+        return True, piece(a, b)
+    except Exception as exc:  # raised again by _fan_out, in piece order
+        return False, exc
+
+
+def _fork(piece: Callable[[int, int], _T], a: int, b: int) -> Optional[tuple[int, int]]:
+    """Run piece(a, b) in a forked child: (pid, read end of its pipe), or
+    None when no child can be started. The child pickles _attempt's outcome
+    into the pipe and leaves by os._exit, never through the caller's frames;
+    its status is 0 only once the outcome is written."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(_attempt(piece, a, b), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _fan_out(cuts: Sequence[int], piece: Callable[[int, int], _T]) -> list[_T]:
+    """[piece(a, b) for each pair of consecutive cuts], in piece order.
+
+    The last piece runs in this process, every other in a forked child
+    (_fork; here too if no child can be started). The pipes are read to
+    their end and the children reaped in piece order; on the way out of an
+    interrupt every child still running is killed and reaped, so none
+    outlives the call. The first piece to fail, in piece order, raises its
+    exception here with its type and message; a child that ends without a
+    result raises PrimelabError. Children fork rather than spawn: a spawned
+    one would import numpy again, and a piece runs numpy's element-wise
+    kernels only, never BLAS, whose threads a fork does not copy.
+    """
+    spans = list(zip(cuts, cuts[1:]))
+    jobs: list[Optional[tuple[int, int]]] = []  # (pid, read end) until reaped
+    try:
+        for a, b in spans[:-1]:
+            jobs.append(_fork(piece, a, b))
+        jobs.append(None)
+        outcomes = [_attempt(piece, a, b) if job is None else None for job, (a, b) in zip(jobs, spans)]
+        for i, job in enumerate(jobs):
+            if job is not None:
+                pid, read = job
+                with open(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                jobs[i] = None
+                os.close(read)
+                outcomes[i] = _received(data, status, *spans[i])
+    finally:
+        for job in jobs:  # left unreaped by an interrupt: kill, reap, close
+            if job is not None:
+                import signal  # loaded only on the way out of an interrupt
+
+                os.kill(job[0], signal.SIGKILL)
+                os.waitpid(job[0], 0)
+                os.close(job[1])
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _received(data: bytes, status: int, a: int, b: int) -> tuple[bool, object]:
+    """The outcome the child of piece [a, b) sent, or a PrimelabError."""
+    if status == 0:
+        try:
+            return pickle.loads(data)
+        except Exception:  # an exception whose class does not unpickle
+            pass
+    code = os.waitstatus_to_exitcode(status)
+    return False, PrimelabError(f"the piece [{a}, {b}) ended without a result (exit status {code})")
 
 
 _LATTICE_ROOT_CAP = 1 << 22  # isqrt(n) bound of _lattice_pi: four int64 arrays, 128 MiB at most
@@ -283,22 +440,32 @@ def _kernel_census(lo: int, hi: int, segment_size: int) -> tuple[int, Optional[i
 
     Each segment is counted with count_nonzero; the first and last prime
     are read with argmax on the first and last segment that holds one, so
-    no prime is listed.
+    no prime is listed. The pieces of _fan_out count apart: their counts
+    add, the first prime is the first piece's that has one, the last the
+    last piece's, so no result depends on the core count.
     """
-    count, first, last, tail = 0, None, None, None
-    for seg_lo, seg_hi, start, bits in _odd_segments(lo, hi, segment_size):
-        if seg_lo <= 2 < seg_hi:  # 2 has no odd slot
-            count, first, last = 1, 2, 2
-        odd = int(np.count_nonzero(bits))
-        if odd:
-            count += odd
-            if first is None:
-                first = start + 2 * int(np.argmax(bits))
-            tail = start, bits
-    if tail is not None:
-        start, bits = tail
-        last = start + 2 * (bits.size - 1 - int(np.argmax(bits[::-1])))
-    return count, first, last
+    cuts, base = _segment_plan(lo, hi, segment_size)
+
+    def piece(a: int, b: int) -> tuple[int, Optional[int], Optional[int]]:
+        count, first, last, tail = 0, None, None, None
+        for seg_lo, seg_hi, start, bits in _odd_segments(a, b, segment_size, base=base):
+            if seg_lo <= 2 < seg_hi:  # 2 has no odd slot
+                count, first, last = 1, 2, 2
+            odd = int(np.count_nonzero(bits))
+            if odd:
+                count += odd
+                if first is None:
+                    first = start + 2 * int(np.argmax(bits))
+                tail = start, bits
+        if tail is not None:
+            start, bits = tail
+            last = start + 2 * (bits.size - 1 - int(np.argmax(bits[::-1])))
+        return count, first, last
+
+    parts = _fan_out(cuts, piece)
+    firsts = [first for _, first, _ in parts if first is not None] or [None]
+    lasts = [last for _, _, last in parts if last is not None] or [None]
+    return sum(count for count, _, _ in parts), firsts[0], lasts[-1]
 
 
 def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
@@ -340,7 +507,28 @@ def primorial(n: int) -> int:
 _OMEGA_BLOCK = 1 << 18  # the largest block of _omega_blocks; no output depends on it
 
 
-def _omega_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[tuple[int, np.ndarray]]:
+def _omega_primes(hi: int, segment_size: int) -> list[int]:
+    """The refusals of _omega_blocks, then its primes p <= sqrt(hi - 1)."""
+    if segment_size < 1:
+        raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
+    if hi - 1 > DEFAULT_RANGE_CAP:
+        raise CapacityError(f"tables up to {hi - 1} exceed the cap of {DEFAULT_RANGE_CAP} integers")
+    return _simple_prime_array(math.isqrt(hi - 1)).tolist()
+
+
+def _omega_plan(lo: int, hi: int, segment_size: int) -> tuple[list[int], list[int]]:
+    """The refusals of _omega_blocks, then the cut points of [lo, hi) on its
+    block grid (_plan, one step per block) and the primes every piece shares."""
+    primes = _omega_primes(hi, segment_size)
+    block = min(segment_size, _OMEGA_BLOCK)
+    cuts = _plan(lo - lo % block, hi, block)
+    cuts[0] = lo
+    return cuts, primes
+
+
+def _omega_blocks(
+    lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE, primes: Optional[list[int]] = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (block_lo, omega) covering [lo, hi) in order, 1 <= lo < hi.
 
     omega[i] is the number of distinct prime factors of n = block_lo + i,
@@ -348,16 +536,15 @@ def _omega_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE)
     (and at hi). part[i] is the product of the largest powers of the primes
     p <= sqrt(hi - 1) that divide n; it fits int32 under the cap, and where
     n > part, n / part is one more prime factor, above sqrt(hi - 1).
+    primes, when given, is _omega_primes(h, segment_size) for some h >= hi
+    (a piece's whole range); a prime above sqrt(n) divides n at most once.
 
     Raises:
         ValidationError: segment_size < 1, with the kernel's message.
         CapacityError: hi - 1 > DEFAULT_RANGE_CAP, before allocating.
     """
-    if segment_size < 1:
-        raise ValidationError(f"segment_size must be >= 1, got {segment_size}")
-    if hi - 1 > DEFAULT_RANGE_CAP:
-        raise CapacityError(f"tables up to {hi - 1} exceed the cap of {DEFAULT_RANGE_CAP} integers")
-    primes = _simple_prime_array(math.isqrt(hi - 1)).tolist()
+    if primes is None:
+        primes = _omega_primes(hi, segment_size)
     block = min(segment_size, _OMEGA_BLOCK)
     b_lo = lo
     while b_lo < hi:
@@ -422,6 +609,45 @@ class GapScan:
     records: Optional[tuple[GapRecord, ...]] = None
 
 
+class _Gaps(NamedTuple):
+    """The gaps of a run of consecutive primes: its first and last prime,
+    the first smallest and first largest gap (None for one prime), and,
+    under keep_all, every gap (else None)."""
+
+    first: int
+    last: int
+    least: Optional[GapRecord]
+    most: Optional[GapRecord]
+    records: Optional[list[GapRecord]]
+
+
+def _segment_gaps(ps: np.ndarray, keep_all: bool) -> Optional[_Gaps]:
+    """The _Gaps of one segment's primes; None when it holds none."""
+    if not ps.size:
+        return None
+    gaps = ps[1:] - ps[:-1]
+    ends = (np.argmin(gaps), np.argmax(gaps)) if gaps.size else ()  # the first smallest and largest
+    least, most = [GapRecord(int(ps[i]), int(ps[i + 1]), int(gaps[i])) for i in ends] or [None, None]
+    records = list(map(GapRecord, ps[:-1].tolist(), ps[1:].tolist(), gaps.tolist())) if keep_all else None
+    return _Gaps(int(ps[0]), int(ps[-1]), least, most, records)
+
+
+def _join_gaps(a: Optional[_Gaps], b: Optional[_Gaps]) -> Optional[_Gaps]:
+    """The _Gaps of run a followed by run b, a's record list extended in
+    place. The boundary gap is weighed after a's records and before b's,
+    and min and max keep the first of equal gaps, so ties stay with the
+    smaller p."""
+    if a is None or b is None:
+        return b if a is None else a
+    boundary = GapRecord(a.last, b.first, b.first - a.last)
+    gap = operator.attrgetter("gap")
+    least = min((rec for rec in (a.least, boundary, b.least) if rec is not None), key=gap)
+    most = max((rec for rec in (a.most, boundary, b.most) if rec is not None), key=gap)
+    if a.records is not None:
+        a.records.extend([boundary, *b.records])
+    return _Gaps(a.first, b.last, least, most, a.records)
+
+
 def gap_scan(
     lo: int,
     hi: int,
@@ -433,29 +659,21 @@ def gap_scan(
 
     Returns the minimum and maximum gap; ties go to the smaller p: each
     segment's boundary gap is weighed first and only a strictly smaller
-    (larger) gap wins. keep_all materializes the gap list (small ranges).
+    (larger) gap wins. keep_all materializes the gap list (small ranges)
+    in one piece; otherwise the pieces of _fan_out scan apart and join at
+    their boundaries by the same rule, so no result depends on the core
+    count.
 
     Raises:
         EmptyRangeError: fewer than two primes in [lo, hi).
     """
-    best_min: Optional[GapRecord] = None
-    best_max: Optional[GapRecord] = None
-    all_records: list[GapRecord] = []
-    prev: Optional[int] = None  # the last prime so far
-    for _, ps in iter_prime_segments(lo, hi, segment_size):
-        if not ps.size:
-            continue
-        joined = [] if prev is None else [GapRecord(prev, int(ps[0]), int(ps[0]) - prev)]
-        gaps = ps[1:] - ps[:-1]
-        ends = (np.argmin(gaps), np.argmax(gaps)) if gaps.size else ()  # the first smallest and largest
-        for rec in joined + [GapRecord(int(ps[i]), int(ps[i + 1]), int(gaps[i])) for i in ends]:
-            if best_min is None or rec.gap < best_min.gap:
-                best_min = rec
-            if best_max is None or rec.gap > best_max.gap:
-                best_max = rec
-        if keep_all:
-            all_records += [*joined, *map(GapRecord, ps[:-1].tolist(), ps[1:].tolist(), gaps.tolist())]
-        prev = int(ps[-1])
-    if best_min is None:
+    cuts, base = _segment_plan(lo, hi, segment_size)
+
+    def piece(a: int, b: int) -> Optional[_Gaps]:
+        runs = (_segment_gaps(ps, keep_all) for _, ps in _prime_segments(a, b, segment_size, base))
+        return functools.reduce(_join_gaps, runs, None)
+
+    scan = functools.reduce(_join_gaps, _fan_out([lo, hi] if keep_all else cuts, piece), None)
+    if scan is None or scan.least is None:
         raise EmptyRangeError(f"fewer than two primes in [{lo}, {hi})")
-    return GapScan(best_min, best_max, tuple(all_records) if keep_all else None)
+    return GapScan(scan.least, scan.most, None if scan.records is None else tuple(scan.records))

@@ -7,7 +7,10 @@ feed assertions are correctly rounded regardless of summation order:
 math.fsum, or for the streamed Mertens sums an exact sum rounded once.
 The two omega statistics stream omega block by block (sieve._omega_blocks)
 and sum integer counts over the blocks, so they hold O(block + sqrt(x))
-memory and give the same bits as one pass over a full table.
+memory and give the same bits as one pass over a full table. The Mertens
+sums and the two omega statistics split their range over the cores
+(sieve._fan_out); the pieces' exact sums and integer counts add, so no
+result depends on the core count.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from .errors import CapacityError, ValidationError
 from .sieve import (
     DEFAULT_RANGE_CAP,
     DEFAULT_SEGMENT_SIZE,
+    _fan_out,
     _omega_blocks,
+    _omega_plan,
+    _prime_segments,
     _range_bits,
+    _segment_plan,
     gap_scan,
-    iter_prime_segments,
     prime_count,
 )
 
@@ -164,6 +170,12 @@ class _ExactSum:
         for e, h, l in zip(exp[starts].tolist(), high, low):
             self._by_exponent[e] = self._by_exponent.get(e, 0) + (h << 27) + l
 
+    def __iadd__(self, other: "_ExactSum") -> "_ExactSum":
+        """Add another exact sum (a piece's) to this one, exactly."""
+        for e, m in other._by_exponent.items():
+            self._by_exponent[e] = self._by_exponent.get(e, 0) + m
+        return self
+
     def __float__(self) -> float:
         if not self._by_exponent:
             return 0.0
@@ -180,15 +192,26 @@ def mertens_sums(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> tuple[f
         d1 = sum_{p <= n} log(p)/p - log(n)
         d2 = sum_{p <= n} 1/p - log(log(n))
     Each prime sum is exact, streamed segment by segment from the sieve,
-    and rounded once (the value math.fsum gives over all the terms).
+    and rounded once (the value math.fsum gives over all the terms). The
+    pieces of sieve._fan_out sum apart and their exact sums add, so no
+    result depends on the core count.
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
-    log_sum, reciprocal_sum = _ExactSum(), _ExactSum()
-    for _, primes in iter_prime_segments(2, n + 1, segment_size):
-        ps = primes.astype(np.float64)
-        log_sum.add(np.log(ps) / ps)
-        reciprocal_sum.add(1.0 / ps)
+    cuts, base = _segment_plan(2, n + 1, segment_size)
+
+    def piece(a: int, b: int) -> tuple[_ExactSum, _ExactSum]:
+        log_sum, reciprocal_sum = _ExactSum(), _ExactSum()
+        for _, primes in _prime_segments(a, b, segment_size, base):
+            ps = primes.astype(np.float64)
+            log_sum.add(np.log(ps) / ps)
+            reciprocal_sum.add(1.0 / ps)
+        return log_sum, reciprocal_sum
+
+    (log_sum, reciprocal_sum), *rest = _fan_out(cuts, piece)
+    for logs, reciprocals in rest:
+        log_sum += logs
+        reciprocal_sum += reciprocals
     d1 = float(log_sum) - math.log(n)
     d2 = float(reciprocal_sum) - math.log(math.log(n))
     return d1, d2
@@ -199,7 +222,9 @@ def hardy_ramanujan_proportion(n: int, a: float, *, segment_size: int = DEFAULT_
 
     The centering uses log log n at the top of the range, so the band is
     common to every N; the proportion is nondecreasing in a. omega streams
-    in blocks of at most segment_size integers (see sieve._omega_blocks).
+    in blocks of at most segment_size integers (see sieve._omega_blocks);
+    the pieces of sieve._fan_out count apart and their counts add, so no
+    result depends on the core count.
     """
     if n < 16:
         raise ValidationError(f"n must be >= 16, got {n}")
@@ -207,10 +232,15 @@ def hardy_ramanujan_proportion(n: int, a: float, *, segment_size: int = DEFAULT_
         raise ValidationError(f"a must be > 0, got {a}")
     loglog = math.log(math.log(n))
     band = a * math.sqrt(loglog)
-    inside = 0
-    for _, omega in _omega_blocks(2, n + 1, segment_size=segment_size):
-        inside += int(np.count_nonzero(np.abs(omega.astype(np.float64) - loglog) <= band))
-    return float(inside) / (n - 1)
+    cuts, primes = _omega_plan(2, n + 1, segment_size)
+
+    def piece(lo: int, hi: int) -> int:
+        inside = 0
+        for _, omega in _omega_blocks(lo, hi, segment_size=segment_size, primes=primes):
+            inside += int(np.count_nonzero(np.abs(omega.astype(np.float64) - loglog) <= band))
+        return inside
+
+    return float(sum(_fan_out(cuts, piece))) / (n - 1)
 
 
 def normal_interval(a: float, b: float) -> float:
@@ -249,24 +279,33 @@ def erdos_kac(x: int, a: float, b: float, *, segment_size: int = DEFAULT_SEGMENT
     at most phi(0) * dz = 0.0040, the normal density's maximum times the
     grid step dz = 10 / (_KS_GRID_POINTS - 1); outside [-5, 5] it is at
     most Phi(-5) < 3e-7. omega streams in blocks of at most segment_size
-    integers; each block adds integer counts, so no bit depends on it.
+    integers, split into the pieces of sieve._fan_out; each block and each
+    piece adds integer counts, so no bit depends on either, nor on the core
+    count.
     """
     if x < 16:
         raise ValidationError(f"x must be >= 16, got {x}")
     if not a < b:
         raise ValidationError(f"need a < b, got a={a} b={b}")
     zs = np.linspace(-5.0, 5.0, _KS_GRID_POINTS)
-    inside, below = 0, np.zeros(zs.size, dtype=np.int64)
-    for n_lo, omega in _omega_blocks(3, x + 1, segment_size=segment_size):
-        loglog = np.arange(n_lo, n_lo + omega.size, dtype=np.float64)
-        np.log(loglog, out=loglog)
-        np.log(loglog, out=loglog)
-        std = omega.astype(np.float64)
-        std -= loglog
-        std /= np.sqrt(loglog, out=loglog)
-        inside += int(np.count_nonzero((std >= a) & (std <= b)))
-        std.sort()
-        below += np.searchsorted(std, zs, side="right")
+    cuts, primes = _omega_plan(3, x + 1, segment_size)
+
+    def piece(lo: int, hi: int) -> tuple[int, np.ndarray]:
+        inside, below = 0, np.zeros(zs.size, dtype=np.int64)
+        for n_lo, omega in _omega_blocks(lo, hi, segment_size=segment_size, primes=primes):
+            loglog = np.arange(n_lo, n_lo + omega.size, dtype=np.float64)
+            np.log(loglog, out=loglog)
+            np.log(loglog, out=loglog)
+            std = omega.astype(np.float64)
+            std -= loglog
+            std /= np.sqrt(loglog, out=loglog)
+            inside += int(np.count_nonzero((std >= a) & (std <= b)))
+            std.sort()
+            below += np.searchsorted(std, zs, side="right")
+        return inside, below
+
+    parts = _fan_out(cuts, piece)
+    inside, below = sum(part[0] for part in parts), sum(part[1] for part in parts)
     total = x - 2
     empirical = float(inside) / total
     gaussian = normal_interval(a, b)

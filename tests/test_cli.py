@@ -221,20 +221,28 @@ class TestSieveStream:
 
     def test_no_range_cap(self, capsys, monkeypatch):
         # the stream holds one segment at a time, so a range past
-        # DEFAULT_RANGE_CAP reaches the kernel whole; past 2^44 the range
-        # is not counted on the lattice, whose root cap is 2^22
-        calls = []
+        # DEFAULT_RANGE_CAP reaches the kernel whole in one piece, and as
+        # its pieces (this process runs the last) on more cores; past 2^44
+        # the range is not counted on the lattice, whose root cap is 2^22;
+        # the base primes' one-segment table over [0, 2^25] is sieved
+        calls, kernel = [], sieve._odd_segments
 
-        def empty(*args):
+        def empty(*args, **kwargs):
+            if args[0] == 0 and args[1] == args[2]:
+                return kernel(*args, **kwargs)
             calls.append(args)
             return iter(())
 
         monkeypatch.setattr(sieve, "_odd_segments", empty)
         lo = 2**50
         hi = lo + sieve.DEFAULT_RANGE_CAP + 1
-        report = run_json(capsys, "sieve", "--lo", str(lo), "--hi", str(hi))
-        assert calls == [(lo, hi, sieve.DEFAULT_SEGMENT_SIZE)]
-        assert report["result"] == {"prime_count": 0, "first_prime": None, "last_prime": None}
+        for cores in (1, 2):
+            monkeypatch.setattr(sieve, "_cores", lambda: cores)
+            calls.clear()
+            report = run_json(capsys, "sieve", "--lo", str(lo), "--hi", str(hi))
+            last = sieve._plan(lo, hi, sieve.DEFAULT_SEGMENT_SIZE)[-2]
+            assert calls == [(last, hi, sieve.DEFAULT_SEGMENT_SIZE)] and (last == lo) == (cores == 1)
+            assert report["result"] == {"prime_count": 0, "first_prime": None, "last_prime": None}
 
     def test_range_past_cap_on_the_lattice(self, capsys):
         # [0, 2^30 + 1) is counted on the lattice, its ends read by the kernel
@@ -284,14 +292,14 @@ class TestSegmentSize:
         # omega stream reads the flag, and no result byte depends on it
         kernel, omega, seen, results = sieve._odd_segments, stats_mod._omega_blocks, [], set()
 
-        def spy(lo, hi, segment_size):
+        def spy(lo, hi, segment_size, **kwargs):
             if (lo, segment_size) != (0, hi):
                 seen.append(segment_size)
-            return kernel(lo, hi, segment_size)
+            return kernel(lo, hi, segment_size, **kwargs)
 
-        def omega_spy(lo, hi, *, segment_size):
+        def omega_spy(lo, hi, *, segment_size, **kwargs):
             seen.append(segment_size)
-            return omega(lo, hi, segment_size=segment_size)
+            return omega(lo, hi, segment_size=segment_size, **kwargs)
 
         monkeypatch.setattr(sieve, "_odd_segments", spy)
         monkeypatch.setattr(stats_mod, "_omega_blocks", omega_spy)
@@ -302,8 +310,19 @@ class TestSegmentSize:
         assert len(results) == 1
 
 
+def assert_no_child_left():
+    # a forked sieve piece is reaped by the call that started it
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestInputValidation:
     """Inputs that once escaped as a traceback (exit 1) or ran on a wrong value."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -9,7 +9,9 @@ the command's own, that always takes a value from the hostile lists. In
 half the examples the target is the command's own and every other flag
 is given an ordinary value, so that no other refusal comes first and the
 target's value reaches the code that reads it; in the rest, the other
-flags may be hostile too.
+flags may be hostile too. A table then sends each hostile value to each
+(command, flag) once, beside an ordinary command line, so that every
+such triple is reached on every run.
 """
 
 import io
@@ -36,6 +38,36 @@ HOSTILE_CONFIGS = {
     "typo.conf": "tolerance.eigen_residul=1e-3\n",
     "nan.conf": "tolerance.eigen_residual=nan\n",
     "negative.conf": "tolerance.gpy_agreement=-1\n",
+}
+# the path flags' values, as names under the test's directory: a file of
+# offsets, a missing file, a missing directory, the directory itself, and
+# the config files above
+PATH_NAMES = ("t.txt", "missing.txt", "no/dir/f.txt", "", *HOSTILE_CONFIGS)
+# an ordinary command line per command, each exiting 0 within milliseconds:
+# its required flags and the optional ones it reads together. The
+# alternatives that take precedence over another flag (--file, --tuple-file,
+# --greedy-window) and the outputs (--out, --coeffs) are left for a target.
+ORDINARY = {
+    "sieve": {"--lo": "0", "--hi": "1000"},
+    "gaps": {"--lo": "0", "--hi": "1000"},
+    "tuple verify": {"--offsets": "0,2,6"},
+    "tuple search": {"--k": "3", "--window": "10"},
+    "tuple prime-offset": {"--k": "3"},
+    "stats pnt": {"--x": "1000"},
+    "stats mertens": {"--n": "1000"},
+    "stats hardy-ramanujan": {"--n": "1000", "--a": "0.5"},
+    "stats erdos-kac": {"--x": "1000", "--a": "-1", "--b": "1"},
+    "stats pigeonhole": {"--X": "1000", "--H": "10", "--samples": "100"},
+    "gpy sums": {"--x": "1000", "--offsets": "0,2,6", "--l": "1", "--b": "0.25", "--index": "1"},
+    "gpy error": {"--x": "1000", "--offsets": "0,2,6", "--l": "1", "--b": "0.25", "--index": "1"},
+    "gpy levels": {"--x": "1000", "--theta": "0.4"},
+    "mk poly": {"--k": "3", "--degree": "2"},
+    "mk gbound": {"--k": "10", "--A": "2", "--T": "1"},
+    "mk chain": {"--k": "3", "--degree": "2", "--theta": "1", "--m": "1"},
+    "mk montecarlo": {"--k": "3", "--degree": "1", "--samples": "1000"},
+    "largegap primorial": {"--n": "20"},
+    "largegap cover": {"--n": "20", "--y-len": "30"},
+    "largegap scan": {"--X": "1000"},
 }
 # --basis-cap is the size knob of the exact M_k computation: a cap of a
 # few hundred admits bases whose exact arithmetic runs for minutes, which
@@ -133,8 +165,7 @@ def _draw_flags(data, flags, paths: list[str], target: str, calm: bool) -> list[
 @given(data=st.data())
 def test_random_command_lines_keep_the_exit_contract(data, fuzz_dir):
     # a --out may create missing.txt or rewrite a file here; each stays a valid input
-    names = ("t.txt", "missing.txt", "no/dir/f.txt", "", *HOSTILE_CONFIGS)
-    paths = [str(fuzz_dir / name) for name in names]
+    paths = [str(fuzz_dir / name) for name in PATH_NAMES]
     name = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
     flags = COMMANDS[name][1]
     calm = data.draw(st.booleans(), label="others ordinary")
@@ -145,6 +176,47 @@ def test_random_command_lines_keep_the_exit_contract(data, fuzz_dir):
     target = data.draw(st.sampled_from(own if calm else own + shared), label="target")
     argv = _draw_flags(data, FUZZED_GLOBALS, paths, target, calm) + name.split()
     argv += _draw_flags(data, flags, paths, target, calm)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 2, 3, 64), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_ordinary_command_lines_exit_0():
+    assert sorted(ORDINARY) == sorted(COMMANDS)
+    for name, flags in ORDINARY.items():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert dispatch(name.split() + [t for pair in flags.items() for t in pair]) == 0, name
+
+
+def _hostile_table():
+    """(command, target flag, hostile value) for every command, every flag
+    of its own or global that takes a value, and every hostile value."""
+    for name in sorted(COMMANDS):
+        for flag, spec in (*COMMANDS[name][1], *FUZZED_GLOBALS):
+            if "action" in spec or "choices" in spec:
+                continue
+            if spec["type"] is not str:
+                values = HOSTILE_INTS if spec["type"] is int else HOSTILE_FLOATS
+            else:
+                values = PATH_NAMES if flag in PATH_FLAGS else HOSTILE_TEXT
+            for value in values:
+                yield pytest.param(name, flag, value, id=f"{name} {flag} {value!r}")
+
+
+@pytest.mark.parametrize("name,target,value", _hostile_table())
+def test_each_hostile_value_meets_each_flag(name, target, value, fuzz_dir):
+    # a --out may create missing.txt or rewrite a file here; each stays a valid input
+    if target in PATH_FLAGS:
+        value = str(fuzz_dir / value)
+    flags = dict(ORDINARY[name])
+    argv = name.split()
+    if target in dict(FUZZED_GLOBALS):
+        argv = [target, value] + argv
+    else:
+        flags[target] = value
+    argv += [t for pair in flags.items() for t in pair]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = dispatch(argv)

@@ -9,6 +9,7 @@ text is not recorded, so that help wording can change on its own.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,14 @@ def observe(argv: list[str], tmp: Path, capsys) -> dict:
         "stdout": _normalise(captured.out).replace(str(tmp), "{tmp}"),
         "stderr": (err_lines[0] if err_lines else "").replace(str(tmp), "{tmp}"),
     }
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # a forked sieve piece is reaped by the call that started it
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
