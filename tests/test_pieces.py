@@ -10,7 +10,6 @@ import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from primelab import sieve, stats
@@ -282,10 +281,4 @@ class TestChildFailures:
         with pytest.raises(KeyboardInterrupt):
             gap_scan(0, 900, segment_size=100)
         assert time.monotonic() - start < 30
-        assert_no_child_left()
-
-    def test_success_leaves_no_child(self, pieces):
-        pieces(3)
-        assert stats.hardy_ramanujan_proportion(3000, 0.7, segment_size=100) > 0
-        assert np.isfinite(stats.erdos_kac(3000, -1, 1, segment_size=100).ks_distance)
         assert_no_child_left()
