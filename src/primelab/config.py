@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ValidationError
 from .sieve import DEFAULT_SEGMENT_SIZE
@@ -21,15 +21,13 @@ DEFAULT_TOLERANCES = {
     "gpy_agreement": 1e-9,
     "eigen_residual": 1e-9,
 }
-# config keys other than tolerance.*, with the parser of their values
-_KEYS = {"seed": int, "segment_size": int, "basis_cap": int, "output_format": str}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """The one declaration of the run settings: reports echo them as
-    dataclasses.asdict, and each global CLI flag but --config sets the
-    field of its argparse dest."""
+    dataclasses.asdict, each global CLI flag but --config sets the field of
+    its argparse dest, and a config file key sets the field of its name."""
 
     seed: int = 0
     segment_size: int = DEFAULT_SEGMENT_SIZE
@@ -51,6 +49,10 @@ class RunConfig:
                 raise ValidationError(f"unknown tolerance name {name!r}")
             if not 0 <= tol < math.inf:  # NaN fails too
                 raise ValidationError(f"tolerance {name} must be finite and >= 0, got {tol}")
+
+
+# config keys other than tolerance.*: the RunConfig fields, each parsed by the type of its default
+_KEYS = {f.name: type(f.default) for f in fields(RunConfig) if f.name != "tolerances"}
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, ValidationError
 from .sieve import DEFAULT_RANGE_CAP, DEFAULT_SEGMENT_SIZE, _crt_combine, _range_bits, _simple_prime_array, mangoldt_range, primes_between
+from .stats import _ExactSum
 from .tuples import AdmissibleTuple
 
 # Level exponent sufficient for the remainder sum to stay negligible in
@@ -215,7 +216,8 @@ def weighted_sums(
 
     The direct pipeline scans every n in [x, 2x), evaluating the weight by
     divisibility tests, grouped by the set of primes p <= D dividing some
-    n + h: one fsum of lambda_d per distinct set (_direct_weight_blocks).
+    n + h: one fsum of lambda_d per distinct set (_direct_weight_blocks),
+    each block's terms sorted into exact sums (stats._ExactSum), not lists.
     The rearranged pipeline expands the square into a double sum over
     divisor pairs (d1, d2) and walks the moduli m = lcm(d1, d2) in
     ascending order, one at a time. For each m it takes three totals over
@@ -224,7 +226,8 @@ def weighted_sums(
     the sum of log(n + h) over those (one bincount per offset, one fsum).
     Each pair with that modulus contributes lambda_d1 * lambda_d2 times
     each total, so memory is bounded by the largest modulus. Both
-    pipelines read one table of the nonzero lambda_d. Disagreement beyond
+    pipelines read one table of the nonzero lambda_d and one primality
+    table over [x + h_1, 2x + h_k], the n + h they read. Disagreement beyond
     rel_tol raises ConsistencyError. The error sum E is not part of the
     report; error_sum_E computes it on its own. An x past
     DEFAULT_RANGE_CAP raises CapacityError first.
@@ -233,26 +236,24 @@ def weighted_sums(
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
     lam = _lambda_table(params)
-    # both pipelines index the bits from lo, the least n + h they read
-    lo = x + min(offsets[0], 0)
+    # both pipelines index the bits from lo = x + h_1, the least n + h they read
+    lo = x + offsets[0]
     if lo < 0:
         raise ValidationError(f"need x + h_1 >= 0, got x={x} h_1={offsets[0]}")
     bits = _range_bits(lo, 2 * x + offsets[-1] + 1, segment_size)
 
-    # direct scan
-    f_terms, s2_terms, s2_theta_terms = [], [], []
+    # direct scan, each block's terms sorted into exact sums
+    sums = _ExactSum(), _ExactSum(), _ExactSum()  # S1, S2, S2_theta
     for ns, f in _direct_weight_blocks(params, lam, x, 2 * x):
         ns, f = ns[f != 0.0], f[f != 0.0]
         hits = np.stack([bits[ns + h - lo] for h in offsets], axis=1)
         logs = np.zeros(hits.shape)
         logs[hits] = [math.log(v) for v in (ns[:, None] + offsets)[hits].tolist()]
         count, theta = hits.sum(axis=1), _row_fsums(logs)
-        f_terms.append(f)
-        s2_terms.append(f[count > 0] * count[count > 0])
-        s2_theta_terms.append(f[count > 0] * theta[count > 0])
-    S1_direct = math.fsum(np.concatenate(f_terms).tolist())
-    S2_direct = math.fsum(np.concatenate(s2_terms).tolist())
-    S2_theta_direct = math.fsum(np.concatenate(s2_theta_terms).tolist())
+        prime = count > 0
+        for total, terms in zip(sums, (f, f[prime] * count[prime], f[prime] * theta[prime])):
+            total.add(np.sort(terms))
+    S1_direct, S2_direct, S2_theta_direct = map(float, sums)
 
     # rearranged double sum over divisor pairs, one modulus at a time
     pairs_by_m: dict[int, list[tuple[int, int]]] = {}

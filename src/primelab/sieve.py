@@ -17,11 +17,12 @@ next-multiple array (the buckets of Oliveira e Silva, Herzog and Pardi,
 Math. Comp. 2014, whose segments are odd-only too): in rounds, its
 entries below the segment's end are struck and advanced by 2p until none
 is left. The public view is iter_prime_segments, a stream of each
-segment's primes (2 included where in range). prime_census counts the
-bits of each segment instead, reading the first and last prime by argmax,
-and prime_count, the sieve command and stats pnt go through it. A range
-wider than 16 * e * hi^(3/4) integers, e being 1 for lo <= 2 and 2 above
-(the lattice evaluations), with sqrt(hi) <= 2^22, is not sieved: its count
+segment's primes (_segment_primes; 2 included where in range).
+prime_census counts the bits of each segment instead, reading its first
+and last prime without listing any, and prime_count, the sieve command
+and stats pnt go through it. A range wider than 16 * e * hi^(3/4)
+integers, e being 1 for lo <= 2 and 2 above (the lattice evaluations),
+with sqrt(hi) <= 2^22, is not sieved: its count
 is pi(hi - 1) - pi(lo - 1) from Legendre's identity evaluated on the
 values floor(x / i) (_lattice_pi, Lucy's dynamic program, O(x^(3/4))
 work in O(sqrt(x)) memory), and its first and last prime come from short
@@ -36,24 +37,20 @@ product falls short of it has exactly one more prime factor, above
 sqrt(hi). mangoldt_range gives the von Mangoldt support as (n, prime,
 exponent) arrays; log(p) floats only appear where summed.
 
-The large streamed reductions split their range over the cores
-(_fan_out): gap_scan without keep_all, the kernel census, and in stats
-mertens_sums, erdos_kac and hardy_ramanujan_proportion. _plan cuts
-[lo, hi) into one contiguous piece per core in os.sched_getaffinity(0),
-at lo + j * segment_size (omega: on its block grid), so every segment
-or block is the one a single pass walks; a range under _PIECE_MIN
-integers, or a process without os.fork, runs as one piece, in process,
-on the same path. The refusals and the base primes come first, once, in
-the calling process. Every piece but the last runs in a forked child,
-which sends back a small pickled partial over a pipe and is always
-reaped. The partials merge in piece order by the rule each consumer
-already applies between segments: the gap records join at the boundary
-with strict comparisons, counts add, exact float sums add exactly. No
-result depends on the core count.
+The streamed reductions, gap_scan, the kernel census, and in stats
+mertens_sums, erdos_kac and hardy_ramanujan_proportion, are folds
+(_fold): one summary per segment (or omega block), and one associative
+join of adjacent runs that reduces the segments of a piece, then the
+pieces, so no result depends on the core count. _segment_plan and
+_omega_plan refuse first and compute the base (or omega) primes once, in
+the calling process, and cut [lo, hi) (_plan) into one piece per core on
+the grid of a single pass; below _PIECE_MIN integers, or without os.fork,
+it is one piece. _fan_out forks a child for every piece but the last.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -133,9 +130,12 @@ def _base_primes(hi: int) -> np.ndarray:
     return odd[odd > _WHEEL_PRIMES[-1]]  # the wheel primes strike no segment
 
 
+_Segment = tuple[int, int, int, np.ndarray]  # (seg_lo, seg_hi, first, bits) of _odd_segments
+
+
 def _odd_segments(
     lo: int, hi: int, segment_size: int, *, base: Optional[np.ndarray] = None
-) -> Iterator[tuple[int, int, int, np.ndarray]]:
+) -> Iterator[_Segment]:
     """Yield (seg_lo, seg_hi, first, bits) covering [lo, hi) in order.
 
     bits[i] is True iff first + 2i is an odd prime, with first = seg_lo | 1;
@@ -184,20 +184,19 @@ def iter_prime_segments(
     lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (segment_lo, int64 primes in the segment) covering [lo, hi) in order."""
-    yield from _prime_segments(lo, hi, segment_size)
+    for segment in _odd_segments(lo, hi, segment_size):
+        yield segment[0], _segment_primes(segment)
 
 
-def _prime_segments(
-    lo: int, hi: int, segment_size: int, base: Optional[np.ndarray] = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """iter_prime_segments, on the base primes of _odd_segments."""
-    for seg_lo, seg_hi, first, bits in _odd_segments(lo, hi, segment_size, base=base):
-        primes = np.flatnonzero(bits)
-        primes *= 2
-        primes += first
-        if seg_lo <= 2 < seg_hi:
-            primes = np.concatenate(([2], primes))
-        yield seg_lo, primes
+def _segment_primes(segment: _Segment) -> np.ndarray:
+    """The int64 primes of one segment of _odd_segments, 2 included where in range."""
+    seg_lo, seg_hi, first, bits = segment
+    primes = np.flatnonzero(bits)
+    primes *= 2
+    primes += first
+    if seg_lo <= 2 < seg_hi:
+        primes = np.concatenate(([2], primes))
+    return primes
 
 
 def _range_bits(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
@@ -244,14 +243,27 @@ def _plan(lo: int, hi: int, step: int) -> list[int]:
     return [lo + step * (steps * j // n) for j in range(n)] + [hi]
 
 
-def _segment_plan(lo: int, hi: int, segment_size: int) -> tuple[list[int], np.ndarray]:
-    """The kernel's refusals, then the cut points of [lo, hi) (_plan, one
-    step per segment) and the base primes that every piece shares."""
+def _segment_plan(lo: int, hi: int, segment_size: int) -> tuple[list[int], Callable]:
+    """The kernel's refusals, then the cuts of [lo, hi) (_plan, one step per
+    segment) and a piece's walk, _odd_segments on base primes computed here."""
     _check_segments(lo, hi, segment_size)
-    return _plan(lo, hi, segment_size), _base_primes(hi)
+    base = _base_primes(hi)
+    return _plan(lo, hi, segment_size), lambda a, b: _odd_segments(a, b, segment_size, base=base)
 
 
 _T = TypeVar("_T")
+
+
+def _fold(cuts: Sequence[int], walk: Callable, summary: Callable, join: Callable[[_T, _T], _T]) -> _T:
+    """join, in order, over the summary of each segment (or omega block) that
+    walk(a, b) yields, within each piece [a, b) between consecutive cuts and
+    then across the pieces (_fan_out). join must be associative, so that no
+    result depends on the cuts. A walk yields at least one segment."""
+
+    def piece(a: int, b: int) -> _T:
+        return functools.reduce(join, map(summary, walk(a, b)))
+
+    return functools.reduce(join, _fan_out(cuts, piece))
 
 
 def _attempt(piece: Callable[[int, int], _T], a: int, b: int) -> tuple[bool, object]:
@@ -266,7 +278,9 @@ def _fork(piece: Callable[[int, int], _T], a: int, b: int) -> Optional[tuple[int
     """Run piece(a, b) in a forked child: (pid, read end of its pipe), or
     None when no child can be started. The child pickles _attempt's outcome
     into the pipe and leaves by os._exit, never through the caller's frames;
-    its status is 0 only once the outcome is written."""
+    its status is 0 only once the outcome is written. Where there is prctl,
+    the kernel SIGKILLs the child when this process ends, however it ends."""
+    parent = os.getpid()
     try:
         read, write = os.pipe()
     except OSError:
@@ -281,9 +295,14 @@ def _fork(piece: Callable[[int, int], _T], a: int, b: int) -> Optional[tuple[int
         status = 1
         try:
             os.close(read)
-            with open(write, "wb") as pipe:
-                pickle.dump(_attempt(piece, a, b), pipe)
-            status = 0
+            prctl = getattr(ctypes.CDLL(None), "prctl", None)
+            if prctl is not None:
+                prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+                prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL (prctl exists on Linux only)
+            if os.getppid() == parent:  # else this process ended before prctl
+                with open(write, "wb") as pipe:
+                    pickle.dump(_attempt(piece, a, b), pipe)
+                status = 0
         finally:
             os._exit(status)
     os.close(write)
@@ -436,36 +455,26 @@ def prime_census(
 
 
 def _kernel_census(lo: int, hi: int, segment_size: int) -> tuple[int, Optional[int], Optional[int]]:
-    """prime_census from the kernel's bits.
+    """prime_census from the kernel's bits, listing no prime."""
+    cuts, walk = _segment_plan(lo, hi, segment_size)
+    return _fold(cuts, walk, _census_of, _join_census)
 
-    Each segment is counted with count_nonzero; the first and last prime
-    are read with argmax on the first and last segment that holds one, so
-    no prime is listed. The pieces of _fan_out count apart: their counts
-    add, the first prime is the first piece's that has one, the last the
-    last piece's, so no result depends on the core count.
-    """
-    cuts, base = _segment_plan(lo, hi, segment_size)
 
-    def piece(a: int, b: int) -> tuple[int, Optional[int], Optional[int]]:
-        count, first, last, tail = 0, None, None, None
-        for seg_lo, seg_hi, start, bits in _odd_segments(a, b, segment_size, base=base):
-            if seg_lo <= 2 < seg_hi:  # 2 has no odd slot
-                count, first, last = 1, 2, 2
-            odd = int(np.count_nonzero(bits))
-            if odd:
-                count += odd
-                if first is None:
-                    first = start + 2 * int(np.argmax(bits))
-                tail = start, bits
-        if tail is not None:
-            start, bits = tail
-            last = start + 2 * (bits.size - 1 - int(np.argmax(bits[::-1])))
-        return count, first, last
+def _census_of(segment: _Segment) -> tuple[int, Optional[int], Optional[int]]:
+    """(count, first, last) of one segment's primes; bytes.rfind finds the
+    last, where argmax over the reversed view would scan all of it."""
+    seg_lo, seg_hi, start, bits = segment
+    two = seg_lo <= 2 < seg_hi  # 2 has no odd slot
+    odd = int(np.count_nonzero(bits))
+    if not odd:
+        return (1, 2, 2) if two else (0, None, None)
+    first = 2 if two else start + 2 * int(np.argmax(bits))
+    return odd + two, first, start + 2 * bits.tobytes().rfind(1)
 
-    parts = _fan_out(cuts, piece)
-    firsts = [first for _, first, _ in parts if first is not None] or [None]
-    lasts = [last for _, _, last in parts if last is not None] or [None]
-    return sum(count for count, _, _ in parts), firsts[0], lasts[-1]
+
+def _join_census(a: tuple, b: tuple) -> tuple:
+    """The (count, first, last) of run a followed by run b."""
+    return a[0] + b[0], b[1] if a[1] is None else a[1], a[2] if b[2] is None else b[2]
 
 
 def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
@@ -516,14 +525,14 @@ def _omega_primes(hi: int, segment_size: int) -> list[int]:
     return _simple_prime_array(math.isqrt(hi - 1)).tolist()
 
 
-def _omega_plan(lo: int, hi: int, segment_size: int) -> tuple[list[int], list[int]]:
-    """The refusals of _omega_blocks, then the cut points of [lo, hi) on its
-    block grid (_plan, one step per block) and the primes every piece shares."""
+def _omega_plan(lo: int, hi: int, segment_size: int) -> tuple[list[int], Callable]:
+    """The refusals of _omega_blocks, then the cuts of [lo, hi) on its block
+    grid (_plan) and a piece's walk, _omega_blocks on primes computed here."""
     primes = _omega_primes(hi, segment_size)
     block = min(segment_size, _OMEGA_BLOCK)
     cuts = _plan(lo - lo % block, hi, block)
     cuts[0] = lo
-    return cuts, primes
+    return cuts, lambda a, b: _omega_blocks(a, b, segment_size=segment_size, primes=primes)
 
 
 def _omega_blocks(
@@ -621,8 +630,9 @@ class _Gaps(NamedTuple):
     records: Optional[list[GapRecord]]
 
 
-def _segment_gaps(ps: np.ndarray, keep_all: bool) -> Optional[_Gaps]:
+def _segment_gaps(segment: _Segment, keep_all: bool) -> Optional[_Gaps]:
     """The _Gaps of one segment's primes; None when it holds none."""
+    ps = _segment_primes(segment)
     if not ps.size:
         return None
     gaps = ps[1:] - ps[:-1]
@@ -659,21 +669,16 @@ def gap_scan(
 
     Returns the minimum and maximum gap; ties go to the smaller p: each
     segment's boundary gap is weighed first and only a strictly smaller
-    (larger) gap wins. keep_all materializes the gap list (small ranges)
-    in one piece; otherwise the pieces of _fan_out scan apart and join at
-    their boundaries by the same rule, so no result depends on the core
-    count.
+    (larger) gap wins. The scan folds (_fold) the _segment_gaps of each
+    segment with _join_gaps; keep_all materializes the gap list (small
+    ranges) in one piece.
 
     Raises:
         EmptyRangeError: fewer than two primes in [lo, hi).
     """
-    cuts, base = _segment_plan(lo, hi, segment_size)
-
-    def piece(a: int, b: int) -> Optional[_Gaps]:
-        runs = (_segment_gaps(ps, keep_all) for _, ps in _prime_segments(a, b, segment_size, base))
-        return functools.reduce(_join_gaps, runs, None)
-
-    scan = functools.reduce(_join_gaps, _fan_out([lo, hi] if keep_all else cuts, piece), None)
+    cuts, walk = _segment_plan(lo, hi, segment_size)
+    summary = functools.partial(_segment_gaps, keep_all=keep_all)
+    scan = _fold([lo, hi] if keep_all else cuts, walk, summary, _join_gaps)
     if scan is None or scan.least is None:
         raise EmptyRangeError(f"fewer than two primes in [{lo}, {hi})")
     return GapScan(scan.least, scan.most, None if scan.records is None else tuple(scan.records))

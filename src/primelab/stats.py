@@ -5,12 +5,10 @@ gaps in [X, 2X), Mertens-type partial sums, the concentration of the
 distinct-prime-factor count, and its Gaussian limit law. All sums that
 feed assertions are correctly rounded regardless of summation order:
 math.fsum, or for the streamed Mertens sums an exact sum rounded once.
-The two omega statistics stream omega block by block (sieve._omega_blocks)
-and sum integer counts over the blocks, so they hold O(block + sqrt(x))
-memory and give the same bits as one pass over a full table. The Mertens
-sums and the two omega statistics split their range over the cores
-(sieve._fan_out); the pieces' exact sums and integer counts add, so no
-result depends on the core count.
+The Mertens sums and the two omega statistics fold (sieve._fold) exact
+summaries of each segment or omega block, added item by item, so they hold
+O(segment + sqrt(x)) memory and give the same bits as one pass over a full
+table, on any number of cores.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +25,11 @@ from .errors import CapacityError, ValidationError
 from .sieve import (
     DEFAULT_RANGE_CAP,
     DEFAULT_SEGMENT_SIZE,
-    _fan_out,
-    _omega_blocks,
+    _fold,
     _omega_plan,
-    _prime_segments,
     _range_bits,
     _segment_plan,
+    _segment_primes,
     gap_scan,
     prime_count,
 )
@@ -150,18 +148,19 @@ class _ExactSum:
     """Exact running sum of finite float64 values; float() rounds it once.
 
     np.frexp writes each value as m * 2^(e - 53) with an integer |m| < 2^53.
-    The m of each run of equal e, in input order (few in a decreasing segment),
-    go into a Python int per e via int64 halves of 26 and 27 bits that cannot
-    overflow. float() divides one integer by a power of two: the correctly
-    rounded sum, as math.fsum returns it.
+    The m of each run of equal e, in input order, go into a Python int per e
+    via int64 halves of 26 and 27 bits that cannot overflow; add loops once
+    per run, so callers sort values that come in many runs. float() divides
+    one integer by a power of two: the correctly rounded sum, as math.fsum
+    returns it.
     """
 
     def __init__(self) -> None:
         self._by_exponent: dict[int, int] = {}
 
-    def add(self, values: np.ndarray) -> None:
+    def add(self, values: np.ndarray) -> "_ExactSum":
         if not values.size:
-            return
+            return self
         frac, exp = np.frexp(values)
         mant = np.multiply(frac, 2.0**53, out=frac).astype(np.int64)
         starts = np.flatnonzero(np.r_[True, exp[1:] != exp[:-1]])
@@ -169,9 +168,10 @@ class _ExactSum:
         low = np.add.reduceat(mant & (2**27 - 1), starts).tolist()
         for e, h, l in zip(exp[starts].tolist(), high, low):
             self._by_exponent[e] = self._by_exponent.get(e, 0) + (h << 27) + l
+        return self
 
     def __iadd__(self, other: "_ExactSum") -> "_ExactSum":
-        """Add another exact sum (a piece's) to this one, exactly."""
+        """Add another exact sum to this one, exactly."""
         for e, m in other._by_exponent.items():
             self._by_exponent[e] = self._by_exponent.get(e, 0) + m
         return self
@@ -185,33 +185,29 @@ class _ExactSum:
         return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
+def _add_items(a: tuple, b: tuple) -> tuple:
+    """a + b item by item, in place where an item allows it (exact sums, arrays)."""
+    return tuple(map(operator.iadd, a, b))
+
+
 def mertens_sums(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> tuple[float, float]:
     """Deviations of the two Mertens-type prime sums from their leading terms.
 
     Returns (d1, d2) with
         d1 = sum_{p <= n} log(p)/p - log(n)
         d2 = sum_{p <= n} 1/p - log(log(n))
-    Each prime sum is exact, streamed segment by segment from the sieve,
-    and rounded once (the value math.fsum gives over all the terms). The
-    pieces of sieve._fan_out sum apart and their exact sums add, so no
-    result depends on the core count.
+    Each prime sum is exact and rounded once (the value math.fsum gives over
+    all the terms): sieve._fold adds each segment's pair of _ExactSum.
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
-    cuts, base = _segment_plan(2, n + 1, segment_size)
+    cuts, walk = _segment_plan(2, n + 1, segment_size)
 
-    def piece(a: int, b: int) -> tuple[_ExactSum, _ExactSum]:
-        log_sum, reciprocal_sum = _ExactSum(), _ExactSum()
-        for _, primes in _prime_segments(a, b, segment_size, base):
-            ps = primes.astype(np.float64)
-            log_sum.add(np.log(ps) / ps)
-            reciprocal_sum.add(1.0 / ps)
-        return log_sum, reciprocal_sum
+    def sums(segment) -> tuple[_ExactSum, _ExactSum]:
+        ps = _segment_primes(segment).astype(np.float64)
+        return _ExactSum().add(np.log(ps) / ps), _ExactSum().add(1.0 / ps)
 
-    (log_sum, reciprocal_sum), *rest = _fan_out(cuts, piece)
-    for logs, reciprocals in rest:
-        log_sum += logs
-        reciprocal_sum += reciprocals
+    log_sum, reciprocal_sum = _fold(cuts, walk, sums, _add_items)
     d1 = float(log_sum) - math.log(n)
     d2 = float(reciprocal_sum) - math.log(math.log(n))
     return d1, d2
@@ -222,9 +218,8 @@ def hardy_ramanujan_proportion(n: int, a: float, *, segment_size: int = DEFAULT_
 
     The centering uses log log n at the top of the range, so the band is
     common to every N; the proportion is nondecreasing in a. omega streams
-    in blocks of at most segment_size integers (see sieve._omega_blocks);
-    the pieces of sieve._fan_out count apart and their counts add, so no
-    result depends on the core count.
+    in blocks of at most segment_size integers (see sieve._omega_blocks),
+    and sieve._fold adds the count of each block.
     """
     if n < 16:
         raise ValidationError(f"n must be >= 16, got {n}")
@@ -232,15 +227,12 @@ def hardy_ramanujan_proportion(n: int, a: float, *, segment_size: int = DEFAULT_
         raise ValidationError(f"a must be > 0, got {a}")
     loglog = math.log(math.log(n))
     band = a * math.sqrt(loglog)
-    cuts, primes = _omega_plan(2, n + 1, segment_size)
+    cuts, walk = _omega_plan(2, n + 1, segment_size)
 
-    def piece(lo: int, hi: int) -> int:
-        inside = 0
-        for _, omega in _omega_blocks(lo, hi, segment_size=segment_size, primes=primes):
-            inside += int(np.count_nonzero(np.abs(omega.astype(np.float64) - loglog) <= band))
-        return inside
+    def inside(block) -> int:  # block = (block_lo, omega)
+        return int(np.count_nonzero(np.abs(block[1].astype(np.float64) - loglog) <= band))
 
-    return float(sum(_fan_out(cuts, piece))) / (n - 1)
+    return float(_fold(cuts, walk, inside, operator.add)) / (n - 1)
 
 
 def normal_interval(a: float, b: float) -> float:
@@ -278,34 +270,33 @@ def erdos_kac(x: int, a: float, b: float, *, segment_size: int = DEFAULT_SEGMENT
     line. Both CDFs are monotone between grid points, so there the gap is
     at most phi(0) * dz = 0.0040, the normal density's maximum times the
     grid step dz = 10 / (_KS_GRID_POINTS - 1); outside [-5, 5] it is at
-    most Phi(-5) < 3e-7. omega streams in blocks of at most segment_size
-    integers, split into the pieces of sieve._fan_out; each block and each
-    piece adds integer counts, so no bit depends on either, nor on the core
-    count.
+    most Phi(-5) < 3e-7. sieve._fold adds the integer counts of each omega
+    block, so no bit depends on segment_size or on the core count.
     """
     if x < 16:
         raise ValidationError(f"x must be >= 16, got {x}")
     if not a < b:
         raise ValidationError(f"need a < b, got a={a} b={b}")
     zs = np.linspace(-5.0, 5.0, _KS_GRID_POINTS)
-    cuts, primes = _omega_plan(3, x + 1, segment_size)
+    cuts, walk = _omega_plan(3, x + 1, segment_size)
+    scratch = [np.empty(0)]  # one buffer for all blocks: a fresh one per block faults its pages in
 
-    def piece(lo: int, hi: int) -> tuple[int, np.ndarray]:
-        inside, below = 0, np.zeros(zs.size, dtype=np.int64)
-        for n_lo, omega in _omega_blocks(lo, hi, segment_size=segment_size, primes=primes):
-            loglog = np.arange(n_lo, n_lo + omega.size, dtype=np.float64)
-            np.log(loglog, out=loglog)
-            np.log(loglog, out=loglog)
-            std = omega.astype(np.float64)
-            std -= loglog
-            std /= np.sqrt(loglog, out=loglog)
-            inside += int(np.count_nonzero((std >= a) & (std <= b)))
-            std.sort()
-            below += np.searchsorted(std, zs, side="right")
-        return inside, below
+    def counts(block) -> tuple[int, np.ndarray]:
+        n_lo, omega = block
+        if scratch[0].size < omega.size:
+            scratch[0] = np.empty(omega.size)
+        loglog = np.arange(n_lo, n_lo + omega.size, dtype=np.float64)
+        np.log(loglog, out=loglog)
+        np.log(loglog, out=loglog)
+        std = scratch[0][: omega.size]
+        std[:] = omega
+        std -= loglog
+        std /= np.sqrt(loglog, out=loglog)
+        inside = int(np.count_nonzero((std >= a) & (std <= b)))
+        std.sort()
+        return inside, np.searchsorted(std, zs, side="right")
 
-    parts = _fan_out(cuts, piece)
-    inside, below = sum(part[0] for part in parts), sum(part[1] for part in parts)
+    inside, below = _fold(cuts, walk, counts, _add_items)
     total = x - 2
     empirical = float(inside) / total
     gaussian = normal_interval(a, b)

@@ -8,13 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import primelab
 from primelab import sieve
-from primelab import stats as stats_mod
 from primelab.cli import dispatch
 
 
@@ -224,14 +224,16 @@ class TestSieveStream:
         # DEFAULT_RANGE_CAP reaches the kernel whole in one piece, and as
         # its pieces (this process runs the last) on more cores; past 2^44
         # the range is not counted on the lattice, whose root cap is 2^22;
-        # the base primes' one-segment table over [0, 2^25] is sieved
+        # the base primes' one-segment table over [0, 2^25] is sieved; the
+        # stand-in yields one segment without a prime, as the kernel does
         calls, kernel = [], sieve._odd_segments
 
         def empty(*args, **kwargs):
             if args[0] == 0 and args[1] == args[2]:
                 return kernel(*args, **kwargs)
             calls.append(args)
-            return iter(())
+            lo, hi, _ = args
+            return iter([(lo, hi, lo | 1, np.zeros(0, dtype=bool))])
 
         monkeypatch.setattr(sieve, "_odd_segments", empty)
         lo = 2**50
@@ -290,7 +292,7 @@ class TestSegmentSize:
         # segmented against one-shot, through the whole CLI: every kernel pass
         # but the base primes' one-segment tables over [0, hi) and every
         # omega stream reads the flag, and no result byte depends on it
-        kernel, omega, seen, results = sieve._odd_segments, stats_mod._omega_blocks, [], set()
+        kernel, omega, seen, results = sieve._odd_segments, sieve._omega_blocks, [], set()
 
         def spy(lo, hi, segment_size, **kwargs):
             if (lo, segment_size) != (0, hi):
@@ -302,7 +304,7 @@ class TestSegmentSize:
             return omega(lo, hi, segment_size=segment_size, **kwargs)
 
         monkeypatch.setattr(sieve, "_odd_segments", spy)
-        monkeypatch.setattr(stats_mod, "_omega_blocks", omega_spy)
+        monkeypatch.setattr(sieve, "_omega_blocks", omega_spy)
         for size in (1, 7, 30031, sieve.DEFAULT_SEGMENT_SIZE):
             seen.clear()
             results.add(json.dumps(run_json(capsys, "--segment-size", str(size), *argv)["result"]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from primelab import gpy
+from primelab import gpy, sieve
 from primelab.errors import CapacityError, ConsistencyError, ValidationError
 from primelab.gpy import (
     GpyParams,
@@ -268,6 +268,48 @@ class TestWeightedSums:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_table_spans_only_the_offsets_read(self, monkeypatch):
+        # the primality table covers only [x + h_1, 2x + h_k], the n + h read:
+        # x + (h_k - h_1) + 1 integers, not the h_1 below x + h_1 as well
+        x, h = 319, 28691795
+        kernel, sieved = sieve._odd_segments, []
+
+        def spy(lo, hi, segment_size, **kwargs):
+            if (lo, segment_size) != (0, hi):  # not a base primes' one-segment table
+                sieved.append(hi - lo)
+                assert sum(sieved) <= x + 1
+            return kernel(lo, hi, segment_size, **kwargs)
+
+        monkeypatch.setattr(sieve, "_odd_segments", spy)
+        rep = weighted_sums(GpyParams(k=1, l=106, b=0.25, x=x, tuple=is_admissible([h])), segment_size=100)
+        assert sum(sieved) == x + 1
+        assert repr(rep) == (
+            "GpyReport(S1=1.994052463520879e-308, S2=1.25018963230149e-309, "
+            "objective=-1.86903350029073e-308, S2_theta=2.146842817717132e-308, D_limit=4)"
+        )
+
+    @pytest.mark.parametrize(
+        "x,report",
+        [
+            (10**5, "S1=443627.8244299498, S2=169473.68348451608, objective=-274154.14094543376, "
+                    "S2_theta=2016096.1504431278, D_limit=17"),
+            (10**6, "S1=14451467.894253867, S2=5305675.958345236, objective=-9145791.93590863, "
+                    "S2_theta=75334937.64656685, D_limit=31"),
+        ],
+        ids=["1e5", "1e6"],
+    )
+    def test_direct_sums_stream_in_bounded_memory(self, x, report):
+        # each block's terms go into exact sums: lists of x floats would
+        # trace about 50 MiB at 10^6, the exact sums about 9.4 MiB
+        tracemalloc.start()
+        try:
+            rep = weighted_sums(params_026(x=x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(rep) == f"GpyReport({report})"
+        assert peak < 16 * 2**20
 
     @pytest.mark.slow
     def test_objective_sign_exploration(self):

@@ -1,4 +1,9 @@
 import math
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,3 +545,47 @@ class TestGapScan:
         # 97 is the only prime in [90, 100): no gap has both ends inside
         with pytest.raises(EmptyRangeError):
             gap_scan(90, 100)
+
+
+# two pieces that sleep; the child says so once it is past its set-up. Both
+# inherit the write end of the test's pipe, which only the child then holds
+# once the parent is killed.
+_SLEEPING_PIECES = """
+import os, time
+from primelab import sieve
+
+parent = os.getpid()
+
+def piece(a, b):
+    if os.getpid() != parent:
+        print("child", flush=True)
+    time.sleep(30)
+
+sieve._fan_out([0, 1, 2], piece)
+"""
+
+
+class TestPieceChildren:
+    def test_a_child_dies_with_its_sigkilled_parent(self):
+        # a SIGKILLed parent reaps nothing; the child's parent-death signal
+        # ends it. A dead orphan may stay an unreaped zombie, so its end shows
+        # as EOF on the pipe that only the child holds, not as a missing pid.
+        read, write = os.pipe()
+        src = Path(sieve.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLEEPING_PIECES],
+            pass_fds=(write,), env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, text=True,
+        )
+        os.close(write)
+        try:
+            assert proc.stdout.readline() == "child\n"
+            proc.kill()
+            proc.wait()
+            ready, _, _ = select.select([read], [], [], 20)
+            assert ready and os.read(read, 1) == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            os.close(read)
