@@ -46,7 +46,6 @@ from .gpy import (
     residue_set_C,
     weighted_sums,
 )
-from .simplex import simplex_monomial_integral
 from .maynard import (
     BasisIndex,
     GBoundParams,

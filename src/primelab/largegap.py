@@ -5,6 +5,9 @@ aiming to cover [1, y_len]. The Chinese Remainder Theorem then produces a
 shift y with p | y + m whenever m = c_p (mod p), so the covered stretch of
 [y + 1, y + y_len] turns composite with small witnesses. The primorial
 shift is the all-zero special case covering the offsets [2, n].
+
+The greedy cover picks its classes with tuples._strike, the tuple search's
+loop; both runs take their witnesses from _paint, the least such p per m.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .sieve import DEFAULT_RANGE_CAP, DEFAULT_SEGMENT_SIZE, GapRecord, _crt_combine, _simple_prime_array, gap_scan, primorial
+from .tuples import _strike
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,18 @@ def primorial_run(n: int) -> CompositeRun:
     """
     if n < 3:
         raise ValidationError(f"n must be >= 3, got {n}")
-    y = primorial(n)
-    primes = _simple_prime_array(n).tolist()
-    witnesses = []
-    for j in range(2, n + 1):
-        witnesses.append(next(p for p in primes if j % p == 0))
-    return CompositeRun(y=y, first_offset=2, witnesses=tuple(witnesses))
+    zeros = dict.fromkeys(_simple_prime_array(n).tolist(), 0)
+    return CompositeRun(y=primorial(n), first_offset=2, witnesses=_paint(zeros, 2, n - 1))
+
+
+def _paint(residues: dict[int, int], first: int, length: int) -> tuple[int, ...]:
+    """For each offset m in [first, first + length), the least prime p with
+    m = residues[p] (mod p), or 0 where none is: each class is written with
+    its prime, in descending p, so the least prime is written last."""
+    witnesses = np.zeros(length, dtype=np.int64)
+    for p in sorted(residues, reverse=True):
+        witnesses[(residues[p] - first) % p :: p] = p
+    return tuple(witnesses.tolist())
 
 
 def greedy_cover(n: int, y_len: int) -> CoveringSystem:
@@ -89,7 +99,7 @@ def greedy_cover(n: int, y_len: int) -> CoveringSystem:
 
     Primes are processed in ascending order; for each, the class covering
     the most currently uncovered elements of [1, y_len] wins, ties to the
-    smallest class.
+    smallest class (tuples._strike with argmax).
 
     Raises:
         CapacityError: y_len > DEFAULT_RANGE_CAP, before allocating.
@@ -100,14 +110,9 @@ def greedy_cover(n: int, y_len: int) -> CoveringSystem:
         raise ValidationError(f"y_len must be >= n, got y_len={y_len} n={n}")
     if y_len > DEFAULT_RANGE_CAP:
         raise CapacityError(f"y_len of {y_len} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
-    uncovered = np.arange(1, y_len + 1, dtype=np.int64)
-    residues: dict[int, int] = {}
-    for p in _simple_prime_array(n).tolist():
-        classes = uncovered % p
-        # argmax returns the first maximum: ties go to the smallest class
-        best = int(np.argmax(np.bincount(classes, minlength=p)))
-        residues[p] = best
-        uncovered = uncovered[classes != best]
+    primes = _simple_prime_array(n).tolist()
+    # argmax returns the first maximum: ties go to the smallest class
+    uncovered, residues = _strike(np.arange(1, y_len + 1, dtype=np.int64), primes, np.argmax)
     return CoveringSystem(
         n=n,
         residues=residues,
@@ -146,9 +151,7 @@ def composite_run_from_cover(system: CoveringSystem) -> CompositeRun:
         ValidationError: the system leaves holes.
     """
     y = crt_shift(system)
-    ordered = sorted(system.residues.items())
-    witnesses = [next(p for p, c in ordered if m % p == c) for m in range(1, system.y_len + 1)]
-    return CompositeRun(y=y, first_offset=1, witnesses=tuple(witnesses))
+    return CompositeRun(y=y, first_offset=1, witnesses=_paint(system.residues, 1, system.y_len))
 
 
 def widest_covered_length(n: int) -> CoveringSystem:

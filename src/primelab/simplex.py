@@ -1,4 +1,4 @@
-"""Exact integrals over the standard simplex in exact rational arithmetic.
+"""Exact integrals over the standard simplex, as Python-int tables.
 
 The simplex is R_k = {t in [0,1]^k : t_1 + ... + t_k <= 1}. With the
 slack variable t_0 = 1 - P1 (P1 = sum t_i), monomial integrals follow the
@@ -14,35 +14,13 @@ b_1 + ... + b_k = B and integrate term by term with the identity:
 
 where U_k(B), the sum over the same b of prod_i (2 b_i)! / b_i!, is the
 k-fold convolution power of w(b) = (2b)! / b!. U_k has one axis (B only)
-and is computed in Python ints; nothing here rounds.
+and is computed in Python ints (_weight_power, which maynard's forms read);
+nothing here rounds.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
-from typing import Sequence
-
-from .errors import ValidationError
-
-
-def simplex_monomial_integral(k: int, exponents: Sequence[int]) -> Fraction:
-    """Exact integral of a monomial over R_k.
-
-    Args:
-        k: dimension, >= 1.
-        exponents: k nonnegative integers, one per variable.
-    """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if len(exponents) != k:
-        raise ValidationError(f"need {k} exponents, got {len(exponents)}")
-    if any(a < 0 for a in exponents):
-        raise ValidationError("exponents must be nonnegative")
-    num = 1
-    for a in exponents:
-        num *= factorial(a)
-    return Fraction(num, factorial(k + sum(exponents)))
 
 
 def _weight_power(k: int, bmax: int) -> list[int]:

@@ -228,9 +228,11 @@ def hardy_ramanujan_proportion(n: int, a: float, *, segment_size: int = DEFAULT_
     loglog = math.log(math.log(n))
     band = a * math.sqrt(loglog)
     cuts, walk = _omega_plan(2, n + 1, segment_size)
+    # the band test once per value the int8 omega can take
+    within = np.abs(np.arange(128, dtype=np.float64) - loglog) <= band
 
     def inside(block) -> int:  # block = (block_lo, omega)
-        return int(np.count_nonzero(np.abs(block[1].astype(np.float64) - loglog) <= band))
+        return int(np.count_nonzero(within[block[1]]))
 
     return float(_fold(cuts, walk, inside, operator.add)) / (n - 1)
 

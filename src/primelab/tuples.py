@@ -4,12 +4,16 @@ A tuple of offsets h_1 < ... < h_k is admissible when, for every prime p,
 the offsets avoid at least one residue class mod p. Only primes p <= k can
 fail (k residues cannot cover more than k classes), so a certificate is a
 map from each prime p <= k to one avoided residue.
+
+One loop, _strike, picks a class per prime from its class counts: the
+emptiest for the greedy tuple, the smallest empty one (striking nothing)
+for the certificate, the fullest for largegap.greedy_cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -37,7 +41,7 @@ class AdmissibleTuple:
 class Refutation:
     """Smallest prime whose residue classes are all covered by the offsets.
 
-    covering maps every residue class mod prime to one offset hitting it.
+    covering maps every residue class mod prime to the first offset hitting it.
     """
 
     prime: int
@@ -53,24 +57,42 @@ def _check_offsets(offsets: Sequence[int]) -> tuple[int, ...]:
     return offs
 
 
+def _strike(values: np.ndarray, primes: Sequence[int], pick: Callable) -> tuple[np.ndarray, dict[int, int]]:
+    """For each prime p in order, pick(counts of values per class mod p)
+    names the class c to strike, or None to stop; the values in class c are
+    dropped. Returns (values left, {p: c}). values may be an object array of
+    Python ints; the classes, all below p, are counted as int64."""
+    picked: dict[int, int] = {}
+    for p in primes:
+        classes = (values % p).astype(np.int64, copy=False)
+        c = pick(np.bincount(classes, minlength=p))
+        if c is None:
+            break
+        picked[p] = int(c)
+        values = values[classes != c]
+    return values, picked
+
+
 def is_admissible(offsets: Sequence[int]) -> Union[AdmissibleTuple, Refutation]:
     """Verify admissibility, returning a certificate or the refuting prime.
 
     The certificate records the smallest avoided residue for every prime
     p <= k. A refutation names the smallest prime whose classes are all
-    hit, with one witnessing offset per class.
+    hit, with the first offset hitting each class.
     """
     offs = _check_offsets(offsets)
-    k = len(offs)
-    certificate: dict[int, int] = {}
-    for p in _simple_prime_array(k).tolist():
-        hit: dict[int, int] = {}
-        for h in offs:
-            hit.setdefault(h % p, h)
-        if len(hit) == p:
-            return Refutation(prime=p, covering=dict(sorted(hit.items())))
-        certificate[p] = min(r for r in range(p) if r not in hit)
-    return AdmissibleTuple(offsets=offs, certificate=certificate)
+    # int64 when every offset fits, else Python ints (never numpy's inference)
+    fits = -(1 << 63) <= offs[0] and offs[-1] < 1 << 63
+    values = np.array(offs, dtype=np.int64 if fits else object)
+    primes = _simple_prime_array(len(offs)).tolist()
+    # argmin of counts with a 0 is the smallest empty class, whose strike
+    # drops nothing: every prime sees all the offsets
+    _, certificate = _strike(values, primes, lambda counts: None if counts.min() else np.argmin(counts))
+    if len(certificate) == len(primes):
+        return AdmissibleTuple(offsets=offs, certificate=certificate)
+    p = primes[len(certificate)]
+    classes, first = np.unique((values % p).astype(np.int64), return_index=True)
+    return Refutation(prime=p, covering={int(c): offs[i] for c, i in zip(classes, first)})
 
 
 def require_admissible(offsets: Sequence[int]) -> AdmissibleTuple:
@@ -122,12 +144,8 @@ def greedy_narrow_tuple(k: int, window: int) -> AdmissibleTuple:
         raise ValidationError(f"window must be >= k, got window={window} k={k}")
     if window > DEFAULT_RANGE_CAP:
         raise CapacityError(f"window of {window} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
-    survivors = np.arange(window + 1)
-    for p in _simple_prime_array(k).tolist():
-        classes = survivors % p
-        # argmin returns the first minimum: ties go to the smallest class
-        doomed = int(np.argmin(np.bincount(classes, minlength=p)))
-        survivors = survivors[classes != doomed]
+    # argmin returns the first minimum: ties go to the smallest class
+    survivors, _ = _strike(np.arange(window + 1), _simple_prime_array(k).tolist(), np.argmin)
     if survivors.size < k:
         raise TupleSearchError(
             f"only {survivors.size} survivors in [0, {window}] for k={k}",

@@ -6,7 +6,8 @@ per base prime (`segment_bits_slow`), mu/phi/omega tables by one slice
 update per prime p <= n (`arith_tables_all_primes`) and by slices over
 p <= sqrt(n) plus one indexed update per cofactor (`arith_tables`, the
 full-length tables that the package's streamed omega blocks must
-match), prime powers by factorization, direct definitional loops, nested
+match), prime powers by factorization, direct definitional loops, monomial
+integrals over the simplex (`simplex_monomial_integral`), nested
 quadrature, Monte Carlo form entries, an exact Kolmogorov-Smirnov
 supremum, and an exact LDL decomposition by
 fraction-free elimination (`ldl_bareiss`), which the package's decimal
@@ -22,7 +23,10 @@ greedy covering system over a Python set), `greedy_tuple_survivors` (the
 greedy tuple search over Python lists), `mertens_sums_materialised`
 (math.fsum over every prime <= n at once) and
 `level_of_distribution_sum_int64` (the residue-class errors with int64
-residues). `erdos_kac_fields` standardizes omega into a fresh array at
+residues). `admissible_census` is the admissibility check over one dict
+of hit classes per prime, and `least_prime_witnesses` finds each run
+witness by a search over the primes in ascending order; the package
+strikes classes on `bincount`s and paints witnesses per class. `erdos_kac_fields` standardizes omega into a fresh array at
 each step, where the package works in place, block by block;
 `hardy_ramanujan_one_array` counts the band over one omega array.
 `ij_monte_carlo_row_sums` is the seeded I/J estimator with P1 and P2 as
@@ -215,6 +219,24 @@ def admissible_slow(offsets) -> tuple[bool, int | None]:
     return True, None
 
 
+def admissible_census(offsets) -> tuple[dict[int, int], int | None, dict[int, int]]:
+    """(certificate, refuting prime, covering) by one dict of hit classes per
+    prime p <= k: the certificate holds the smallest avoided class of each
+    prime before the refuting one, the covering the first offset (in the
+    given order) hitting each class of the refuting prime."""
+    certificate: dict[int, int] = {}
+    for p in range(2, len(offsets) + 1):
+        if not trial_division_is_prime(p):
+            continue
+        hit: dict[int, int] = {}
+        for h in offsets:
+            hit.setdefault(h % p, h)
+        if len(hit) == p:
+            return certificate, p, dict(sorted(hit.items()))
+        certificate[p] = min(r for r in range(p) if r not in hit)
+    return certificate, None, {}
+
+
 def residue_set_slow(i: int, d: int, offsets) -> set[int]:
     """Direct definition: c in [1, d], coprime, d | prod_j (c - h_i + h_j)."""
     hi = offsets[i - 1]
@@ -296,6 +318,21 @@ def error_sum_slow(x: int, b: float, offsets, i: int = 1) -> float:
         for c in sorted(residue_set_slow(i, d, offsets)):
             terms.append(abs(remainder_slow(x, d, c)))
     return math.fsum(terms)
+
+
+def simplex_monomial_integral(k: int, exponents) -> Fraction:
+    """Exact integral of a monomial over the simplex R_k (the Dirichlet
+    identity): prod a_i! / (k + sum a_i)!."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if len(exponents) != k:
+        raise ValidationError(f"need {k} exponents, got {len(exponents)}")
+    if any(a < 0 for a in exponents):
+        raise ValidationError("exponents must be nonnegative")
+    num = 1
+    for a in exponents:
+        num *= math.factorial(a)
+    return Fraction(num, math.factorial(k + sum(exponents)))
 
 
 def nested_quadrature_simplex(k: int, exponents, points: int = 40) -> float:
@@ -654,6 +691,13 @@ def greedy_tuple_survivors(k: int, window: int) -> list[int]:
         doomed = min(range(p), key=lambda c: (counts[c], c))
         survivors = [s for s in survivors if s % p != doomed]
     return survivors
+
+
+def least_prime_witnesses(residues: dict[int, int], first: int, length: int) -> tuple[int, ...]:
+    """For each m in [first, first + length), the first prime p in ascending
+    order with m = residues[p] (mod p), by a search over the primes."""
+    ordered = sorted(residues.items())
+    return tuple(next(p for p, c in ordered if m % p == c) for m in range(first, first + length))
 
 
 def mertens_sums_materialised(n: int) -> tuple[float, float]:

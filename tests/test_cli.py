@@ -76,6 +76,10 @@ class TestReports:
         report = run_json(capsys, "tuple", "verify", "--offsets", "0,2,6")
         assert report["result"]["certificate"] == {"2": 1, "3": 1}
 
+    def test_tuple_verify_offsets_past_int64(self, capsys):
+        report = run_json(capsys, "tuple", "verify", "--offsets", "0,18446744073709551616")
+        assert report["result"]["certificate"] == {"2": 1}
+
     def test_tuple_search_writes_file(self, capsys, tmp_path):
         out = tmp_path / "t.txt"
         report = run_json(

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -177,6 +177,32 @@ class TestWidestCover:
         run = composite_run_from_cover(system)
         assert run.length == system.y_len
         assert verify_composite_run(run)
+
+
+class TestRunWitnesses:
+    """The painted witnesses equal a search over the primes in ascending order."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_covered_greedy_systems(self, data):
+        n = data.draw(st.integers(5, 300))
+        system = greedy_cover(n, data.draw(st.integers(n, 3 * n)))
+        assume(system.covered())
+        expected = oracles.least_prime_witnesses(system.residues, 1, system.y_len)
+        assert composite_run_from_cover(system).witnesses == expected
+
+    def test_widest_cover_at_2000(self):
+        system = widest_covered_length(2000)
+        expected = oracles.least_prime_witnesses(system.residues, 1, system.y_len)
+        assert composite_run_from_cover(system).witnesses == expected
+
+    @given(st.integers(3, 2000))
+    @example(3)
+    @example(2000)
+    @settings(max_examples=30, deadline=None)
+    def test_primorial_runs(self, n):
+        zeros = {p: 0 for p in range(2, n + 1) if oracles.trial_division_is_prime(p)}
+        assert primorial_run(n).witnesses == oracles.least_prime_witnesses(zeros, 2, n - 1)
 
 
 class TestMaxGap:

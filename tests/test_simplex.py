@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from primelab.errors import ValidationError
-from oracles import complement_moments, power_sum_moments
-from primelab.simplex import _weight_power, simplex_monomial_integral
+from oracles import complement_moments, power_sum_moments, simplex_monomial_integral
+from primelab.simplex import _weight_power
 
 
 class TestMonomialIntegral:

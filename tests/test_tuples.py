@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,73 @@ class TestIsAdmissible:
         assert isinstance(is_admissible(offsets), AdmissibleTuple) == isinstance(
             is_admissible(shifted), AdmissibleTuple
         )
+
+
+def assert_matches_census(offsets):
+    """is_admissible gives the dict census's whole certificate, or its
+    refuting prime and whole covering, in the same order."""
+    certificate, prime, covering = oracles.admissible_census(offsets)
+    verdict = is_admissible(offsets)
+    if prime is None:
+        assert isinstance(verdict, AdmissibleTuple)
+        assert list(verdict.certificate.items()) == list(certificate.items())
+    else:
+        assert isinstance(verdict, Refutation)
+        assert verdict.prime == prime
+        assert list(verdict.covering.items()) == list(covering.items())
+    return verdict
+
+
+@st.composite
+def sieved_offsets(draw):
+    """Distinct offsets, some classes mod the primes below 15 struck so that
+    larger primes refute too, shifted across the ends of int64 or by +-2^64."""
+    raw = draw(st.lists(st.integers(-400, 400), min_size=1, max_size=40, unique=True))
+    for p in (2, 3, 5, 7, 11, 13):
+        r = draw(st.none() | st.integers(0, p - 1))
+        if r is not None:
+            raw = [h for h in raw if h % p != r] or raw[:1]
+    shift = draw(st.sampled_from([0, 2**64, -(2**64), 2**63 - 200, -(2**63) + 200]))
+    return sorted(h + shift for h in raw)
+
+
+def refuted_variant(offsets, q):
+    """offsets plus one x past them that hits the class mod q the offsets
+    avoid and, mod each smaller prime, the class of the last offset (CRT)."""
+    h = offsets[-1]
+    m = math.prod(p for p in range(2, q) if oracles.trial_division_is_prime(p))
+    avoided = is_admissible(offsets).certificate[q]
+    return [*offsets, h + m * ((avoided - h) * pow(m, -1, q) % q)]
+
+
+class TestAdmissibleCensus:
+    @given(sieved_offsets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_census(self, offsets):
+        assert_matches_census(offsets)
+
+    @pytest.mark.parametrize("k", [500, 2000])
+    def test_prime_offset_tuples(self, k):
+        offsets = prime_offset_tuple(k).offsets
+        for shift in (0, -(2**64), 2**64):
+            verdict = assert_matches_census([h + shift for h in offsets])
+            assert isinstance(verdict, AdmissibleTuple)
+
+    @pytest.mark.parametrize("k", [500, 2000])
+    @pytest.mark.parametrize("q", [2, 3, 31, 97])
+    def test_refuted_prime_offset_tuples(self, k, q):
+        refuted = refuted_variant(prime_offset_tuple(k).offsets, q)
+        for shift in (0, -(2**64)):
+            verdict = assert_matches_census([h + shift for h in refuted])
+            assert isinstance(verdict, Refutation) and verdict.prime == q
+
+    def test_offsets_past_int64(self):
+        assert is_admissible([0, 2**64]).certificate == {2: 1}
+        assert is_admissible([-(2**63) - 2, 2**63]).certificate == {2: 1}
+        # numpy would infer float64 here, where 2^63 + 1 rounds to even
+        assert is_admissible([1, 2**63 + 1]).certificate == {2: 0}
+        verdict = is_admissible([-(2**64), 0, 4])
+        assert verdict == Refutation(prime=3, covering={0: 0, 1: 4, 2: -(2**64)})
 
 
 class TestPrimeOffsetTuple:
