@@ -7,7 +7,7 @@ shift y with p | y + m whenever m = c_p (mod p), so the covered stretch of
 shift is the all-zero special case covering the offsets [2, n].
 
 The greedy cover picks its classes with tuples._strike, the tuple search's
-loop; both runs take their witnesses from _paint, the least such p per m.
+loop. Both runs witness each m by the least p with m = c_p (mod p) (_paint).
 """
 
 from __future__ import annotations
