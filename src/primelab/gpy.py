@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, ValidationError
-from .sieve import DEFAULT_RANGE_CAP, DEFAULT_SEGMENT_SIZE, _crt_combine, _range_bits, _simple_prime_array, mangoldt_range, primes_between
+from .sieve import DEFAULT_RANGE_CAP, DEFAULT_SEGMENT_SIZE, _crt_combine, _simple_prime_array, mangoldt_range, primes_between
 from .stats import _ExactSum
 from .tuples import AdmissibleTuple
 
@@ -226,8 +226,9 @@ def weighted_sums(
     the sum of log(n + h) over those (one bincount per offset, one fsum).
     Each pair with that modulus contributes lambda_d1 * lambda_d2 times
     each total, so memory is bounded by the largest modulus. Both
-    pipelines read one table of the nonzero lambda_d and one primality
-    table over [x + h_1, 2x + h_k], the n + h they read. Disagreement beyond
+    pipelines read one table of the nonzero lambda_d and one sorted list of
+    the primes in [x + h_1, 2x + h_k], the n + h they read, cut per offset
+    by np.searchsorted. Disagreement beyond
     rel_tol raises ConsistencyError. The error sum E is not part of the
     report; error_sum_E computes it on its own. An x past
     DEFAULT_RANGE_CAP raises CapacityError first.
@@ -236,17 +237,21 @@ def weighted_sums(
     x, D = params.x, params.D_limit
     offsets = params.tuple.offsets
     lam = _lambda_table(params)
-    # both pipelines index the bits from lo = x + h_1, the least n + h they read
-    lo = x + offsets[0]
-    if lo < 0:
+    # both pipelines read the primes from x + h_1, the least n + h they read
+    if x + offsets[0] < 0:
         raise ValidationError(f"need x + h_1 >= 0, got x={x} h_1={offsets[0]}")
-    bits = _range_bits(lo, 2 * x + offsets[-1] + 1, segment_size)
+    ps = primes_between(x + offsets[0], 2 * x + offsets[-1] + 1, segment_size)
+    # per offset: the n in [x, 2x) with n + h prime, ascending
+    prime_ns = [ps[np.searchsorted(ps, x + h) : np.searchsorted(ps, 2 * x + h)] - h for h in offsets]
 
     # direct scan, each block's terms sorted into exact sums
     sums = _ExactSum(), _ExactSum(), _ExactSum()  # S1, S2, S2_theta
     for ns, f in _direct_weight_blocks(params, lam, x, 2 * x):
-        ns, f = ns[f != 0.0], f[f != 0.0]
-        hits = np.stack([bits[ns + h - lo] for h in offsets], axis=1)
+        hits = np.zeros((ns.size, len(offsets)), dtype=bool)
+        for j, qs in enumerate(prime_ns):
+            hits[qs[np.searchsorted(qs, ns[0]) : np.searchsorted(qs, ns[-1] + 1)] - ns[0], j] = True
+        keep = f != 0.0
+        ns, f, hits = ns[keep], f[keep], hits[keep]
         logs = np.zeros(hits.shape)
         logs[hits] = [math.log(v) for v in (ns[:, None] + offsets)[hits].tolist()]
         count, theta = hits.sum(axis=1), _row_fsums(logs)
@@ -260,18 +265,14 @@ def weighted_sums(
     for d1 in lam:
         for d2 in lam:
             pairs_by_m.setdefault(math.lcm(d1, d2), []).append((d1, d2))
-    # per offset: the n in [x, 2x) with n + h prime, and log(n + h)
-    prime_ns = []
-    for h in offsets:
-        qs = np.flatnonzero(bits[x + h - lo : 2 * x + h - lo]).astype(np.int64) + x
-        prime_ns.append((qs, np.log((qs + h).astype(np.float64))))
+    prime_logs = [np.log((qs + h).astype(np.float64)) for qs, h in zip(prime_ns, offsets)]
 
     re_s1, re_s2, re_s2_theta = [], [], []
     for m in sorted(pairs_by_m):
         rs = _valid_residues(m, offsets)
         n_count = sum(_count_in_class(x, 2 * x, r, m) for r in rs)
         prime_hits, class_logs = 0, []
-        for qs, logq in prime_ns:
+        for qs, logq in zip(prime_ns, prime_logs):
             cls = qs % m
             counts = np.bincount(cls, minlength=m)
             prime_hits += sum(int(counts[r]) for r in rs)

@@ -16,19 +16,18 @@ in one array and advanced together. The rest sit in a second
 next-multiple array (the buckets of Oliveira e Silva, Herzog and Pardi,
 Math. Comp. 2014, whose segments are odd-only too): in rounds, its
 entries below the segment's end are struck and advanced by 2p until none
-is left. The public view is iter_prime_segments, a stream of each
-segment's primes (_segment_primes; 2 included where in range).
-prime_census counts the bits of each segment instead, reading its first
-and last prime without listing any, and prime_count, the sieve command
-and stats pnt go through it. A range wider than 16 * e * hi^(3/4)
-integers, e being 1 for lo <= 2 and 2 above (the lattice evaluations),
-with sqrt(hi) <= 2^22, is not sieved: its count
+is left. _segment_primes lists one segment's primes (2 included where
+in range), and primes_between joins them into the one materialised prime
+list, sorted int64; it refuses a range past DEFAULT_RANGE_CAP integers
+before anything is sieved. prime_census counts the bits of each segment
+instead, reading its first and last prime without listing any, and
+prime_count, the sieve command and stats pnt go through it. A range wider
+than 16 * e * hi^(3/4) integers, e being 1 for lo <= 2 and 2 above (the
+lattice evaluations), with sqrt(hi) <= 2^22, is not sieved: its count
 is pi(hi - 1) - pi(lo - 1) from Legendre's identity evaluated on the
 values floor(x / i) (_lattice_pi, Lucy's dynamic program, O(x^(3/4))
 work in O(sqrt(x)) memory), and its first and last prime come from short
 kernel windows at its ends. The kernel's refusals come first either way.
-_range_bits builds the only full-length table, one read-only primality
-byte per integer, for the GPY direct scan and the pigeonhole experiment.
 _omega_blocks yields omega in blocks of min(segment_size, _OMEGA_BLOCK)
 integers, in O(block + sqrt(hi)) memory: each prime p <= sqrt(hi) adds 1
 at its multiples by slices and multiplies a per-integer product by p at
@@ -75,8 +74,8 @@ def _simple_prime_array(limit: int) -> np.ndarray:
         raise CapacityError(f"prime table up to {limit} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
     if limit < 2:
         return np.array([], dtype=np.int64)
-    ((_, primes),) = iter_prime_segments(0, limit + 1, limit + 1)
-    return primes
+    (segment,) = _odd_segments(0, limit + 1, limit + 1)
+    return _segment_primes(segment)
 
 
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # presieved: they strike no segment
@@ -180,14 +179,6 @@ def _odd_segments(
         yield seg_lo, seg_hi, seg_lo | 1, bits
 
 
-def iter_prime_segments(
-    lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (segment_lo, int64 primes in the segment) covering [lo, hi) in order."""
-    for segment in _odd_segments(lo, hi, segment_size):
-        yield segment[0], _segment_primes(segment)
-
-
 def _segment_primes(segment: _Segment) -> np.ndarray:
     """The int64 primes of one segment of _odd_segments, 2 included where in range."""
     seg_lo, seg_hi, first, bits = segment
@@ -197,28 +188,6 @@ def _segment_primes(segment: _Segment) -> np.ndarray:
     if seg_lo <= 2 < seg_hi:
         primes = np.concatenate(([2], primes))
     return primes
-
-
-def _range_bits(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Read-only primality bits of [lo, hi): bits[n - lo] is True iff n is prime.
-
-    Raises:
-        CapacityError: hi - lo exceeds DEFAULT_RANGE_CAP, after the kernel's
-            refusals and before the table is allocated.
-    """
-    _check_segments(lo, hi, segment_size)
-    if hi - lo > DEFAULT_RANGE_CAP:
-        raise CapacityError(
-            f"range of {hi - lo} integers exceeds the cap of {DEFAULT_RANGE_CAP}; "
-            "scan it in pieces"
-        )
-    bits = np.zeros(hi - lo, dtype=bool)
-    for _, seg_hi, first, seg_bits in _odd_segments(lo, hi, segment_size):
-        bits[first - lo : seg_hi - lo : 2] = seg_bits
-    if lo <= 2 < hi:
-        bits[2 - lo] = True
-    bits.flags.writeable = False
-    return bits
 
 
 # A shorter range runs as one piece. A fork and its pipe cost 2-3 ms; a dense
@@ -487,8 +456,19 @@ def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
 
 
 def primes_between(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """All primes in [lo, hi) as one int64 array (materialized)."""
-    return np.concatenate([ps for _, ps in iter_prime_segments(lo, hi, segment_size)])
+    """All primes in [lo, hi) as one sorted int64 array: the one materialised prime list.
+
+    Raises:
+        CapacityError: hi - lo exceeds DEFAULT_RANGE_CAP, after the kernel's
+            refusals and before anything is sieved.
+    """
+    _check_segments(lo, hi, segment_size)
+    if hi - lo > DEFAULT_RANGE_CAP:
+        raise CapacityError(
+            f"range of {hi - lo} integers exceeds the cap of {DEFAULT_RANGE_CAP}; "
+            "scan it in pieces"
+        )
+    return np.concatenate([_segment_primes(segment) for segment in _odd_segments(lo, hi, segment_size)])
 
 
 def _crt_combine(roots: Iterable[tuple[int, Sequence[int]]]) -> tuple[list[int], int]:

@@ -27,11 +27,11 @@ from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     _fold,
     _omega_plan,
-    _range_bits,
     _segment_plan,
     _segment_primes,
     gap_scan,
     prime_count,
+    primes_between,
 )
 
 # Limit constants for the Mertens-type sums (reference targets only).
@@ -111,10 +111,13 @@ def pigeonhole_experiment(
     the frequency of n + h being prime estimates each term. In exact mode
     every n in [X, 2X) is counted once, making prob_sum an exact rational
     count divided by X, and the pigeonhole implication testable with zero
-    tolerance.
+    tolerance. Both modes read the sorted primes in [X, 2X + H] with
+    np.searchsorted; sampled mode steps each draw n through the primes in
+    (n, n + H], so its integer counts do not depend on the draw order.
 
     Raises:
-        CapacityError: more than DEFAULT_RANGE_CAP samples, before any draw.
+        CapacityError: more than DEFAULT_RANGE_CAP samples, before any draw;
+            X + H + 1 past DEFAULT_RANGE_CAP integers, before any sieving.
     """
     if X < 100:
         raise ValidationError(f"X must be >= 100, got {X}")
@@ -124,19 +127,32 @@ def pigeonhole_experiment(
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if not exact and samples > DEFAULT_RANGE_CAP:
         raise CapacityError(f"samples = {samples} exceeds the cap of {DEFAULT_RANGE_CAP} integers")
-    bits = _range_bits(X, 2 * X + H + 1, segment_size)
+    ps = primes_between(X, 2 * X + H + 1, segment_size)
     if exact:
-        # frequency of n + h prime over all n in [X, 2X): a popcount per h
-        counts = [int(np.count_nonzero(bits[h : h + X])) for h in range(1, H + 1)]
+        # frequency of n + h prime over all n in [X, 2X): the primes in [X + h, 2X + h)
+        hs = np.arange(1, H + 1)
+        counts = (np.searchsorted(ps, 2 * X + hs) - np.searchsorted(ps, X + hs)).tolist()
         prob_sum = math.fsum(c / X for c in counts)
         n_used = X
     else:
         rng = np.random.default_rng(seed)
-        hits = [0] * H  # draws with n + h prime, h = 1..H
+        hits = np.zeros(H + 2, dtype=np.int64)  # hits[h]: draws with n + h prime; H + 1 is dropped
         for done in range(0, samples, _DRAW_CHUNK):
-            offsets = rng.integers(X, 2 * X, size=min(_DRAW_CHUNK, samples - done)) - X
-            hits = [c + int(np.count_nonzero(bits[offsets + h])) for h, c in enumerate(hits, 1)]
-        prob_sum = math.fsum(c / samples for c in hits)
+            ns = rng.integers(X, 2 * X, size=min(_DRAW_CHUNK, samples - done))
+            ns.sort()
+            i = np.searchsorted(ps, ns, side="right")  # each draw's next prime; ps holds all up to n + H
+            while ns.size:
+                live = np.searchsorted(i, ps.size)  # i is nondecreasing: the draws past the list are a suffix
+                ns, i = ns[:live], i[:live]
+                gap = ps[i]
+                gap -= ns
+                keep = gap <= H
+                np.add.at(hits, np.minimum(gap, H + 1, out=gap), 1)  # O(draws) a pass; a bincount costs O(H)
+                del gap  # freed before the compaction
+                ns = ns[keep]
+                i = i[keep]
+                i += 1
+        prob_sum = math.fsum(c / samples for c in hits[1 : H + 1].tolist())
         n_used = samples
     scan = gap_scan(X, 2 * X + H + 1, segment_size=segment_size)
     return PigeonholeReport(

@@ -65,11 +65,13 @@ def _strike(values: np.ndarray, primes: Sequence[int], pick: Callable) -> tuple[
     picked: dict[int, int] = {}
     for p in primes:
         classes = (values % p).astype(np.int64, copy=False)
-        c = pick(np.bincount(classes, minlength=p))
+        counts = np.bincount(classes, minlength=p)
+        c = pick(counts)
         if c is None:
             break
         picked[p] = int(c)
-        values = values[classes != c]
+        if counts[c]:  # an empty class strikes nothing: no copy
+            values = values[classes != c]
     return values, picked
 
 

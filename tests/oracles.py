@@ -700,6 +700,19 @@ def least_prime_witnesses(residues: dict[int, int], first: int, length: int) -> 
     return tuple(next(p for p, c in ordered if m % p == c) for m in range(first, first + length))
 
 
+def pigeonhole_from_bits(X: int, H: int, samples: int, seed: int, exact: bool) -> tuple[int, float, int]:
+    """(samples, prob_sum, min_gap_found) of the pigeonhole experiment from one
+    primality table of [0, 2X + H]: a popcount of the table per h in exact
+    mode, else the table read at n + h for all the draws of one call."""
+    bits = simple_sieve_bits(2 * X + H + 1)
+    if exact:
+        n, counts = X, [int(np.count_nonzero(bits[X + h : 2 * X + h])) for h in range(1, H + 1)]
+    else:
+        ns = np.random.default_rng(seed).integers(X, 2 * X, size=samples)
+        n, counts = samples, [int(np.count_nonzero(bits[ns + h])) for h in range(1, H + 1)]
+    return n, math.fsum(c / n for c in counts), int(np.diff(np.flatnonzero(bits[X:])).min())
+
+
 def mertens_sums_materialised(n: int) -> tuple[float, float]:
     """(d1, d2) of the Mertens sums: math.fsum over the array of all p <= n."""
     ps = np.flatnonzero(simple_sieve_bits(n + 1)).astype(np.float64)

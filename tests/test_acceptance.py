@@ -30,7 +30,7 @@ from primelab.maynard import (
     optimize_g_bound,
     rayleigh_quotient,
 )
-from primelab.sieve import _range_bits, prime_count
+from primelab.sieve import prime_count, primes_between
 from primelab.stats import (
     erdos_kac,
     hardy_ramanujan_proportion,
@@ -170,8 +170,8 @@ def test_criterion_06_sieve_exactness():
     count = prime_count(10**8)
     elapsed = time.perf_counter() - t0
     oracle_count = oracles.simple_prime_count(10**8)
-    segmented = _range_bits(0, 10**6, segment_size=4096)
-    identical = np.array_equal(segmented, oracles.simple_sieve_bits(10**6))
+    segmented = primes_between(0, 10**6, segment_size=4096)
+    identical = np.array_equal(segmented, np.flatnonzero(oracles.simple_sieve_bits(10**6)))
     report(
         "6 (sieve exactness)",
         count == 5_761_455 == oracle_count and elapsed < 15.0 and identical,

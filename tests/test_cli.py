@@ -451,6 +451,23 @@ class TestInputValidation:
         assert f"the cap of {sieve.DEFAULT_RANGE_CAP} integers" in err
 
     @pytest.mark.parametrize(
+        "argv,width",
+        [
+            # [x + h_1, 2x + h_k] is listed, not [x, 2x)
+            (("gpy", "sums", "--x", "1000", "--offsets", "0,2147483648", "--b", "0.25"), 2147484649),
+            # [X, 2X + H] is listed before the gap scan
+            (("stats", "pigeonhole", "--X", "2000000000", "--H", "10", "--exact"), 2000000011),
+        ],
+    )
+    def test_prime_lists_past_cap_exit_2(self, capsys, argv, width):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: range of {width} integers exceeds the cap of {sieve.DEFAULT_RANGE_CAP}; "
+            "scan it in pieces\n"
+        )
+
+    @pytest.mark.parametrize(
         "value,message",
         [
             ("nan", "coefficients must be finite"),
@@ -526,9 +543,9 @@ def _run_under_1_gb(*argv):
 
 class TestAddressSpaceLimit:
     def test_range_table_past_cap_refused_under_1_gb(self):
-        # a table of 2^40 integers would ask numpy for 1 TiB; the cap
-        # refuses it before anything is allocated
-        run = _python_under_1_gb("-c", "from primelab import sieve; sieve._range_bits(0, 2**40)")
+        # the primes below 2^40 would take about 300 GiB; the cap refuses
+        # the range before anything is sieved
+        run = _python_under_1_gb("-c", "from primelab import sieve; sieve.primes_between(0, 2**40)")
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr.splitlines()[-1] == (
             f"primelab.errors.CapacityError: range of {2**40} integers exceeds the cap of "

@@ -87,7 +87,7 @@ class TestParams:
             raise AssertionError("table built")
 
         monkeypatch.setattr(gpy, "mangoldt_range", unreachable)
-        monkeypatch.setattr(gpy, "_range_bits", unreachable)
+        monkeypatch.setattr(gpy, "primes_between", unreachable)
         params = GpyParams(k=3, l=1, b=0.25, x=x, tuple=TUPLE_026)
         for run in (weighted_sums, error_sum_E):
             with pytest.raises(CapacityError, match=f"^x = {x} exceeds the cap of {DEFAULT_RANGE_CAP} integers$"):

@@ -20,12 +20,11 @@ from primelab.sieve import (
     _kernel_census,
     _lattice_pi,
     _omega_blocks,
-    _range_bits,
+    _segment_primes,
     _simple_prime_array,
     _uses_lattice,
     GapRecord,
     gap_scan,
-    iter_prime_segments,
     mangoldt_range,
     prime_census,
     prime_count,
@@ -44,46 +43,49 @@ _WHEEL_SPAN = 30030
 
 
 class TestSieveRange:
-    """_range_bits, the one full-length primality table."""
+    """primes_between, the one materialised prime list."""
 
     def test_small_range(self):
-        assert np.flatnonzero(_range_bits(0, 11)).tolist() == [2, 3, 5, 7]
+        assert primes_between(0, 11).tolist() == [2, 3, 5, 7]
 
     def test_empty_prefix(self):
-        assert not _range_bits(0, 2).any()
+        assert primes_between(0, 2).size == 0
 
     def test_high_window_against_trial_division(self):
         lo, hi = 10**8 - 100, 10**8
-        bits = _range_bits(lo, hi)
-        for n in range(lo, hi):
-            assert bits[n - lo] == oracles.trial_division_is_prime(n), n
+        want = [n for n in range(lo, hi) if oracles.trial_division_is_prime(n)]
+        assert primes_between(lo, hi).tolist() == want
 
     def test_segmentation_is_invisible(self):
-        # same range, very different segment sizes, identical bits
-        a = _range_bits(0, 10**5, segment_size=257)
-        b = _range_bits(0, 10**5, segment_size=1 << 20)
+        # same range, very different segment sizes, identical primes
+        a = primes_between(0, 10**5, segment_size=257)
+        b = primes_between(0, 10**5, segment_size=1 << 20)
         assert np.array_equal(a, b)
 
     def test_matches_unsegmented_oracle(self):
-        bits = _range_bits(0, 10**5, segment_size=4096)
-        assert np.array_equal(bits, oracles.simple_sieve_bits(10**5))
+        primes = primes_between(0, 10**5, segment_size=4096)
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, np.flatnonzero(oracles.simple_sieve_bits(10**5)))
 
-    def test_read_only(self):
-        bits = _range_bits(0, 100)
-        with pytest.raises(ValueError, match="read-only"):
-            bits[4] = True
+    def test_capacity_error(self, monkeypatch):
+        # raised after the kernel's refusals and before anything is sieved
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sieved")
 
-    def test_capacity_error(self):
-        # raised before the table is allocated
-        with pytest.raises(CapacityError, match=f"exceeds the cap of {DEFAULT_RANGE_CAP}"):
-            _range_bits(0, DEFAULT_RANGE_CAP + 1)
+        monkeypatch.setattr(sieve, "_odd_segments", unreachable)
+        monkeypatch.setattr(sieve, "_simple_prime_array", unreachable)
+        with pytest.raises(CapacityError, match=(
+            f"^range of {DEFAULT_RANGE_CAP + 1} integers exceeds the cap of {DEFAULT_RANGE_CAP}; scan it in pieces$"
+        )):
+            primes_between(0, DEFAULT_RANGE_CAP + 1)
+        with pytest.raises(ValidationError, match="segment_size must be >= 1"):
+            primes_between(0, 2**40, segment_size=0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            _range_bits(5, 5)
+            primes_between(5, 5)
         with pytest.raises(ValidationError):
-            _range_bits(-1, 10)
-
+            primes_between(-1, 10)
 
 
 class TestSegmentKernel:
@@ -168,14 +170,15 @@ class TestSegmentKernel:
 
     @staticmethod
     def _check(lo, hi, segment_size):
-        segments = list(iter_prime_segments(lo, hi, segment_size))
-        assert [seg_lo for seg_lo, _ in segments] == list(range(lo, hi, segment_size))
-        for seg_lo, primes in segments:
+        segments = list(sieve._odd_segments(lo, hi, segment_size))
+        assert [seg_lo for seg_lo, *_ in segments] == list(range(lo, hi, segment_size))
+        listed = [_segment_primes(segment) for segment in segments]
+        for (seg_lo, seg_hi, _, _), primes in zip(segments, listed):
             assert primes.dtype == np.int64
             assert np.all(np.diff(primes) > 0)
-            seg_hi = min(seg_lo + segment_size, hi)
+            assert seg_hi == min(seg_lo + segment_size, hi)
             assert primes.size == 0 or seg_lo <= primes[0] <= primes[-1] < seg_hi
-        got = np.concatenate([primes for _, primes in segments])
+        got = np.concatenate(listed)
         want = np.flatnonzero(oracles.segment_bits_slow(lo, hi)) + lo
         assert np.array_equal(got, want), (lo, hi, segment_size)
 
@@ -222,16 +225,16 @@ class TestPrimeCount:
         with pytest.raises(ValidationError, match="segment_size must be >= 1"):
             prime_count(10**6, segment_size=segment_size)
         with pytest.raises(ValidationError, match="segment_size must be >= 1"):
-            next(iter_prime_segments(0, 100, segment_size))
+            next(sieve._odd_segments(0, 100, segment_size))
         with pytest.raises(ValidationError, match="segment_size must be >= 1"):
-            _range_bits(0, 10**6, segment_size=segment_size)
+            primes_between(0, 10**6, segment_size=segment_size)
 
     @given(st.integers(min_value=2, max_value=3000))
     @settings(max_examples=30, deadline=None)
     def test_nondecreasing_and_popcount(self, x):
         assert prime_count(x) >= prime_count(x - 1)
         lo = x // 2
-        assert np.count_nonzero(_range_bits(lo, x)) == prime_count(x - 1) - prime_count(lo - 1)
+        assert primes_between(lo, x).size == prime_count(x - 1) - prime_count(lo - 1)
 
 
 # pi(10^k), OEIS A006880

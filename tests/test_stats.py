@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -89,8 +90,31 @@ class TestPigeonhole:
         parts = two.integers(1000, 2000, size=a), two.integers(1000, 2000, size=b)
         assert np.array_equal(whole, np.concatenate(parts))
 
+    @given(
+        st.integers(min_value=100, max_value=5000),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1, 7, 1 << 20]),
+    )
+    @settings(max_examples=100, deadline=None)
+    # H = 0 and 1 at X = 100: the draw n = 199 has no prime left in [X, 2X + H]
+    @example(100, 0, 1000, 0, 1)
+    @example(100, 1, 1000, 0, 7)
+    # 2X + H = 211 is prime: the last prime of the list ends no window
+    @example(100, 11, 1000, 1, 1 << 20)
+    @example(5000, 40, 1000, 2, 1)
+    def test_matches_one_table(self, X, H, samples, seed, chunk):
+        # the sorted prime list gives the counts of one primality table, so
+        # prob_sum keeps its bits in both modes, for any draw chunk
+        with mock.patch.object(stats, "_DRAW_CHUNK", chunk):
+            for exact in (True, False):
+                rep = pigeonhole_experiment(X, H, samples, seed, exact=exact)
+                want = oracles.pigeonhole_from_bits(X, H, samples, seed, exact)
+                assert (rep.samples, rep.prob_sum, rep.min_gap_found, rep.exact) == (*want, exact)
+
     def test_samples_past_cap_refused_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(stats, "_range_bits", None)  # no table either
+        monkeypatch.setattr(stats, "primes_between", None)  # no prime list either
         with pytest.raises(CapacityError, match="^samples = 1073741825 exceeds the cap"):
             pigeonhole_experiment(1000, 5, sieve.DEFAULT_RANGE_CAP + 1)
 
