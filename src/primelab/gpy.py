@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .tuples import AdmissibleTuple
 # Zhang's bounded-gap argument. Recorded as context; nothing here depends
 # on it and nothing here proves it.
 ZHANG_LEVEL_EXPONENT = 0.25 + 1.0 / 1168.0
-
-SupportArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _factorise(d: int) -> dict[int, int]:
@@ -309,8 +307,10 @@ def weighted_sums(
 def residue_set_C(i: int, d: int, tup: AdmissibleTuple) -> frozenset[int]:
     """Residues c in [1, d], coprime to d, with d | prod_j (c - h_i + h_j).
 
-    i is 1-based. For squarefree d the set is assembled per prime factor
-    and combined by CRT; d = 1 gives the single degenerate class {1}.
+    i is 1-based. For squarefree d, c - h_i + h_j = r + h_j for r = c - h_i,
+    so the set is the units among (r + h_i) mod d for the r of
+    _valid_residues(d, offsets), a residue of 0 read as d; d = 1 gives the
+    single degenerate class {1}.
     """
     if not 1 <= i <= tup.k:
         raise ValidationError(f"i must lie in [1, {tup.k}], got {i}")
@@ -318,21 +318,37 @@ def residue_set_C(i: int, d: int, tup: AdmissibleTuple) -> frozenset[int]:
         raise ValidationError(f"d must be >= 1, got {d}")
     if _mobius(d) == 0:
         raise ValidationError(f"d must be squarefree, got {d}")
-    hi = tup.offsets[i - 1]
-    # per prime p | d: the roots of prod_j (c - h_i + h_j) mod p, except c = 0
-    residues, _ = _crt_combine(
-        (p, sorted({(hi - h) % p for h in tup.offsets} - {0})) for p in _factorise(d)
-    )
-    return frozenset(c if c != 0 else d for c in residues)
+    h = tup.offsets[i - 1]
+    classes = ((r + h) % d for r in _valid_residues(d, tup.offsets))
+    return frozenset(c or d for c in classes if math.gcd(c, d) == 1)
 
 
-def remainder_R(
-    x: int, d: int, c: int, *, support: Optional[SupportArrays] = None
-) -> float:
+def _remainders(
+    x: int, moduli: Iterable[tuple[int, Sequence[int]]], segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> Iterator[float]:
+    """remainder_R(x, d, c) for each (d, classes) of moduli and each c in
+    classes, in order.
+
+    The von Mangoldt support of [x, 2x) is listed once, with one math.log
+    per entry. Each d takes one residue pass over it and phi(d) once; each
+    c takes one fsum of the logs in its class, which rounds their exact sum
+    once, so the order of the values is free.
+    """
+    ns, ps, _ = mangoldt_range(x, 2 * x, segment_size=segment_size)
+    logs = np.fromiter(map(math.log, ps), np.float64, ps.size)
+    cls = np.empty_like(ns)
+    for d, classes in moduli:
+        _residues(ns, d, cls)
+        totient = math.prod((p - 1) * p ** (e - 1) for p, e in _factorise(d).items())
+        for c in classes:
+            yield math.fsum(logs[cls == c % d].tolist()) - x / totient
+
+
+def remainder_R(x: int, d: int, c: int) -> float:
     """Prime-power log sum over n in [x, 2x) with n = c mod d, minus x/phi(d).
 
     The sum runs over the von Mangoldt support (each prime power p**m
-    contributes log p); support arrays can be shared across calls.
+    contributes log p), through _remainders.
     """
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
@@ -340,15 +356,8 @@ def remainder_R(
         raise ValidationError(f"c must lie in [1, {d}], got {c}")
     if math.gcd(c, d) != 1:
         raise ValidationError(f"need gcd(c, d) = 1, got c={c} d={d}")
-    if support is None:
-        support = mangoldt_range(x, 2 * x)
-    ns, ps, _ = support
-    mask = ns % d == (c % d)
-    # math.log per element keeps the value multiset identical to any
-    # scalar re-summation, and fsum is order-insensitive
-    lam_sum = math.fsum(math.log(p) for p in ps[mask].tolist())
-    totient = math.prod((p - 1) * p ** (e - 1) for p, e in _factorise(d).items())
-    return lam_sum - x / totient
+    (value,) = _remainders(x, [(d, [c])])
+    return value
 
 
 def error_sum_E(params: GpyParams, i: int = 1, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
@@ -356,20 +365,20 @@ def error_sum_E(params: GpyParams, i: int = 1, *, segment_size: int = DEFAULT_SE
 
     The index i selects which tuple offset anchors the residue sets; it is
     a free choice and defaults to 1. The bound d < x^(2b) is exact where
-    _power_floor is. An x past DEFAULT_RANGE_CAP raises CapacityError
-    before the von Mangoldt support over [x, 2x) is listed.
+    _power_floor is. The terms come from _remainders, one residue pass per
+    d over the support listed once; one fsum rounds their sum. An x past
+    DEFAULT_RANGE_CAP raises CapacityError, and an i outside [1, k]
+    ValidationError, before the von Mangoldt support over [x, 2x) is listed.
     """
     _check_scale(params.x)
+    if not 1 <= i <= params.k:
+        raise ValidationError(f"i must lie in [1, {params.k}], got {i}")
     x = params.x
     d_max = _power_floor(x, 2 * params.b, strict=True)
-    support = mangoldt_range(x, 2 * x, segment_size=segment_size)
-    terms = []
-    for d in range(1, d_max + 1):
-        if _mobius(d) == 0:
-            continue
-        for c in sorted(residue_set_C(i, d, params.tuple)):
-            terms.append(abs(remainder_R(x, d, c, support=support)))
-    return math.fsum(terms)
+    moduli = (
+        (d, sorted(residue_set_C(i, d, params.tuple))) for d in range(1, d_max + 1) if _mobius(d) != 0
+    )
+    return math.fsum(map(abs, _remainders(x, moduli, segment_size)))
 
 
 def _residues(ns: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:

@@ -3,13 +3,13 @@
 Everything else in the package consumes the primes produced here:
 prime streams and counts, GapRecord scans for consecutive-prime gaps,
 and blocks of omega, the distinct-prime-factor count. The sieve
-kernel, _odd_segments, keeps one byte per odd integer of a segment. Each
-segment starts as a tiled copy of one wheel pattern, the odd slots of a
-period of 2 * 3 * 5 * 7 * 11 * 13 = 30,030 integers with the multiples
-of 3..13 cleared (15 KB): two slices of the pattern fill one period,
-which is then doubled within the segment. The wheel primes are set back
-to prime and 1 is cleared. Each base prime p > 13 then strikes its odd
-multiples from p^2 on, its next one carried from segment to segment.
+kernel, _odd_segments, keeps one byte per odd integer of a segment.
+The wheel pattern holds the odd slots of two periods of
+2 * 3 * 5 * 7 * 11 * 13 = 30,030 integers with the multiples of 3..13
+cleared (30 KB); each segment starts as np.resize of its one-period
+slice from the segment's first slot mod 15,015. The wheel primes are
+set back to prime and 1 is cleared. Each base prime p > 13 then strikes
+its odd multiples from p^2 on, its next one carried from segment to segment.
 Primes up to a thirty-second of the segment (at least sixteen
 strikes per segment) strike by strided slices, their next multiples kept
 in one array and advanced together. The rest sit in a second
@@ -79,35 +79,12 @@ def _simple_prime_array(limit: int) -> np.ndarray:
 
 
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # presieved: they strike no segment
-
-
-def _wheel() -> np.ndarray:
-    """One period of odd slots with the multiples of the wheel primes cleared."""
-    pattern = np.ones(math.prod(_WHEEL_PRIMES), dtype=bool)
-    for p in _WHEEL_PRIMES:
-        pattern[p // 2 :: p] = False  # odd n = 2s + 1 is a multiple of p iff s = p // 2 mod p
-    pattern.flags.writeable = False
-    return pattern
-
-
-_WHEEL = _wheel()  # 15,015 slots, one period of 30,030 integers
-
-
-def _presieved(s_lo: int, size: int) -> np.ndarray:
-    """Slots s_lo .. s_lo + size - 1 of the wheel pattern, tiled in place:
-    one period from two slices of _WHEEL, then doubled within itself."""
-    bits = np.empty(size, dtype=bool)
-    r = s_lo % _WHEEL.size
-    head = _WHEEL[r : r + size]
-    bits[: head.size] = head
-    tail = _WHEEL[: min(r, size - head.size)]
-    bits[head.size : head.size + tail.size] = tail
-    filled = head.size + tail.size  # a whole period when it falls short of size
-    while filled < size:
-        n = min(filled, size - filled)
-        bits[filled : filled + n] = bits[:n]
-        filled += n
-    return bits
+_WHEEL_SLOTS = math.prod(_WHEEL_PRIMES)  # odd slots in one period of 30,030 integers
+# Two periods of odd slots with the multiples of the wheel primes cleared (odd
+# n = 2s + 1 is a multiple of p iff s = p // 2 mod p), so that the slice
+# from any slot r < _WHEEL_SLOTS on holds one whole period.
+_WHEEL = np.logical_and.reduce([np.arange(2 * _WHEEL_SLOTS) % p != p // 2 for p in _WHEEL_PRIMES])
+_WHEEL.flags.writeable = False
 
 
 def _check_segments(lo: int, hi: int, segment_size: int) -> None:
@@ -142,6 +119,8 @@ def _odd_segments(
     global slot n // 2, so a segment's slots are seg_lo // 2 .. seg_hi // 2.
     base is _base_primes(h) for some h >= hi (a piece's whole range); by
     default h = hi. A base prime whose square reaches hi strikes nothing.
+    Each segment's bits start as np.resize of the one-period slice of
+    _WHEEL at its first slot, a fresh writable array.
 
     Raises:
         CapacityError: a segment would exceed DEFAULT_RANGE_CAP integers,
@@ -161,7 +140,8 @@ def _odd_segments(
     for seg_lo in range(lo, hi, segment_size):
         seg_hi = min(seg_lo + segment_size, hi)
         s_lo, s_hi = seg_lo // 2, seg_hi // 2
-        bits = _presieved(s_lo, s_hi - s_lo)
+        r = s_lo % _WHEEL_SLOTS
+        bits = np.resize(_WHEEL[r : r + _WHEEL_SLOTS], s_hi - s_lo)  # never a view of _WHEEL
         for p in _WHEEL_PRIMES:
             if s_lo <= p // 2 < s_hi:
                 bits[p // 2 - s_lo] = True

@@ -75,7 +75,7 @@ def pnt_ratio(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
 # pigeonhole_experiment draws its samples in chunks of this many. The chunk
 # is not part of the seeded output: consecutive draws read the generator
 # exactly as one draw of their total size does.
-_DRAW_CHUNK = 1 << 20
+_DRAW_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,17 @@ from primelab.gpy import (
     weighted_sums,
 )
 from primelab.sieve import DEFAULT_RANGE_CAP, _simple_prime_array, mangoldt_range
-from primelab.tuples import is_admissible
+from primelab.tuples import AdmissibleTuple, is_admissible
 
 TUPLE_026 = is_admissible([0, 2, 6])
 TUPLE_02 = is_admissible([0, 2])
+
+# admissible tuples of at most four offsets of one parity in [-40, 41]
+SMALL_TUPLES = st.builds(
+    lambda hs, parity: is_admissible(sorted(2 * h + parity for h in hs)),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True),
+    st.integers(0, 1),
+).filter(lambda tup: isinstance(tup, AdmissibleTuple))
 
 
 def params_026(x=10**4, b=0.25, l=1):
@@ -349,6 +356,15 @@ class TestResidueSetC:
             want = oracles.residue_set_slow(1, d, TUPLE_026.offsets)
             assert set(got) == want, d
 
+    @given(SMALL_TUPLES)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_definition_on_random_tuples(self, tup):
+        for d in range(1, 121):
+            if oracles.mobius_slow(d) == 0:
+                continue
+            for i in range(1, tup.k + 1):
+                assert set(residue_set_C(i, d, tup)) == oracles.residue_set_slow(i, d, tup.offsets), (i, d)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             residue_set_C(0, 5, TUPLE_026)
@@ -371,11 +387,8 @@ class TestRemainderR:
     def test_class_sum_identity(self):
         # summing R over invertible classes leaves the coprime log sum minus x
         x, d = 10**4, 6
-        support = mangoldt_range(x, 2 * x)
-        total = math.fsum(
-            remainder_R(x, d, c, support=support) for c in (1, 5)
-        )
-        ns, ps, _ = support
+        total = math.fsum(remainder_R(x, d, c) for c in (1, 5))
+        ns, ps, _ = mangoldt_range(x, 2 * x)
         coprime_mass = math.fsum(
             math.log(p) for n, p in zip(ns.tolist(), ps.tolist()) if math.gcd(n, d) == 1
         )
@@ -396,6 +409,19 @@ class TestErrorSum:
     def test_matches_brute_force_exactly(self):
         p = params_026(b=0.2)
         assert error_sum_E(p) == oracles.error_sum_slow(p.x, p.b, TUPLE_026.offsets)
+
+    @given(SMALL_TUPLES, st.sampled_from([0.2, 0.25, 0.3]), st.integers(100, 3000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_force_on_random_tuples(self, tup, b, x):
+        p = GpyParams(k=tup.k, l=1, b=b, x=x, tuple=tup)
+        for i in range(1, tup.k + 1):
+            assert error_sum_E(p, i) == oracles.error_sum_slow(x, b, tup.offsets, i), i
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_index_refused_before_the_support(self, monkeypatch, i):
+        monkeypatch.setattr(gpy, "mangoldt_range", None)  # no support listed either
+        with pytest.raises(ValidationError, match=rf"^i must lie in \[1, 3\], got {i}$"):
+            error_sum_E(params_026(), i=i)
 
     def test_monotone_in_b(self):
         assert error_sum_E(params_026(b=0.15)) <= error_sum_E(params_026(b=0.2))

@@ -151,8 +151,9 @@ class TestSegmentKernel:
     @pytest.mark.parametrize("segment_size", [_WHEEL_SPAN - 1, _WHEEL_SPAN, _WHEEL_SPAN + 1, 5 * _WHEEL_SPAN + 1])
     @pytest.mark.parametrize("lo", [0, 3 * _WHEEL_SPAN - 1])
     def test_segments_near_the_wheel_period(self, lo, segment_size):
-        # the pattern is tiled from one period, then doubled, at every
-        # offset; a segment of five periods and one integer doubles thrice
+        # each segment repeats the one-period wheel slice from its first
+        # slot: segments of a period, one integer either side of it, and
+        # five periods and one integer, starting at slots across a period
         self._check(lo, lo + 11 * _WHEEL_SPAN + 7, segment_size)
 
     @pytest.mark.parametrize("segment_size", [1, 2, 7, 17, 33, 4096, 1 << 20])

@@ -113,6 +113,18 @@ class TestPigeonhole:
                 want = oracles.pigeonhole_from_bits(X, H, samples, seed, exact)
                 assert (rep.samples, rep.prob_sum, rep.min_gap_found, rep.exact) == (*want, exact)
 
+    def test_sampled_mode_in_bounded_memory(self):
+        # a draw chunk's int64 draws, prime indices, gaps and compacted
+        # copies set the peak: 7.8 MiB at chunks of 2^18, 26 MiB at 2^20
+        tracemalloc.start()
+        try:
+            rep = pigeonhole_experiment(10**6, 1000, 10**6, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.prob_sum == float.fromhex("0x1.19ba975afaf86p+6")
+        assert peak < 12 * 2**20
+
     def test_samples_past_cap_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(stats, "primes_between", None)  # no prime list either
         with pytest.raises(CapacityError, match="^samples = 1073741825 exceeds the cap"):
